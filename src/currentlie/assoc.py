@@ -16,7 +16,7 @@ from currentlie.linalg import (
     Q,
     SpanSolver,
     Subspace,
-    _nullspace_from_system,
+    _derivation_space,
     nullspace,
     rat,
 )
@@ -174,32 +174,7 @@ def derivations(a: AssocAlgebra) -> EndoSubspace:
     Solved as the exact nullspace of the Leibniz conditions over basis
     pairs; D(1) = 0 follows automatically.
     """
-    n = a.dim
-    c = a.structure
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            cij = c[i][j]
-            for p in range(n):
-                row = [_ZERO] * (n * n)
-                nz = False
-                for k in range(n):
-                    v = cij[k]
-                    if v:
-                        row[p * n + k] += v
-                        nz = True
-                for q in range(n):
-                    v = c[q][j][p]
-                    if v:
-                        row[q * n + i] -= v
-                        nz = True
-                    w = c[i][q][p]
-                    if w:
-                        row[q * n + j] -= w
-                        nz = True
-                if nz:
-                    rows.append(row)
-    return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+    return _derivation_space(a.structure, diagonal=True)
 
 
 def jacobson_radical(a: AssocAlgebra) -> Subspace:

@@ -17,10 +17,14 @@ from currentlie.linalg import (
     Q,
     SpanSolver,
     Subspace,
+    _derivation_space,
+    _nonzero_table,
     _nullspace_from_system,
+    _sparse,
     nullspace,
     rank,
     rat,
+    rat_str,
 )
 
 _ZERO = Q(0)
@@ -101,27 +105,7 @@ class LieAlgebra:
 
     def check_lie_axioms(self) -> bool:
         """Antisymmetry (including [x,x] = 0) and Jacobi on all basis triples."""
-        n = self.dim
-        c = self.structure
-        for i in range(n):
-            if any(c[i][i]):
-                return False
-            for j in range(i + 1, n):
-                if any(a + b for a, b in zip(c[i][j], c[j][i])):
-                    return False
-        basis = [self.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = [_ZERO] * n
-                    for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = c[b][cc]
-                        term = self.bracket(basis[a], inner)
-                        for p in range(n):
-                            total[p] += term[p]
-                    if any(total):
-                        return False
-        return True
+        return first_lie_violation(self) is None
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,6 +121,58 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
 
 
+def first_lie_violation(g: LieAlgebra):
+    """Name the first failed Lie axiom instance, or None if all hold.
+
+    [e_i,e_i] = 0 and antisymmetry are checked first, for i in order and
+    then j > i; then Jacobi on the triples i < j < k in lexicographic
+    order.  A triple's cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] +
+    [e_k,[e_i,e_j]] is nonzero only if some term [e_x, c_yz^m e_m] is,
+    so only the triples reached that way from a nonzero bracket are
+    evaluated; all others are zero.
+    """
+    n = g.dim
+    c = g.structure
+    nz = _nonzero_table(c)
+    for i in range(n):
+        if nz[i][i]:
+            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, c[i][i])} != 0"
+        for j in range(i + 1, n):
+            if nz[i][j] != [(k, -v) for k, v in nz[j][i]]:
+                bad = tuple(a + b for a, b in zip(c[i][j], c[j][i]))
+                return (
+                    f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
+                    f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, bad)}"
+                )
+    # partners[m]: the x with [e_x, e_m] != 0
+    partners = [[x for x in range(n) if nz[x][m]] for m in range(n)]
+    triples = set()
+    for y in range(n):
+        for z in range(y + 1, n):
+            for m, _ in nz[y][z]:
+                for x in partners[m]:
+                    if x != y and x != z:
+                        triples.add(tuple(sorted((x, y, z))))
+    for i, j, k in sorted(triples):
+        total = [_ZERO] * n
+        for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in nz[b][cc]:
+                for p, w in nz[a][m]:
+                    total[p] += v * w
+        if any(total):
+            labels = (g.labels[i], g.labels[j], g.labels[k])
+            return (
+                f"Jacobi fails on ({', '.join(labels)}):"
+                f" cyclic sum = {_combo(g, total)}"
+            )
+    return None
+
+
+def _combo(g: LieAlgebra, vec) -> str:
+    terms = [f"{rat_str(c)}*{g.labels[p]}" for p, c in enumerate(vec) if c]
+    return " + ".join(terms) if terms else "0"
+
+
 def _memoized(g: LieAlgebra, key: str, compute):
     if key not in g._memo:
         g._memo[key] = compute()
@@ -148,13 +184,13 @@ def center(g: LieAlgebra) -> Subspace:
 
     def compute():
         n = g.dim
-        rows = []
-        for j in range(n):
-            for p in range(n):
-                row = [g.structure[i][j][p] for i in range(n)]
-                if any(row):
-                    rows.append(row)
-        return _nullspace_from_system(rows, n)
+        nz = _nonzero_table(g.structure)
+        rows = {}  # (j, p): coordinate p of [x, e_j] as a linear form in x
+        for i in range(n):
+            for j in range(n):
+                for p, v in nz[i][j]:
+                    rows.setdefault((j, p), {})[i] = v
+        return _nullspace_from_system(rows.values(), n)
 
     return _memoized(g, "center", compute)
 
@@ -205,32 +241,7 @@ def derivations(g: LieAlgebra) -> EndoSubspace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as the exact Leibniz nullspace."""
 
     def compute():
-        n = g.dim
-        c = g.structure
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = c[i][j]
-                for p in range(n):
-                    row = [_ZERO] * (n * n)
-                    nz = False
-                    for k in range(n):
-                        v = cij[k]
-                        if v:
-                            row[p * n + k] += v
-                            nz = True
-                    for q in range(n):
-                        v = c[q][j][p]
-                        if v:
-                            row[q * n + i] -= v
-                            nz = True
-                        w = c[i][q][p]
-                        if w:
-                            row[q * n + j] -= w
-                            nz = True
-                    if nz:
-                        rows.append(row)
-        return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+        return _derivation_space(g.structure, diagonal=False)
 
     return _memoized(g, "derivations", compute)
 
@@ -240,25 +251,22 @@ def centroid(g: LieAlgebra) -> EndoSubspace:
 
     def compute():
         n = g.dim
-        c = g.structure
+        nz = _nonzero_table(g.structure)
         rows = []
         for i in range(n):
-            # T * ad_i - ad_i * T = 0, entry (p, q)
-            for p in range(n):
-                for q in range(n):
-                    row = [_ZERO] * (n * n)
-                    nz = False
-                    for k in range(n):
-                        v = c[i][q][k]  # (ad_i)_{k q}
-                        if v:
-                            row[p * n + k] += v
-                            nz = True
-                        w = c[i][k][p]  # (ad_i)_{p k}
-                        if w:
-                            row[k * n + q] -= w
-                            nz = True
-                    if nz:
-                        rows.append(row)
+            # T * ad_i - ad_i * T = 0, entry (p, q); (ad_i)_{k q} = c_iq^k
+            by_pq = {}
+            for q in range(n):
+                for k, v in nz[i][q]:
+                    for p in range(n):
+                        row = by_pq.setdefault((p, q), {})
+                        row[p * n + k] = row.get(p * n + k, _ZERO) + v
+            for k in range(n):
+                for p, w in nz[i][k]:
+                    for q in range(n):
+                        row = by_pq.setdefault((p, q), {})
+                        row[k * n + q] = row.get(k * n + q, _ZERO) - w
+            rows.extend({col: x for col, x in row.items() if x} for row in by_pq.values())
         return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
     return _memoized(g, "centroid", compute)
@@ -278,27 +286,16 @@ def hom_quotient_to_center(g: LieAlgebra) -> EndoSubspace:
         # rows of N vanish exactly on z: over Q the dot form is anisotropic,
         # so the double orthogonal complement recovers the span exactly
         normal_rows = nullspace(z.basis).basis.rows
-        rows = []
-        for d in derived.basis.rows:
-            for p in range(n):
-                row = [_ZERO] * (n * n)
-                nz = False
-                for k in range(n):
-                    if d[k]:
-                        row[p * n + k] += d[k]
-                        nz = True
-                if nz:
-                    rows.append(row)
-        for nu in normal_rows:
-            for j in range(n):
-                row = [_ZERO] * (n * n)
-                nz = False
-                for p in range(n):
-                    if nu[p]:
-                        row[p * n + j] += nu[p]
-                        nz = True
-                if nz:
-                    rows.append(row)
+        rows = [
+            {p * n + k: x for k, x in enumerate(d) if x}
+            for d in derived.basis.rows
+            for p in range(n)
+        ]
+        rows += [
+            {p * n + j: x for p, x in enumerate(nu) if x}
+            for nu in normal_rows
+            for j in range(n)
+        ]
         return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
     return _memoized(g, "hom0", compute)
@@ -334,7 +331,7 @@ def solvable_radical(g: LieAlgebra) -> Subspace:
     """Cartan's criterion: x is radical iff K(x, [g,g]) = 0."""
     kil = killing_form(g)
     derived = derived_subalgebra(g)
-    rows = [kil.apply(d) for d in derived.basis.rows]
+    rows = [_sparse(kil.apply(d)) for d in derived.basis.rows]
     return _nullspace_from_system(rows, g.dim)
 
 

@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Every entry is a fractions.Fraction, so ranks, nullspaces and subspace
 operations are exact certificates rather than floating-point estimates.
-Matrices are immutable once built; row reduction works on throwaway
-list-of-list copies.
+Matrices are immutable dense tuples.  Linear systems are eliminated
+sparse: one Gauss-Jordan routine works on rows held as {column: value}
+dicts of their nonzero entries, and a Subspace keeps the result as its
+canonical dense RREF basis.
 """
 
 from __future__ import annotations
@@ -219,107 +221,144 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._trusted(rows, len(rows), w)
 
 
-def _rref_rows(rows: list[list[Q]], ncols: int) -> list[int]:
-    """Gauss-Jordan on a list of mutable rows, in place.
+def _sparse(v: Sequence) -> dict:
+    """The nonzero entries of a dense vector, as {index: Fraction}."""
+    out = {}
+    for j, x in enumerate(v):
+        q = rat(x)
+        if q:
+            out[j] = q
+    return out
 
-    Deterministic: pivots are chosen leftmost column first, first nonzero
-    row from the top.  Returns the pivot column list; reduced rows end up
-    sorted with zero rows at the bottom, which is exactly RREF order.
+
+def _dense(row: dict, n: int) -> tuple:
+    v = [_ZERO] * n
+    for j, x in row.items():
+        v[j] = x
+    return tuple(v)
+
+
+def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
+    """Sparse Gauss-Jordan: the RREF basis of the span of the rows.
+
+    Rows are {column: nonzero Fraction} dicts and are not modified.  Each
+    row is scaled to leading entry 1 and skipped if an equal row came
+    before (Leibniz-style systems repeat rows and their multiples
+    heavily).  The rest are reduced by the pivot rows found so far; a new
+    pivot row, led by its leftmost entry, is then cleared out of the
+    earlier ones.  So the pivot rows always have a leading 1 that is the
+    only nonzero in its column, and at the end they are the unique RREF
+    basis.  Returned as (pivot column, row) pairs sorted by pivot.
     """
-    nrows = len(rows)
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    seen = set()
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        if not row:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
+        items = sorted(row.items())
+        lead = items[0][1]
+        if lead != _ONE:
+            inv = _ONE / lead
+            items = [(j, x * inv) for j, x in items]
+        key = tuple(items)
+        if key in seen:
+            continue
+        seen.add(key)
+        work = dict(items)
+        # pivot rows vanish on each other's pivots, so these stay the
+        # only pivot columns of `work` while it is reduced
+        for c in [c for c in work if c in pivot_rows]:
+            _subtract(work, work.pop(c), pivot_rows[c], c)
+        if not work:
+            continue
+        p = min(work)
+        pv = work[p]
         if pv != _ONE:
             inv = _ONE / pv
-            for idx in range(c, ncols):
-                if prow[idx]:
-                    prow[idx] *= inv
-        # nonzero tail of the pivot row, reused against every other row
-        pnz = [(idx, prow[idx]) for idx in range(c + 1, ncols) if prow[idx]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                row[c] = _ZERO
-                if f == _ONE:
-                    for idx, v in pnz:
-                        row[idx] -= v
-                else:
-                    for idx, v in pnz:
-                        row[idx] -= f * v
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            work = {j: x * inv for j, x in work.items()}
+        for other in pivot_rows.values():
+            f = other.pop(p, None)
+            if f is not None:
+                _subtract(other, f, work, p)
+        pivot_rows[p] = work
+    return sorted(pivot_rows.items())
+
+
+def _subtract(row: dict, f: Q, pivot_row: dict, pivot: int) -> None:
+    # row -= f * pivot_row off the pivot column, dropping cancelled entries
+    for j, x in pivot_row.items():
+        if j != pivot:
+            v = row.get(j, _ZERO) - f * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form, same shape as the input, plus pivot columns."""
-    rows = [list(row) for row in m.rows]
-    pivots = _rref_rows(rows, m.ncols)
-    out = ExactMatrix._trusted(tuple(tuple(r) for r in rows), m.nrows, m.ncols)
-    return out, tuple(pivots)
+    reduced = _rref_sparse(_sparse(row) for row in m.rows)
+    rows = tuple(_dense(row, m.ncols) for _, row in reduced)
+    rows += ((_ZERO,) * m.ncols,) * (m.nrows - len(rows))
+    out = ExactMatrix._trusted(rows, m.nrows, m.ncols)
+    return out, tuple(p for p, _ in reduced)
 
 
 def rank(m: ExactMatrix) -> int:
-    rows = [list(row) for row in m.rows]
-    return len(_rref_rows(rows, m.ncols))
+    return len(_rref_sparse(_sparse(row) for row in m.rows))
 
 
-def _dedup_rows(rows: Iterable[Sequence[Q]], ncols: int) -> list[list[Q]]:
-    # speed only: normalize leading entry to 1, then drop duplicate rows.
-    # Leibniz-style systems repeat rows (and negations) heavily.
-    seen: dict[tuple, None] = {}
-    for row in rows:
-        lead = None
-        for idx in range(ncols):
-            if row[idx]:
-                lead = idx
-                break
-        if lead is None:
-            continue
-        lv = row[lead]
-        key = tuple(row) if lv == _ONE else tuple(x / lv for x in row)
-        seen[key] = None
-    return [list(k) for k in seen]
-
-
-def _nullspace_from_system(rows: Iterable[Sequence[Q]], ncols: int) -> "Subspace":
-    """Solution space of (rows) * x = 0; rows may repeat, dedup is safe here."""
-    work = _dedup_rows(rows, ncols)
-    pivots = _rref_rows(work, ncols)
-    rank_ = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -work[i][f]
-        basis.append(v)
-    assert len(basis) == ncols - rank_
-    return Subspace.from_vectors(basis, ncols)
+def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
+    """Solution space of (rows) * x = 0, for sparse rows {column: value}."""
+    reduced = _rref_sparse(rows)
+    pivots = {p for p, _ in reduced}
+    # one solution per free column f: x_f = 1, x_p = -row_p[f] on pivots
+    free = {f: {f: _ONE} for f in range(ncols) if f not in pivots}
+    for p, row in reduced:
+        for j, x in row.items():
+            if j != p:
+                free[j][p] = -x
+    return Subspace._from_rref(ncols, _rref_sparse(free.values()))
 
 
 def nullspace(m: ExactMatrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace of Q^ncols."""
-    return _nullspace_from_system(m.rows, m.ncols)
+    return _nullspace_from_system([_sparse(row) for row in m.rows], m.ncols)
+
+
+def _derivation_space(structure, diagonal: bool) -> "EndoSubspace":
+    """Derivations of the bilinear product with structure tensor `structure`.
+
+    structure[i][j] is the coordinate vector of e_i e_j.  D(e_i e_j) =
+    D(e_i) e_j + e_i D(e_j) is imposed for i < j, and for i == j as well
+    when `diagonal` is set; with D flattened row-major (D[p][k] at
+    p*n + k), coordinate p of one such equation reads
+        sum_k c_ij^k D[p][k] - sum_q c_qj^p D[q][i] - sum_q c_iq^p D[q][j] = 0.
+    """
+    n = len(structure)
+    nz = _nonzero_table(structure)
+    # left[i]: (q, p, c_iq^p); right[j]: (q, p, c_qj^p)
+    left = [[(q, p, v) for q in range(n) for p, v in nz[i][q]] for i in range(n)]
+    right = [[(q, p, v) for q in range(n) for p, v in nz[q][j]] for j in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(i if diagonal else i + 1, n):
+            by_p = {}
+            if nz[i][j]:
+                for p in range(n):
+                    by_p[p] = {p * n + k: v for k, v in nz[i][j]}
+            for terms, unknown in ((right[j], i), (left[i], j)):
+                for q, p, v in terms:
+                    row = by_p.setdefault(p, {})
+                    col = q * n + unknown
+                    row[col] = row.get(col, _ZERO) - v
+            rows.extend({col: x for col, x in row.items() if x} for row in by_p.values())
+    return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+
+
+def _nonzero_table(structure) -> list:
+    """nz[i][j]: the (k, c_ij^k) with c_ij^k != 0, in order of k."""
+    return [[[(k, v) for k, v in enumerate(vec) if v] for vec in row] for row in structure]
 
 
 class Subspace:
@@ -340,18 +379,24 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        rows = [[rat(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient:
+        rows = []
+        for v in vectors:
+            rows.append(_sparse(v))
+            if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        pivots = _rref_rows(rows, ambient)
-        kept = tuple(tuple(r) for r in rows[: len(pivots)])
-        basis = (
-            ExactMatrix._trusted(kept, len(kept), ambient)
-            if kept
-            else ExactMatrix.zero(0, ambient)
+        return cls._from_rref(ambient, _rref_sparse(rows))
+
+    @classmethod
+    def _from_rref(cls, ambient: int, reduced: list) -> "Subspace":
+        # reduced: (pivot, sparse row) pairs as returned by _rref_sparse
+        basis = tuple(_dense(row, ambient) for _, row in reduced)
+        space = cls(
+            ambient,
+            ExactMatrix._trusted(basis, len(basis), ambient),
+            tuple(p for p, _ in reduced),
         )
-        return cls(ambient, basis, tuple(pivots))
+        space._nnz = [sorted(row.items()) for _, row in reduced]
+        return space
 
     @classmethod
     def zero_space(cls, ambient: int) -> "Subspace":
@@ -519,22 +564,17 @@ class SpanSolver:
     """
 
     def __init__(self, vectors: Sequence[Sequence], ambient: int):
-        vecs = [[rat(x) for x in v] for v in vectors]
-        for v in vecs:
+        rows = []
+        for i, v in enumerate(vectors):
+            row = _sparse(v)
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
+            row[ambient + i] = _ONE
+            rows.append(row)
         self.ambient = ambient
-        self.count = len(vecs)
-        work = [
-            v + [_ONE if j == i else _ZERO for j in range(self.count)]
-            for i, v in enumerate(vecs)
-        ]
-        pivots = _rref_rows(work, ambient + self.count)
-        self._rows = []
-        for p, row in zip(pivots, work):
-            if p >= ambient:
-                break  # dependency rows; no use for solving
-            self._rows.append((p, row))
+        self.count = len(rows)
+        # pivots past `ambient` lead dependency rows; no use for solving
+        self._rows = [(p, row) for p, row in _rref_sparse(rows) if p < ambient]
 
     def coefficients(self, v: Sequence):
         """Coefficients c with sum(c_i * vectors_i) = v, or None if unsolvable."""
@@ -546,16 +586,15 @@ class SpanSolver:
             f = w[p]
             alphas.append(f)
             if f:
-                for j in range(self.ambient):
-                    if row[j]:
-                        w[j] -= f * row[j]
+                for j, x in row.items():
+                    if j < self.ambient:
+                        w[j] -= f * x
         if any(w):
             return None
         coeffs = [_ZERO] * self.count
         for f, (_, row) in zip(alphas, self._rows):
             if f:
-                for j in range(self.count):
-                    t = row[self.ambient + j]
-                    if t:
-                        coeffs[j] += f * t
+                for j, x in row.items():
+                    if j >= self.ambient:
+                        coeffs[j - self.ambient] += f * x
         return tuple(coeffs)

@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 
 from currentlie.assoc import AssocAlgebra
-from currentlie.lie import LieAlgebra
+from currentlie.lie import LieAlgebra, first_lie_violation
 from currentlie.linalg import Q, rat, rat_str
 
 _ZERO = Q(0)
@@ -189,46 +189,8 @@ def load_algebra(path, check: bool = True):
 def first_axiom_violation(alg):
     """Name the first failed axiom instance, or None if all hold."""
     if isinstance(alg, LieAlgebra):
-        return _first_lie_violation(alg)
+        return first_lie_violation(alg)
     return _first_assoc_violation(alg)
-
-
-def _combo(alg, vec) -> str:
-    terms = [
-        f"{rat_str(c)}*{alg.labels[p]}" for p, c in enumerate(vec) if c
-    ]
-    return " + ".join(terms) if terms else "0"
-
-
-def _first_lie_violation(g: LieAlgebra):
-    n = g.dim
-    c = g.structure
-    for i in range(n):
-        if any(c[i][i]):
-            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, c[i][i])} != 0"
-        for j in range(i + 1, n):
-            bad = tuple(a + b for a, b in zip(c[i][j], c[j][i]))
-            if any(bad):
-                return (
-                    f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
-                    f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, bad)}"
-                )
-    basis = [g.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [_ZERO] * n
-                for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = g.bracket(basis[a], c[b][cc])
-                    for p in range(n):
-                        total[p] += term[p]
-                if any(total):
-                    labels = (g.labels[i], g.labels[j], g.labels[k])
-                    return (
-                        f"Jacobi fails on ({', '.join(labels)}):"
-                        f" cyclic sum = {_combo(g, total)}"
-                    )
-    return None
 
 
 def _first_assoc_violation(a: AssocAlgebra):

@@ -52,9 +52,12 @@ def test_der_dimension_formula_values():
 
 
 def test_formula_matches_computed_nullspace():
-    for m, k in ((1, 1), (1, 2), (2, 1)):
+    # (3, 4) and (4, 2) are the dimensions 35 and 27 of the larger algebras
+    for m, k in ((1, 1), (1, 2), (2, 1), (3, 4), (4, 2)):
         ca = truncated_heisenberg(m, k)
-        assert ca.derivations().dim == der_dimension_formula(m, k)
+        der = ca.derivations()
+        assert der.dim == der_dimension_formula(m, k)
+        assert all(match_template(m, k, mat).ok for mat in der.basis_matrices())
 
 
 def test_template_parameter_count_matches_formula():

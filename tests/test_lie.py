@@ -25,7 +25,8 @@ from currentlie.lie import (
     sp,
     subalgebra,
 )
-from currentlie.linalg import ExactMatrix, Subspace, rank
+from currentlie.linalg import EndoSubspace, ExactMatrix, Subspace, rank
+from currentlie.serialize import first_axiom_violation
 from helpers import rand_frac
 
 
@@ -73,6 +74,64 @@ def test_check_lie_axioms_rejects_bad_tables():
         ["x", "y", "z"], [(0, 1, 2, 1), (0, 2, 0, 1), (1, 2, 1, 1)]
     )
     assert not bad2.check_lie_axioms()
+
+
+def _lie_axioms_hold(g) -> bool:
+    """Dense oracle: every basis pair and every basis triple, via bracket()."""
+    e = [g.basis_vector(i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            if any(a + b for a, b in zip(g.bracket(e[i], e[j]), g.bracket(e[j], e[i]))):
+                return False
+            for k in range(g.dim):
+                terms = (
+                    g.bracket(e[i], g.bracket(e[j], e[k])),
+                    g.bracket(e[j], g.bracket(e[k], e[i])),
+                    g.bracket(e[k], g.bracket(e[i], e[j])),
+                )
+                if any(sum(t) for t in zip(*terms)):
+                    return False
+    return True
+
+
+def test_axiom_check_agrees_with_violation_report():
+    # matrix-generated algebras, then copies with one constant perturbed
+    gl2 = EndoSubspace.from_matrices(
+        [ExactMatrix([[int((r, c) == (p, q)) for c in range(2)] for r in range(2)])
+         for p in range(2) for q in range(2)],
+        2,
+    )
+    algebras = [sp(1), sp(2), lie_from_endo_span(derivations(heisenberg(1))),
+                lie_from_endo_span(gl2)]
+    rng = random.Random(47)
+    verdicts = []
+    for g in algebras:
+        for t in range(8):
+            table = [[list(v) for v in row] for row in g.structure]
+            if t:
+                i, j, k = (rng.randrange(g.dim) for _ in range(3))
+                table[i][j][k] += rng.choice([1, -1])
+                if t % 2 and i != j:
+                    table[j][i][k] = -table[i][j][k]  # keep antisymmetry
+            h = LieAlgebra(g.labels, table)
+            ok = h.check_lie_axioms()
+            assert ok == (first_axiom_violation(h) is None) == _lie_axioms_hold(h)
+            verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_axiom_violation_messages_are_pinned():
+    # Jacobi fails on (b, c, d) and on (c, d, e) only
+    labels = ["a", "b", "c", "d", "e"]
+    g = LieAlgebra.from_bracket_entries(labels, [(1, 3, 4, 1), (2, 4, 1, 1)])
+    assert first_axiom_violation(g) == "Jacobi fails on (b, c, d): cyclic sum = -1*b"
+    table = [[list(v) for v in row] for row in g.structure]
+    table[4][3][0] += 1  # antisymmetry fails on the last pair, before any Jacobi test
+    bad = LieAlgebra(labels, table)
+    assert first_axiom_violation(bad) == "antisymmetry fails: [d,e] + [e,d] = 1*a"
+    table[2][2][3] = -2
+    assert first_axiom_violation(LieAlgebra(labels, table)) == "[c,c] = -2*d != 0"
+    assert not g.check_lie_axioms() and not bad.check_lie_axioms()
 
 
 def test_abelian_invariants():

@@ -7,6 +7,7 @@ import pytest
 
 from currentlie.linalg import (
     ExactMatrix,
+    _nullspace_from_system,
     SpanSolver,
     Subspace,
     commutator,
@@ -22,7 +23,7 @@ from currentlie.linalg import (
     subspace_sum,
     vstack,
 )
-from helpers import rand_matrix, rand_vector, reference_rref
+from helpers import rand_frac, rand_matrix, rand_vector, reference_rref
 
 
 def test_rat_parsing_and_serialization():
@@ -145,6 +146,63 @@ def test_nullspace_properties():
         assert ns.dim == m.ncols - rank(m)
         for v in ns.basis.rows:
             assert all(x == 0 for x in m.apply(v))
+
+
+def _random_sparse_system(rng, ncols):
+    """Sparse rows plus duplicated, rescaled, negated and empty copies."""
+    rows = []
+    for _ in range(rng.randint(1, ncols)):
+        cols = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+        row = {c: x for c in cols if (x := rand_frac(rng))}
+        rows.append(row)
+    for _ in range(rng.randint(0, 2 * len(rows))):
+        row = rng.choice(rows)
+        scale = rng.choice([1, -1, Fraction(rng.choice([-5, -2, 3, 4]), rng.randint(1, 5))])
+        rows.append({c: scale * x for c, x in row.items()})
+    rows.extend({} for _ in range(rng.randint(0, 2)))
+    rng.shuffle(rows)
+    return rows
+
+
+def _nonzero_rows(m: ExactMatrix) -> list:
+    return [row for row in m.rows if any(row)]
+
+
+def test_sparse_nullspace_matches_independent_elimination():
+    rng = random.Random(29)
+    for _ in range(30):
+        ncols = rng.randint(1, 40)
+        rows = _random_sparse_system(rng, ncols)
+        dense = ExactMatrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        ns = _nullspace_from_system(rows, ncols)
+
+        # oracle: free-column solutions of the reference RREF, then the
+        # reference RREF of those solutions
+        reduced = _nonzero_rows(reference_rref(dense))
+        pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+        solutions = []
+        for f in range(ncols):
+            if f not in pivots:
+                v = [Fraction(0)] * ncols
+                v[f] = Fraction(1)
+                for row, p in zip(reduced, pivots):
+                    v[p] = -row[f]
+                solutions.append(v)
+        expected = _nonzero_rows(reference_rref(ExactMatrix(solutions))) if solutions else []
+        expected_pivots = tuple(next(c for c, x in enumerate(row) if x) for row in expected)
+        basis = ExactMatrix(expected) if expected else ExactMatrix.zero(0, ncols)
+        assert ns == Subspace(ncols, basis, expected_pivots)
+        assert ns.pivots == expected_pivots
+
+        # canonical RREF: increasing pivots, leading 1s, lone pivot entries
+        assert list(ns.pivots) == sorted(set(ns.pivots))
+        for i, (row, p) in enumerate(zip(ns.basis.rows, ns.pivots)):
+            assert row[p] == 1 and not any(row[:p])
+            assert all(other[p] == 0 for k, other in enumerate(ns.basis.rows) if k != i)
+            assert not any(dense.apply(row))
+
+        # the same rows, dense, span the reference row space
+        assert list(Subspace.from_vectors(dense.rows, ncols).basis.rows) == reduced
 
 
 def test_nullspace_of_zero_matrix_is_everything():
