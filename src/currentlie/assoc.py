@@ -8,6 +8,7 @@ Wedderburn complement, multiplication operators).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from currentlie.linalg import (
@@ -251,70 +252,115 @@ def _minimal_polynomial(alg: AssocAlgebra, unit, x) -> list:
 
 
 def _rational_roots(poly: list) -> tuple[list, int]:
-    """Distinct rational roots of a monic poly plus the leftover degree.
+    """Distinct rational roots of a poly plus the leftover degree.
 
-    Uses the rational root theorem after clearing denominators, deflating
-    each root as often as it divides.
+    poly lists the coefficients from the constant term up.  Zero comes
+    first, then the other roots by (|numerator|, denominator, positive
+    before negative), the order in which a rational-root-theorem search
+    over numerators and denominators meets them; the idempotents, and so
+    the reports, follow this order.  With the denominators cleared to
+    integers a_0..a_n, every rational root of the poly is y / a_n for an
+    integer root y of the monic integer polynomial a_n^(n-1) p(y / a_n).
+    Those are isolated by exact bisection (see _integer_roots), so the
+    cost grows with the number of digits of the coefficients, not with
+    their size.  Each root is confirmed by exact evaluation and deflated
+    as often as it divides.
     """
     coeffs = list(poly)
     roots = []
-
-    def evaluate(cs, x):
-        acc = _ZERO
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def deflate(cs, r):
-        # divide by (t - r); cs monic-led or not, exact division
-        out = [_ZERO] * (len(cs) - 1)
-        carry = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            out[i] = carry
-            carry = cs[i] + r * carry
-        assert carry == 0
-        return out
-
-    while len(coeffs) > 1:
-        if coeffs[0] == 0:
-            if _ZERO not in roots:
-                roots.append(_ZERO)
+    if len(coeffs) > 1 and coeffs[0] == 0:
+        roots.append(_ZERO)
+        while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs = coeffs[1:]
-            continue
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
-        lead, const = abs(ints[-1]), abs(ints[0])
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Q(p, q), Q(-p, q)):
-                    if evaluate(coeffs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        if found not in roots:
-            roots.append(found)
-        coeffs = deflate(coeffs, found)
+    if len(coeffs) > 1:
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        lead, n = ints[-1], len(ints) - 1
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+        found = sorted(
+            (Q(y, lead) for y in _integer_roots(monic)),
+            key=lambda r: (abs(r.numerator), r.denominator, r < 0),
+        )
+        for r in found:
+            if _evaluate(coeffs, r) == 0:
+                roots.append(r)
+                while len(coeffs) > 1 and _evaluate(coeffs, r) == 0:
+                    coeffs = _deflate(coeffs, r)
     return roots, len(coeffs) - 1
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _evaluate(cs: list, x) -> Q:
+    acc = _ZERO
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
+def _deflate(cs: list, r) -> list:
+    # quotient of cs by (t - r), for a root r of cs
+    out = [_ZERO] * (len(cs) - 1)
+    carry = cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        out[i] = carry
+        carry = cs[i] + r * carry
     return out
+
+
+def _integer_roots(monic: list) -> list[int]:
+    """Integer roots of a monic integer polynomial (constant term first).
+
+    Every root y has |y| <= 1 + max |coefficient| (Cauchy's bound).  The
+    drop in sign variations of the Sturm sequence from lo + 1/2 to
+    hi + 1/2 counts the distinct real roots in between; that holds for
+    repeated roots too, as a monic integer polynomial has only integer
+    rational roots, so the half-integer ends are never roots.  Bisecting
+    the intervals that hold roots down to single integers takes about
+    degree * log2(bound) steps; an integer is kept if it is a root.
+    """
+    chain = [[Q(c) for c in monic]]
+    chain.append([i * c for i, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(k: int) -> int:
+        # sign changes of the chain at k + 1/2
+        x = Q(2 * k + 1, 2)
+        values = [_evaluate(p, x) for p in chain]
+        signs = [v > 0 for v in values if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    roots = []
+    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _evaluate(monic, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return roots
+
+
+def _poly_rem(a: list, b: list) -> list:
+    """Remainder of a divided by b, coefficients from the constant up; [] for 0."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def wedderburn_complement(a: AssocAlgebra) -> Subspace:

@@ -21,6 +21,7 @@ from currentlie.linalg import (
     _nonzero_table,
     _nullspace_from_system,
     _sparse,
+    commutator,
     nullspace,
     rank,
     rat,
@@ -384,8 +385,7 @@ def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
     table = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = endo.space.coordinates(comm.flat())
+            coords = endo.coordinates(commutator(mats[i], mats[j]))
             if coords is None:
                 raise ValueError("matrix space is not closed under the commutator")
             table[i][j] = list(coords)

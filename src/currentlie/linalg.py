@@ -2,15 +2,22 @@
 
 Every entry is a fractions.Fraction, so ranks, nullspaces and subspace
 operations are exact certificates rather than floating-point estimates.
-Matrices are immutable dense tuples.  Linear systems are eliminated
-sparse: one Gauss-Jordan routine works on rows held as {column: value}
-dicts of their nonzero entries, and a Subspace keeps the result as its
-canonical dense RREF basis.
+An ExactMatrix exposes its entries as an immutable dense tuple of rows,
+and keeps, computed once, a sparse integer view of them: a common
+denominator and, per row, the (column, integer numerator) pairs of its
+nonzero entries.  Products, commutators, Kronecker products, sums and
+scalar multiples work on that view: they accumulate integer numerators
+over the product of the operands' common denominators (1 for integer
+matrices) and build a Fraction once per nonzero entry of the result.
+Linear systems are eliminated sparse: one Gauss-Jordan routine works on
+rows held as {column: value} dicts of their nonzero entries, and a
+Subspace keeps the result as its canonical dense RREF basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -40,9 +47,14 @@ def rat_str(value) -> str:
 
 
 class ExactMatrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable matrix with Fraction entries.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `rows` is the dense tuple of rows.  The arithmetic reads the sparse
+    integer view (see `_int_rows`), which the kernels attach to their
+    results and which is otherwise built from `rows` on first use.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "_view")
 
     def __init__(self, rows: Iterable[Sequence]):
         rows = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -54,6 +66,7 @@ class ExactMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = width
+        self._view = None
 
     @classmethod
     def _trusted(cls, rows: tuple, nrows: int, ncols: int) -> "ExactMatrix":
@@ -62,7 +75,59 @@ class ExactMatrix:
         m.rows = rows
         m.nrows = nrows
         m.ncols = ncols
+        m._view = None
         return m
+
+    @classmethod
+    def _from_ints(cls, nrows: int, ncols: int, den: int, int_rows: list) -> "ExactMatrix":
+        """The matrix whose entry (i, c) is v / den for (c, v) in int_rows[i].
+
+        Every v must be nonzero; columns not listed are zero.  den is first
+        cut down to the least common denominator of the entries, so that
+        denominators do not grow along chains of products.
+        """
+        if den != 1:
+            g = gcd(den, *(v for row in int_rows for _, v in row))
+            if g != 1:
+                den //= g
+                int_rows = [[(c, v // g) for c, v in row] for row in int_rows]
+        zero_row = (_ZERO,) * ncols
+        rows = []
+        for items in int_rows:
+            if not items:
+                rows.append(zero_row)
+                continue
+            row = [_ZERO] * ncols
+            for c, v in items:
+                row[c] = Q(v) if den == 1 else Q(v, den)
+            rows.append(tuple(row))
+        m = cls._trusted(tuple(rows), nrows, ncols)
+        m._view = (den, int_rows)
+        return m
+
+    def _int_rows(self) -> tuple:
+        """(den, int_rows): entry (i, c) is v / den for (c, v) in int_rows[i].
+
+        den is the least common denominator of the entries; int_rows lists
+        the nonzero entries of each row only.
+        """
+        if self._view is None:
+            nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in self.rows]
+            den = lcm(*(x.denominator for row in nonzero for _, x in row))
+            self._view = (
+                den,
+                [[(c, x.numerator * (den // x.denominator)) for c, x in row] for row in nonzero],
+            )
+        return self._view
+
+    def _flat_nonzeros(self) -> dict:
+        """{row-major flat index: entry} over the nonzero entries."""
+        n = self.ncols
+        return {
+            i * n + c: row[c]
+            for i, (row, items) in enumerate(zip(self.rows, self._int_rows()[1]))
+            for c, _ in items
+        }
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -117,20 +182,26 @@ class ExactMatrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return ExactMatrix._trusted(rows, self.nrows, self.ncols)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        # self + sign * other, over the lcm of the two denominators
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return ExactMatrix._trusted(rows, self.nrows, self.ncols)
+        da, arows = self._int_rows()
+        db, brows = other._int_rows()
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = []
+        for ra, rb in zip(arows, brows):
+            acc = {c: v * fa for c, v in ra}
+            for c, v in rb:
+                acc[c] = acc.get(c, 0) + v * fb
+            out.append([(c, v) for c, v in acc.items() if v])
+        return ExactMatrix._from_ints(self.nrows, self.ncols, den, out)
 
     def __neg__(self) -> "ExactMatrix":
         rows = tuple(tuple(-a for a in row) for row in self.rows)
@@ -140,8 +211,10 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             return self.matmul(other)
         c = rat(other)
-        rows = tuple(tuple(a * c for a in row) for row in self.rows)
-        return ExactMatrix._trusted(rows, self.nrows, self.ncols)
+        den, rows = self._int_rows()
+        p = c.numerator
+        out = [[(j, v * p) for j, v in row] if p else [] for row in rows]
+        return ExactMatrix._from_ints(self.nrows, self.ncols, den * c.denominator, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -149,18 +222,26 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        bcols = list(zip(*other.rows))
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col) if a and b) or _ZERO for col in bcols)
-            for row in self.rows
-        )
-        return ExactMatrix._trusted(rows, self.nrows, other.ncols)
+        da, arows = self._int_rows()
+        db, brows = other._int_rows()
+        width = other.ncols
+        out = []
+        for row in arows:
+            acc = [0] * width
+            _accumulate(acc, row, brows, 1)
+            out.append([(c, v) for c, v in enumerate(acc) if v])
+        return ExactMatrix._from_ints(self.nrows, width, da * db, out)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v) if a and b) or _ZERO for row in self.rows)
+        w = [rat(x) for x in v]
+        dv = lcm(*(x.denominator for x in w))
+        iv = [x.numerator * (dv // x.denominator) for x in w]
+        den, rows = self._int_rows()
+        den *= dv
+        return tuple(Q(sum(x * iv[j] for j, x in row), den) for row in rows)
 
     def transpose(self) -> "ExactMatrix":
         rows = tuple(zip(*self.rows)) if self.nrows else ()
@@ -174,7 +255,7 @@ class ExactMatrix:
         return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self._int_rows()[1])
 
     def flat(self) -> tuple:
         """Row-major flattening; inverse of from_flat."""
@@ -186,17 +267,41 @@ class ExactMatrix:
         return ExactMatrix._trusted(rows, r1 - r0, c1 - c0)
 
 
+def _accumulate(acc: list, row, rows, sign: int) -> None:
+    # acc += sign * (row times the matrix with int rows `rows`), in integers
+    for j, x in row:
+        x *= sign
+        for c, y in rows[j]:
+            acc[c] += x * y
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.matmul(b) - b.matmul(a)
+    """ab - ba, both products accumulated in one integer pass."""
+    if a.shape != b.shape or a.nrows != a.ncols:
+        raise ValueError("commutator needs two square matrices of one size")
+    da, arows = a._int_rows()
+    db, brows = b._int_rows()
+    n = a.nrows
+    out = []
+    for ra, rb in zip(arows, brows):
+        acc = [0] * n
+        _accumulate(acc, ra, brows, 1)
+        _accumulate(acc, rb, arows, -1)
+        out.append([(c, v) for c, v in enumerate(acc) if v])
+    return ExactMatrix._from_ints(n, n, da * db, out)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; (i1*p+i2, j1*q+j2) entry is a[i1,j1]*b[i2,j2]."""
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return ExactMatrix._trusted(tuple(rows), a.nrows * b.nrows, a.ncols * b.ncols)
+    da, arows = a._int_rows()
+    db, brows = b._int_rows()
+    q = b.ncols
+    out = [
+        [(j1 * q + j2, x * y) for j1, x in ra for j2, y in rb]
+        for ra in arows
+        for rb in brows
+    ]
+    return ExactMatrix._from_ints(a.nrows * b.nrows, a.ncols * q, da * db, out)
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -422,35 +527,48 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> list:
         """Canonical representative of v modulo this subspace."""
-        w = [rat(x) for x in v]
-        if len(w) != self.ambient:
+        if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
+        return list(_dense(self._reduce(_sparse(v)), self.ambient))
+
+    def _reduce(self, w: dict, coeffs: list | None = None) -> dict:
+        """Reduce the sparse vector w {index: nonzero Fraction} in place.
+
+        What is left of w is its canonical representative modulo this
+        subspace; the coefficient taken at each pivot is appended to
+        coeffs when it is given.
+        """
         for nz, p in zip(self._nonzeros(), self.pivots):
-            f = w[p]
-            if f:
+            f = w.get(p)
+            if coeffs is not None:
+                coeffs.append(_ZERO if f is None else f)
+            if f is not None:
                 for j, x in nz:
-                    w[j] -= f * x
+                    v = w.get(j, _ZERO) - f * x
+                    if v:
+                        w[j] = v
+                    else:
+                        del w[j]
         return w
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return not self._reduce(_sparse(v))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(other.contains(row) for row in self.basis.rows)
+        return all(not other._reduce(dict(nz)) for nz in self._nonzeros())
 
     def coordinates(self, v: Sequence):
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        w = [rat(x) for x in v]
+        return self._coordinates(_sparse(v))
+
+    def _coordinates(self, w: dict):
+        # w as in _reduce
         coeffs = []
-        for nz, p in zip(self._nonzeros(), self.pivots):
-            f = w[p]
-            coeffs.append(f)
-            if f:
-                for j, x in nz:
-                    w[j] -= f * x
-        if any(w):
+        if self._reduce(w, coeffs):
             return None
         return tuple(coeffs)
 
@@ -511,22 +629,23 @@ class EndoSubspace:
     Subspace with a matrix-shaped view on top.
     """
 
-    __slots__ = ("n", "space")
+    __slots__ = ("n", "space", "_mats")
 
     def __init__(self, n: int, space: Subspace):
         if space.ambient != n * n:
             raise ValueError("ambient dimension is not n*n")
         self.n = n
         self.space = space
+        self._mats = None
 
     @classmethod
     def from_matrices(cls, mats: Iterable[ExactMatrix], n: int) -> "EndoSubspace":
-        vecs = []
+        rows = []
         for m in mats:
             if m.shape != (n, n):
                 raise ValueError("matrix shape mismatch")
-            vecs.append(m.flat())
-        return cls(n, Subspace.from_vectors(vecs, n * n))
+            rows.append(m._flat_nonzeros())
+        return cls(n, Subspace._from_rref(n * n, _rref_sparse(rows)))
 
     @property
     def dim(self) -> int:
@@ -535,12 +654,22 @@ class EndoSubspace:
     def contains(self, m: ExactMatrix) -> bool:
         if m.shape != (self.n, self.n):
             raise ValueError("matrix shape mismatch")
-        return self.space.contains(m.flat())
+        return not self.space._reduce(m._flat_nonzeros())
+
+    def coordinates(self, m: ExactMatrix):
+        """Coefficients of m over basis_matrices(), or None if m is outside."""
+        if m.shape != (self.n, self.n):
+            raise ValueError("matrix shape mismatch")
+        return self.space._coordinates(m._flat_nonzeros())
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
-        return tuple(
-            ExactMatrix.from_flat(self.n, self.n, row) for row in self.space.basis.rows
-        )
+        if self._mats is None:
+            n = self.n
+            self._mats = tuple(
+                ExactMatrix._trusted(tuple(row[i * n : (i + 1) * n] for i in range(n)), n, n)
+                for row in self.space.basis.rows
+            )
+        return self._mats
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -128,3 +129,79 @@ def reference_rref(m: ExactMatrix) -> ExactMatrix:
             if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[idx])]
     return ExactMatrix(rows) if rows else m
+
+
+def reference_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Textbook triple loop over every entry, zeros included."""
+    assert a.ncols == b.nrows
+    rows = [
+        [sum((a[i, t] * b[t, j] for t in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+    return ExactMatrix._trusted(tuple(map(tuple, rows)), a.nrows, b.ncols)
+
+
+def reference_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Kronecker product entry by entry from its definition."""
+    p, q = b.nrows, b.ncols
+    rows = [
+        [a[i // p, j // q] * b[i % p, j % q] for j in range(a.ncols * q)]
+        for i in range(a.nrows * p)
+    ]
+    return ExactMatrix._trusted(tuple(map(tuple, rows)), a.nrows * p, a.ncols * q)
+
+
+def reference_rational_roots(poly: list) -> tuple[list, int]:
+    """Rational roots by the rational root theorem, searched exhaustively.
+
+    Tries p/q for every divisor p of the constant term and q of the
+    leading coefficient, p first, then q, +p/q before -p/q, deflating each
+    root found; zero is taken first.  The search is linear in the size of
+    the coefficients, so this is for small polynomials only.
+    """
+    coeffs = [Fraction(c) for c in poly]
+    roots = []
+
+    def evaluate(cs, x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def deflate(cs, r):
+        out = [Fraction(0)] * (len(cs) - 1)
+        carry = cs[-1]
+        for i in range(len(cs) - 2, -1, -1):
+            out[i] = carry
+            carry = cs[i] + r * carry
+        return out
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    while len(coeffs) > 1:
+        if coeffs[0] == 0:
+            if 0 not in roots:
+                roots.append(Fraction(0))
+            coeffs = coeffs[1:]
+            continue
+        denom = 1
+        for c in coeffs:
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        ints = [int(c * denom) for c in coeffs]
+        found = next(
+            (
+                cand
+                for p in divisors(ints[0])
+                for q in divisors(ints[-1])
+                for cand in (Fraction(p, q), Fraction(-p, q))
+                if evaluate(coeffs, cand) == 0
+            ),
+            None,
+        )
+        if found is None:
+            break
+        if found not in roots:
+            roots.append(found)
+        coeffs = deflate(coeffs, found)
+    return roots, len(coeffs) - 1

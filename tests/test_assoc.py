@@ -7,6 +7,7 @@ import pytest
 
 from currentlie.assoc import (
     AssocAlgebra,
+    _rational_roots,
     NonSplitError,
     derivations,
     direct_sum,
@@ -23,7 +24,11 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from helpers import assert_is_largest_nilpotent_ideal, rand_frac
+from helpers import (
+    assert_is_largest_nilpotent_ideal,
+    rand_frac,
+    reference_rational_roots,
+)
 
 
 def _basis(n, i):
@@ -237,3 +242,36 @@ def test_rbar_rejects_non_monomial_algebras():
     s = direct_sum(truncated_polynomial(1), truncated_polynomial(1))
     with pytest.raises(ValueError, match="not a derivation"):
         rbar(s, (0, 1, 0, 0))
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_keep_the_divisor_search_order():
+    # the idempotents, and so the reports, follow the order of the roots
+    rng = random.Random(11)
+    for _ in range(300):
+        poly = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 4)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            poly = _poly_mul(poly, [-root, Fraction(1)])
+        if rng.random() < 0.4:  # irreducible or split quadratic factor
+            poly = _poly_mul(poly, [Fraction(rng.randint(-4, 5)), Fraction(rng.randint(-3, 3)), Fraction(1)])
+        if rng.random() < 0.3:
+            poly = _poly_mul(poly, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)), 0, 0, 1])
+        assert _rational_roots(poly) == reference_rational_roots(poly)
+
+
+def test_rational_roots_of_huge_coefficients():
+    n = 10**12
+    assert _rational_roots([0, -n, 1]) == ([0, n], 0)
+    assert _rational_roots([-(n**2), 0, 1]) == ([n, -n], 0)
+    # (t - n/3)^2 (t^2 + n) (t + 2n)
+    poly = _poly_mul(_poly_mul([Fraction(-n, 3), 1], [Fraction(-n, 3), 1]), [n, 0, 1])
+    poly = _poly_mul(poly, [2 * n, 1])
+    assert _rational_roots([Fraction(x) for x in poly]) == ([Fraction(n, 3), -2 * n], 2)

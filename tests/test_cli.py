@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from currentlie.assoc import truncated_polynomial
+from currentlie.assoc import AssocAlgebra, truncated_polynomial
 from currentlie.cli import main
 from currentlie.heisenberg import DerivationTemplate, truncated_heisenberg
 from currentlie.lie import LieAlgebra, heisenberg, sp
@@ -300,3 +305,41 @@ def test_axiom_error_reports_counterexample(tmp_path):
         load_algebra(path)
     alg = load_algebra(path, check=False)
     assert alg.dim == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["levi", "h2.json", "a1.json", "--json"], "levi_h2_a1.json"),
+        (["check", "table1", "h2.json", "a4.json", "--json", "--seed", "1"],
+         "table1_h2_a4_seed1.json"),
+    ],
+)
+def test_json_reports_match_golden_files(argv, golden):
+    # golden files hold the byte-exact stdout of these commands, run in tests/data
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "currentlie.cli", *argv],
+        cwd=DATA, env=env, capture_output=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / golden).read_bytes()
+
+
+def test_levi_of_split_algebra_with_huge_coefficient(files, tmp_path, capsys):
+    # h_1 (x) Q[x]/(x^2 - n x): root finding must not scale with n
+    n = 10**12
+    split = AssocAlgebra(["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, n]]], [1, 0])
+    path = tmp_path / "split.json"
+    save_algebra(split, path)
+    start = time.perf_counter()
+    code, out, _ = run(["levi", files["h1"], str(path), "--json"], capsys)
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["dimensions"]["levi"] == 6 and doc["dimensions"]["radical"] == 10
+    assert elapsed < 2.0

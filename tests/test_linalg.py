@@ -23,7 +23,14 @@ from currentlie.linalg import (
     subspace_sum,
     vstack,
 )
-from helpers import rand_frac, rand_matrix, rand_vector, reference_rref
+from helpers import (
+    rand_frac,
+    rand_matrix,
+    rand_vector,
+    reference_kron,
+    reference_matmul,
+    reference_rref,
+)
 
 
 def test_rat_parsing_and_serialization():
@@ -289,3 +296,71 @@ def test_commutator():
     a = ExactMatrix([[0, 1], [0, 0]])
     b = ExactMatrix([[0, 0], [1, 0]])
     assert commutator(a, b) == ExactMatrix([[1, 0], [0, -1]])
+
+
+def _kernel_matrix(rng, nrows, ncols, density):
+    # mostly-zero to dense; negative, non-integer and above-2^64 entries
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        num = rng.choice([1, -1]) * rng.randint(1, 9)
+        if rng.random() < 0.2:
+            num *= 2**64 + rng.randint(0, 2**70)
+        den = rng.choice([1, 1, 1, 2, 3, 7, 2**65 + 3])
+        return Fraction(num, den)
+
+    return ExactMatrix([[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _all_fractions(m):
+    return all(type(x) is Fraction for row in m.rows for x in row)
+
+
+def test_matrix_kernels_match_reference_loops():
+    rng = random.Random(20240)
+    dims = [1, 2, 3, 5, 7]
+    densities = [0.0, 0.1, 0.3, 1.0]
+    for _ in range(150):
+        n, k, m = (rng.choice(dims) for _ in range(3))
+        a = _kernel_matrix(rng, n, k, rng.choice(densities))
+        a2 = _kernel_matrix(rng, n, k, rng.choice(densities))
+        b = _kernel_matrix(rng, k, m, rng.choice(densities))
+        s = _kernel_matrix(rng, n, n, rng.choice(densities))
+        t = _kernel_matrix(rng, n, n, rng.choice(densities))
+        c = rng.choice([Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2**70 + 1, 9)])
+        v = [rand_frac(rng) for _ in range(k)]
+
+        def entrywise(f, x, y):
+            return ExactMatrix([[f(p, q) for p, q in zip(rx, ry)] for rx, ry in zip(x.rows, y.rows)])
+
+        prod = a.matmul(b)
+        ref_comm = reference_matmul(s, t) - reference_matmul(t, s)
+        results = [
+            (prod, reference_matmul(a, b)),
+            (a * b, reference_matmul(a, b)),
+            (commutator(s, t), ref_comm),
+            (kron(a, b), reference_kron(a, b)),
+            (a + a2, entrywise(lambda p, q: p + q, a, a2)),
+            (a - a2, entrywise(lambda p, q: p - q, a, a2)),
+            (a * c, entrywise(lambda p, q: p * c, a, a)),
+            (c * a, entrywise(lambda p, q: p * c, a, a)),
+            # kernel results feed later kernels through their attached views
+            (prod * b.transpose(), reference_matmul(reference_matmul(a, b), b.transpose())),
+            (commutator(commutator(s, t), s), reference_matmul(ref_comm, s) - reference_matmul(s, ref_comm)),
+            (kron(prod, s) + kron(prod, t), reference_kron(reference_matmul(a, b), s + t)),
+        ]
+        for got, want in results:
+            assert got.shape == want.shape
+            assert got == want
+            assert _all_fractions(got)
+            assert got.is_zero() == all(not x for row in want.rows for x in row)
+        applied = a.apply(v)
+        assert applied == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a.rows)
+        assert all(type(x) is Fraction for x in applied)
+
+
+def test_commutator_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        commutator(ExactMatrix([[1, 2]]), ExactMatrix([[1], [2]]))
+    with pytest.raises(ValueError):
+        commutator(ExactMatrix.identity(2), ExactMatrix.identity(3))
