@@ -97,26 +97,7 @@ class AssocAlgebra:
 
     def check_axioms(self) -> bool:
         """Associativity, commutativity and unitality on all basis combinations."""
-        n = self.dim
-        basis = [tuple(_ONE if t == i else _ZERO for t in range(n)) for i in range(n)]
-        for i in range(n):
-            if self.multiply(self.unit, basis[i]) != basis[i]:
-                return False
-            if self.multiply(basis[i], self.unit) != basis[i]:
-                return False
-        for i in range(n):
-            for j in range(i, n):
-                if self.structure[i][j] != self.structure[j][i]:
-                    return False
-        for i in range(n):
-            for j in range(n):
-                ij = self.structure[i][j]
-                for k in range(n):
-                    left = self.multiply(ij, basis[k])
-                    right = self.multiply(basis[i], self.structure[j][k])
-                    if left != right:
-                        return False
-        return True
+        return first_assoc_violation(self) is None
 
     def __eq__(self, other) -> bool:
         return (
@@ -131,6 +112,34 @@ class AssocAlgebra:
 
     def __repr__(self):
         return f"AssocAlgebra(dim={self.dim}, labels={self.labels})"
+
+
+def first_assoc_violation(a: AssocAlgebra):
+    """Name the first failed axiom instance, or None if all hold.
+
+    The unit is checked first (left, then right, on each basis element),
+    then commutativity on the pairs i <= j, then associativity
+    (e_i e_j) e_k = e_i (e_j e_k) on all triples in lexicographic order.
+    """
+    n = a.dim
+    basis = [tuple(_ONE if t == i else _ZERO for t in range(n)) for i in range(n)]
+    for i in range(n):
+        if a.multiply(a.unit, basis[i]) != basis[i]:
+            return f"unit is not a left identity on {a.labels[i]}"
+        if a.multiply(basis[i], a.unit) != basis[i]:
+            return f"unit is not a right identity on {a.labels[i]}"
+    for i in range(n):
+        for j in range(i, n):
+            if a.structure[i][j] != a.structure[j][i]:
+                return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
+    for i in range(n):
+        for j in range(n):
+            ij = a.structure[i][j]
+            for k in range(n):
+                if a.multiply(ij, basis[k]) != a.multiply(basis[i], a.structure[j][k]):
+                    labels = (a.labels[i], a.labels[j], a.labels[k])
+                    return f"associativity fails on ({', '.join(labels)})"
+    return None
 
 
 def truncated_polynomial(k: int) -> AssocAlgebra:

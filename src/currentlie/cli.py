@@ -63,8 +63,8 @@ def _matrix_doc(mat: ExactMatrix) -> list:
     return [[rat_str(v) for v in row] for row in mat.rows]
 
 
-def _format_matrix(mat: ExactMatrix) -> str:
-    cells = [[rat_str(v) for v in row] for row in mat.rows]
+def _format_matrix(cells: list) -> str:
+    # cells: the entry strings of one matrix, as built by _matrix_doc
     width = max((len(c) for row in cells for c in row), default=1)
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
@@ -123,20 +123,22 @@ def cmd_derive(args) -> int:
         der = assoc_derivations(alg)
     dims = {"algebra": alg.dim, "derivations": der.dim}
     report = _envelope(args, [args.path], "pass", dimensions=dims, flags={})
+    basis = []
     if args.basis:
-        report["basis"] = [_matrix_doc(m) for m in der.basis_matrices()]
+        basis = report["basis"] = [_matrix_doc(m) for m in der.basis_matrices()]
     if args.dim:
         return _emit(args, report, [str(der.dim)])
-    lines = [
-        f"kind: {'lie' if isinstance(alg, LieAlgebra) else 'assoc'}",
-        f"algebra dimension: {alg.dim}",
-        f"derivation algebra dimension: {der.dim}",
-    ]
-    if args.basis:
-        for idx, mat in enumerate(der.basis_matrices()):
-            lines.append(f"basis[{idx}]:")
-            lines.append(_format_matrix(mat))
-    return _emit(args, report, lines)
+
+    def lines():
+        # a generator: _emit formats the text only when it prints it
+        yield f"kind: {'lie' if isinstance(alg, LieAlgebra) else 'assoc'}"
+        yield f"algebra dimension: {alg.dim}"
+        yield f"derivation algebra dimension: {der.dim}"
+        for idx, cells in enumerate(basis):
+            yield f"basis[{idx}]:"
+            yield _format_matrix(cells)
+
+    return _emit(args, report, lines())
 
 
 def _levi_candidates(g: LieAlgebra):

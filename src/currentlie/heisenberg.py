@@ -6,12 +6,16 @@ every derivation is a block matrix built from lower triangular Toeplitz
 blocks, a free bottom strip, and a corner tied to the diagonal.  The
 template here reproduces that matrix shape, matches arbitrary matrices
 against it, and certifies the sp (x) 1 Levi factor of the derivation
-algebra.
+algebra.  The template is held as one layout per (m, k): the positions
+and integer coefficients at which each free parameter enters the matrix.
+Building a matrix sums over the layout, and matching reads only the
+nonzero entries of the matrix it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
 from currentlie.current import (
@@ -21,7 +25,7 @@ from currentlie.current import (
     current_algebra,
 )
 from currentlie.lie import heisenberg, sp
-from currentlie.linalg import EndoSubspace, ExactMatrix, Q, Subspace, kron, rat
+from currentlie.linalg import EndoSubspace, ExactMatrix, Q, kron, rat
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -37,25 +41,68 @@ def der_dimension_formula(m: int, k: int) -> int:
     return m * (2 * m + 1) * (k + 1) + 2 * m * (k + 1) ** 2 + 2 * k + 1
 
 
-def _toeplitz(width: int, params) -> ExactMatrix:
-    # lower triangular Toeplitz: entry (r, c) = params[r - c]
-    return ExactMatrix(
-        [[params[r - c] if r >= c else _ZERO for c in range(width)] for r in range(width)]
-    )
+@cache
+def _layout(m: int, k: int) -> tuple:
+    """Where each parameter of der(h_m (x) A_k) sits in the template matrix.
+
+    A tuple of (key, entries) pairs, entries being the ((row, col),
+    coefficient) positions of the key, with integer coefficients.  The
+    keys come in solving order: p, q, A1, A2, A4, strip.  A key's first
+    entry is its defining position, and only keys earlier in this order
+    also reach that position, so the parameters can be read off one at a
+    time, each net of the ones before it.
+    """
+    w = k + 1
+    bd = m * w
+    z = 2 * bd
+    # offsets of the diagonal blocks of the e-e and f-f grids
+    diagonal = [i * w for i in range(2 * m)]
+
+    def toeplitz(r0, c0, r, coeff=1):
+        # lower triangular Toeplitz block at (r0, c0): entry (s, c) = x_(s-c)
+        return [((r0 + r + c, c0 + c), coeff) for c in range(w - r)]
+
+    def rbar(r0, r):
+        # entry (s, c) = c * q_(s-c+1) for 1 <= c <= s
+        return [((r0 + r - 1 + c, r0 + c), c) for c in range(1, w - r + 1)]
+
+    layout = []
+    for r in range(w):
+        entries = toeplitz(z, z, r, 2)
+        for d in diagonal:
+            entries += toeplitz(d, d, r)
+        layout.append((("p", r), tuple(entries)))
+    for r in range(1, w):
+        entries = rbar(z, r)
+        for d in diagonal:
+            entries += rbar(d, r)
+        layout.append((("q", r), tuple(entries)))
+    for i in range(m):
+        for j in range(m):
+            for r in range(w):
+                # the f-f grid is minus the transposed e-e grid
+                entries = toeplitz(i * w, j * w, r) + toeplitz(bd + j * w, bd + i * w, r, -1)
+                layout.append((("A1", i, j, r), tuple(entries)))
+    for name, r0, c0 in (("A2", 0, bd), ("A4", bd, 0)):
+        for i in range(m):
+            for j in range(i, m):
+                for r in range(w):
+                    entries = toeplitz(r0 + i * w, c0 + j * w, r)
+                    if i != j:
+                        entries += toeplitz(r0 + j * w, c0 + i * w, r)
+                    layout.append(((name, i, j, r), tuple(entries)))
+    for r in range(w):
+        for c in range(z):
+            layout.append((("strip", r, c), (((z + r, c), 1),)))
+    return tuple(layout)
 
 
-def _rbar_block(width: int, qparams) -> ExactMatrix:
-    # qparams[r] for r in 1..width-1; entry (r, c) = c * q_(r-c+1), column 0 zero
-    rows = []
-    for r in range(width):
-        row = []
-        for c in range(width):
-            if 1 <= c <= r:
-                row.append(c * qparams[r - c + 1])
-            else:
-                row.append(_ZERO)
-        rows.append(row)
-    return ExactMatrix(rows)
+# parameter_keys() order: the three grids, the two series, the strip
+_KEY_ORDER = {"A1": 0, "A2": 1, "A4": 2, "p": 3, "q": 4, "strip": 5}
+
+# the blocks a mismatch can name, in checking order; the bottom strip is
+# free and never mismatches
+_Z_COLUMN, _Z_CORNER, _E_E, _F_F, _E_F, _F_E = range(6)
 
 
 @dataclass
@@ -85,6 +132,11 @@ class DerivationTemplate:
       ("p", r)          r in 0..k: scaling series (weight 1 on e/f, 2 on z)
       ("q", r)          r in 1..k: coefficient derivation series
       ("strip", r, c)   free bottom strip, r in 0..k, c over both top blocks
+
+    Everything runs on one layout (see `_layout`), built once per (m, k):
+    the positions and integer coefficients of each key in the matrix.  A
+    matrix is the sum of coefficient * value over the layout, and `match`
+    reads only the nonzero entries of its argument.
     """
 
     def __init__(self, m: int, k: int):
@@ -95,86 +147,39 @@ class DerivationTemplate:
         self.width = k + 1
         self.block_dim = m * self.width
         self.dim = (2 * m + 1) * self.width
+        self._layout = _layout(m, k)
 
     def parameter_keys(self) -> list:
-        m, kk = self.m, self.k
-        keys = []
-        for i in range(m):
-            for j in range(m):
-                for r in range(kk + 1):
-                    keys.append(("A1", i, j, r))
-        for name in ("A2", "A4"):
-            for i in range(m):
-                for j in range(i, m):
-                    for r in range(kk + 1):
-                        keys.append((name, i, j, r))
-        for r in range(kk + 1):
-            keys.append(("p", r))
-        for r in range(1, kk + 1):
-            keys.append(("q", r))
-        for r in range(kk + 1):
-            for c in range(2 * m * (kk + 1)):
-                keys.append(("strip", r, c))
-        return keys
+        return sorted((key for key, _ in self._layout), key=lambda key: _KEY_ORDER[key[0]])
 
     def parameter_count(self) -> int:
-        return len(self.parameter_keys())
+        return len(self._layout)
 
     def matrix(self, assignment) -> ExactMatrix:
-        """Build the template matrix for a {key: value} assignment."""
-        m, kk, w = self.m, self.k, self.width
+        """Build the template matrix for a {key: value} assignment.
+
+        Keys outside the template are ignored; values are coerced by rat.
+        """
+        layout = dict(self._layout)
+        entries = {}
+        for key, value in assignment.items():
+            if key in layout:
+                value = rat(value)
+                if value:
+                    _expand(entries, layout[key], value)
+        return self._dense(entries)
+
+    def _dense(self, entries: dict) -> ExactMatrix:
         n = self.dim
-        bd = self.block_dim
-
-        def get(key):
-            return rat(assignment.get(key, 0))
-
         rows = [[_ZERO] * n for _ in range(n)]
-
-        def put(mat, r0, c0, sign=1):
-            for r in range(mat.nrows):
-                mrow = mat.rows[r]
-                for c in range(mat.ncols):
-                    if mrow[c]:
-                        rows[r0 + r][c0 + c] += sign * mrow[c]
-
-        p = [get(("p", r)) for r in range(kk + 1)]
-        q = [_ZERO] + [get(("q", r)) for r in range(1, kk + 1)]
-        rp = _toeplitz(w, p)
-        rq = _rbar_block(w, q)
-        diag = rp + rq
-
-        for i in range(m):
-            for j in range(m):
-                a1 = _toeplitz(w, [get(("A1", i, j, r)) for r in range(kk + 1)])
-                put(a1, i * w, j * w)
-                # f-f grid is minus the transposed e-e grid
-                put(_toeplitz(w, [get(("A1", j, i, r)) for r in range(kk + 1)]),
-                    bd + i * w, bd + j * w, sign=-1)
-            put(diag, i * w, i * w)
-            put(diag, bd + i * w, bd + i * w)
-        for i in range(m):
-            for j in range(i, m):
-                a2 = _toeplitz(w, [get(("A2", i, j, r)) for r in range(kk + 1)])
-                put(a2, i * w, bd + j * w)
-                if i != j:
-                    put(a2, j * w, bd + i * w)
-                a4 = _toeplitz(w, [get(("A4", i, j, r)) for r in range(kk + 1)])
-                put(a4, bd + i * w, j * w)
-                if i != j:
-                    put(a4, bd + j * w, i * w)
-        corner = 2 * rp + rq
-        put(corner, 2 * bd, 2 * bd)
-        for r in range(kk + 1):
-            for c in range(2 * bd):
-                v = get(("strip", r, c))
-                if v:
-                    rows[2 * bd + r][c] += v
-        return ExactMatrix(rows)
+        for (r, c), x in entries.items():
+            rows[r][c] = x
+        return ExactMatrix._trusted(tuple(map(tuple, rows)), n, n)
 
     def basis(self) -> list:
         """(key, matrix) pairs, one independent generator per parameter."""
-        return [(key, self.matrix({key: 1})) for key in self.parameter_keys()]
+        layout = dict(self._layout)
+        return [(key, self._dense(_expand({}, layout[key], _ONE))) for key in self.parameter_keys()]
 
     def span(self) -> EndoSubspace:
         return EndoSubspace.from_matrices([mat for _, mat in self.basis()], self.dim)
@@ -184,98 +189,86 @@ class DerivationTemplate:
 
         Returns TemplateMatch on success and TemplateMismatch otherwise;
         a successful match satisfies self.matrix(result.params) == mat.
+        Each parameter is read at its defining position, net of the
+        parameters solved before it; the nonzero ones are expanded into
+        the entries the template then expects, and the match holds iff
+        those are exactly the nonzero entries of mat.
         """
-        m, kk, w = self.m, self.k, self.width
         n = self.dim
-        bd = self.block_dim
         if mat.shape != (n, n):
             return TemplateMismatch("shape", f"expected {n} x {n}")
-
-        # (a) the z column must vanish above the strip
-        for r in range(2 * bd):
-            for c in range(2 * bd, n):
-                if mat[r, c]:
-                    return TemplateMismatch(
-                        "z-column", "entries above the bottom strip must vanish"
-                    )
-
+        actual = mat._nonzero_entries()
+        expected: dict = {}
         params: dict = {}
+        for key, entries in self._layout:
+            pos, coeff = entries[0]
+            value = actual.get(pos, _ZERO)
+            if pos in expected:
+                value -= expected[pos]
+            if value:
+                if coeff != 1:
+                    value /= coeff
+                _expand(expected, entries, value)
+            params[key] = value
+        expected = {pos: x for pos, x in expected.items() if x}
+        if expected == actual:
+            return TemplateMatch(params=params)
+        return self._mismatch(actual, expected)
 
-        # (b) corner = 2 R(p) + Rbar(q); Rbar has zero first column
-        corner = mat.block(2 * bd, n, 2 * bd, n)
-        p = [corner[r, 0] / 2 for r in range(w)]
-        rp = _toeplitz(w, p)
-        residue = corner - 2 * rp
-        q = [_ZERO] + [residue[r, 1] for r in range(1, w)]
-        if residue != _rbar_block(w, q):
+    def _mismatch(self, actual: dict, expected: dict) -> TemplateMismatch:
+        # the first block, in checking order, holding an entry that differs
+        # from the template at the extracted parameters
+        w, bd = self.width, self.block_dim
+        z = 2 * bd
+
+        def block_of(pos):
+            r, c = pos
+            if c >= z:
+                return (_Z_COLUMN if r < z else _Z_CORNER, 0, 0)
+            kind = (_E_E, _E_F, _F_E, _F_F)[2 * (r >= bd) + (c >= bd)]
+            return (kind, r % bd // w, c % bd // w)
+
+        kind, i, j = min(
+            block_of(pos)
+            for pos in actual.keys() | expected.keys()
+            if actual.get(pos) != expected.get(pos)
+        )
+        if kind == _Z_COLUMN:
+            return TemplateMismatch("z-column", "entries above the bottom strip must vanish")
+        if kind == _Z_CORNER:
             return TemplateMismatch("z-corner", "corner is not 2 R(p) + Rbar(q)")
-        for r in range(w):
-            params[("p", r)] = p[r]
-        for r in range(1, w):
-            params[("q", r)] = q[r]
-        diag = rp + _rbar_block(w, q)
+        if kind == _E_E:
+            return TemplateMismatch(f"e-e block ({i},{j})", "not lower triangular Toeplitz")
+        if kind == _F_F:
+            return TemplateMismatch(
+                f"f-f block ({i},{j})", "does not equal diag - transposed e-e grid"
+            )
+        # off-diagonal grids: blocks with j >= i define the parameters, so
+        # they fail only by not being Toeplitz; a block with j < i may be
+        # Toeplitz and still differ from its mirror (j, i)
+        side, r0, c0 = ("e-f", 0, bd) if kind == _E_F else ("f-e", bd, 0)
+        if j >= i or not _is_toeplitz(actual, r0 + i * w, c0 + j * w, w):
+            return TemplateMismatch(f"{side} block ({i},{j})", "not lower triangular Toeplitz")
+        return TemplateMismatch(f"{side} grid", f"block ({i},{j}) is not symmetric to ({j},{i})")
 
-        def toeplitz_params(block, name):
-            first = [block[r, 0] for r in range(w)]
-            if block != _toeplitz(w, first):
-                return None
-            return first
 
-        # (c) e-e grid: A1 blocks after removing the diagonal contribution
-        for i in range(m):
-            for j in range(m):
-                block = mat.block(i * w, (i + 1) * w, j * w, (j + 1) * w)
-                if i == j:
-                    block = block - diag
-                first = toeplitz_params(block, "A1")
-                if first is None:
-                    return TemplateMismatch(
-                        f"e-e block ({i},{j})", "not lower triangular Toeplitz"
-                    )
-                for r in range(w):
-                    params[("A1", i, j, r)] = first[r]
+def _expand(out: dict, entries, value) -> dict:
+    # out += value * (the template matrix of one key), on sparse entries
+    for pos, coeff in entries:
+        x = value if coeff == 1 else coeff * value
+        out[pos] = out[pos] + x if pos in out else x
+    return out
 
-        # (d) f-f grid must mirror the e-e grid
-        for i in range(m):
-            for j in range(m):
-                block = mat.block(bd + i * w, bd + (i + 1) * w, bd + j * w, bd + (j + 1) * w)
-                expected = -_toeplitz(w, [params[("A1", j, i, r)] for r in range(w)])
-                if i == j:
-                    expected = expected + diag
-                if block != expected:
-                    return TemplateMismatch(
-                        f"f-f block ({i},{j})", "does not equal diag - transposed e-e grid"
-                    )
 
-        # (e) the two off-diagonal grids: Toeplitz and grid-symmetric
-        for name, r0, c0 in (("A2", 0, bd), ("A4", bd, 0)):
-            for i in range(m):
-                for j in range(m):
-                    block = mat.block(
-                        r0 + i * w, r0 + (i + 1) * w, c0 + j * w, c0 + (j + 1) * w
-                    )
-                    first = toeplitz_params(block, name)
-                    if first is None:
-                        return TemplateMismatch(
-                            f"{'e-f' if name == 'A2' else 'f-e'} block ({i},{j})",
-                            "not lower triangular Toeplitz",
-                        )
-                    if j < i:
-                        prior = [params[(name, j, i, r)] for r in range(w)]
-                        if first != prior:
-                            return TemplateMismatch(
-                                f"{'e-f' if name == 'A2' else 'f-e'} grid",
-                                f"block ({i},{j}) is not symmetric to ({j},{i})",
-                            )
-                    else:
-                        for r in range(w):
-                            params[(name, i, j, r)] = first[r]
-
-        # (f) bottom strip is free
-        for r in range(w):
-            for c in range(2 * bd):
-                params[("strip", r, c)] = mat[2 * bd + r, c]
-        return TemplateMatch(params=params)
+def _is_toeplitz(entries: dict, r0: int, c0: int, w: int) -> bool:
+    """Whether the w x w block at (r0, c0) is lower triangular Toeplitz."""
+    block = {
+        (r - r0, c - c0): x
+        for (r, c), x in entries.items()
+        if r0 <= r < r0 + w and c0 <= c < c0 + w
+    }
+    first = {r: x for (r, c), x in block.items() if c == 0}
+    return block == {(r + c, c): x for r, x in first.items() for c in range(w - r)}
 
 
 def match_template(m: int, k: int, mat: ExactMatrix):

@@ -20,6 +20,7 @@ from currentlie.linalg import (
     _derivation_space,
     _nonzero_table,
     _nullspace_from_system,
+    _rref_sparse,
     _sparse,
     commutator,
     nullspace,
@@ -197,8 +198,25 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [g.bracket(u, v) for u in a.basis.rows for v in b.basis.rows]
-    return Subspace.from_vectors(vecs, g.dim)
+    """Span of the brackets of the basis rows of a with those of b.
+
+    The brackets are taken on the sparse rows through the nonzero
+    structure constants and come out as {index: Fraction} rows.
+    """
+    nz = _memoized(g, "nonzero_table", lambda: _nonzero_table(g.structure))
+    rows = []
+    for u in a._nonzeros():
+        for v in b._nonzeros():
+            out = {}
+            for i, x in u:
+                for j, y in v:
+                    terms = nz[i][j]
+                    if terms:
+                        xy = x * y
+                        for k, c in terms:
+                            out[k] = out[k] + xy * c if k in out else xy * c
+            rows.append({k: s for k, s in out.items() if s})
+    return Subspace._from_rref(g.dim, _rref_sparse(rows))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:

@@ -17,6 +17,7 @@ Subspace keeps the result as its canonical dense RREF basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -128,6 +129,11 @@ class ExactMatrix:
             for i, (row, items) in enumerate(zip(self.rows, self._int_rows()[1]))
             for c, _ in items
         }
+
+    def _nonzero_entries(self) -> dict:
+        """{(row, col): entry} over the nonzero entries; nothing is cached."""
+        cols = range(self.ncols)
+        return {(i, c): row[c] for i, row in enumerate(self.rows) for c in compress(cols, row)}
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":

@@ -22,7 +22,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from currentlie.assoc import AssocAlgebra
+from currentlie.assoc import AssocAlgebra, first_assoc_violation
 from currentlie.lie import LieAlgebra, first_lie_violation
 from currentlie.linalg import Q, rat, rat_str
 
@@ -190,26 +190,4 @@ def first_axiom_violation(alg):
     """Name the first failed axiom instance, or None if all hold."""
     if isinstance(alg, LieAlgebra):
         return first_lie_violation(alg)
-    return _first_assoc_violation(alg)
-
-
-def _first_assoc_violation(a: AssocAlgebra):
-    n = a.dim
-    basis = [tuple(Q(1) if t == i else _ZERO for t in range(n)) for i in range(n)]
-    for i in range(n):
-        if a.multiply(a.unit, basis[i]) != basis[i]:
-            return f"unit is not a left identity on {a.labels[i]}"
-        if a.multiply(basis[i], a.unit) != basis[i]:
-            return f"unit is not a right identity on {a.labels[i]}"
-    for i in range(n):
-        for j in range(i, n):
-            if a.structure[i][j] != a.structure[j][i]:
-                return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
-    for i in range(n):
-        for j in range(n):
-            ij = a.structure[i][j]
-            for k in range(n):
-                if a.multiply(ij, basis[k]) != a.multiply(basis[i], a.structure[j][k]):
-                    labels = (a.labels[i], a.labels[j], a.labels[k])
-                    return f"associativity fails on ({', '.join(labels)})"
-    return None
+    return first_assoc_violation(alg)

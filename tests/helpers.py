@@ -205,3 +205,183 @@ def reference_rational_roots(poly: list) -> tuple[list, int]:
             roots.append(found)
         coeffs = deflate(coeffs, found)
     return roots, len(coeffs) - 1
+
+
+# -- the dense derivation template of h_m (x) A_k, as it was first written ---
+#
+# Independent oracle for heisenberg.DerivationTemplate: builds dense
+# Toeplitz blocks and compares whole blocks, where the library works on
+# a sparse layout of the parameter positions.
+
+
+def _toeplitz(width: int, params) -> ExactMatrix:
+    # lower triangular Toeplitz: entry (r, c) = params[r - c]
+    return ExactMatrix(
+        [[params[r - c] if r >= c else Fraction(0) for c in range(width)] for r in range(width)]
+    )
+
+
+def _rbar_block(width: int, qparams) -> ExactMatrix:
+    # qparams[r] for r in 1..width-1; entry (r, c) = c * q_(r-c+1), column 0 zero
+    rows = []
+    for r in range(width):
+        row = []
+        for c in range(width):
+            if 1 <= c <= r:
+                row.append(c * qparams[r - c + 1])
+            else:
+                row.append(Fraction(0))
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+def reference_matrix(tpl, assignment) -> ExactMatrix:
+    """The template matrix of tpl for a {key: value} assignment."""
+    from currentlie.linalg import rat
+
+    m, kk, w = tpl.m, tpl.k, tpl.width
+    n = tpl.dim
+    bd = tpl.block_dim
+
+    def get(key):
+        return rat(assignment.get(key, 0))
+
+    rows = [[Fraction(0)] * n for _ in range(n)]
+
+    def put(mat, r0, c0, sign=1):
+        for r in range(mat.nrows):
+            mrow = mat.rows[r]
+            for c in range(mat.ncols):
+                if mrow[c]:
+                    rows[r0 + r][c0 + c] += sign * mrow[c]
+
+    p = [get(("p", r)) for r in range(kk + 1)]
+    q = [Fraction(0)] + [get(("q", r)) for r in range(1, kk + 1)]
+    rp = _toeplitz(w, p)
+    rq = _rbar_block(w, q)
+    diag = rp + rq
+
+    for i in range(m):
+        for j in range(m):
+            a1 = _toeplitz(w, [get(("A1", i, j, r)) for r in range(kk + 1)])
+            put(a1, i * w, j * w)
+            # f-f grid is minus the transposed e-e grid
+            put(_toeplitz(w, [get(("A1", j, i, r)) for r in range(kk + 1)]),
+                bd + i * w, bd + j * w, sign=-1)
+        put(diag, i * w, i * w)
+        put(diag, bd + i * w, bd + i * w)
+    for i in range(m):
+        for j in range(i, m):
+            a2 = _toeplitz(w, [get(("A2", i, j, r)) for r in range(kk + 1)])
+            put(a2, i * w, bd + j * w)
+            if i != j:
+                put(a2, j * w, bd + i * w)
+            a4 = _toeplitz(w, [get(("A4", i, j, r)) for r in range(kk + 1)])
+            put(a4, bd + i * w, j * w)
+            if i != j:
+                put(a4, bd + j * w, i * w)
+    corner = 2 * rp + rq
+    put(corner, 2 * bd, 2 * bd)
+    for r in range(kk + 1):
+        for c in range(2 * bd):
+            v = get(("strip", r, c))
+            if v:
+                rows[2 * bd + r][c] += v
+    return ExactMatrix(rows)
+
+
+def reference_match(tpl, mat: ExactMatrix):
+    """Fit mat against tpl block by block, or name the first bad block."""
+    from currentlie.heisenberg import TemplateMatch, TemplateMismatch
+
+    m, kk, w = tpl.m, tpl.k, tpl.width
+    n = tpl.dim
+    bd = tpl.block_dim
+    if mat.shape != (n, n):
+        return TemplateMismatch("shape", f"expected {n} x {n}")
+
+    # (a) the z column must vanish above the strip
+    for r in range(2 * bd):
+        for c in range(2 * bd, n):
+            if mat[r, c]:
+                return TemplateMismatch(
+                    "z-column", "entries above the bottom strip must vanish"
+                )
+
+    params: dict = {}
+
+    # (b) corner = 2 R(p) + Rbar(q); Rbar has zero first column
+    corner = mat.block(2 * bd, n, 2 * bd, n)
+    p = [corner[r, 0] / 2 for r in range(w)]
+    rp = _toeplitz(w, p)
+    residue = corner - 2 * rp
+    q = [Fraction(0)] + [residue[r, 1] for r in range(1, w)]
+    if residue != _rbar_block(w, q):
+        return TemplateMismatch("z-corner", "corner is not 2 R(p) + Rbar(q)")
+    for r in range(w):
+        params[("p", r)] = p[r]
+    for r in range(1, w):
+        params[("q", r)] = q[r]
+    diag = rp + _rbar_block(w, q)
+
+    def toeplitz_params(block, name):
+        first = [block[r, 0] for r in range(w)]
+        if block != _toeplitz(w, first):
+            return None
+        return first
+
+    # (c) e-e grid: A1 blocks after removing the diagonal contribution
+    for i in range(m):
+        for j in range(m):
+            block = mat.block(i * w, (i + 1) * w, j * w, (j + 1) * w)
+            if i == j:
+                block = block - diag
+            first = toeplitz_params(block, "A1")
+            if first is None:
+                return TemplateMismatch(
+                    f"e-e block ({i},{j})", "not lower triangular Toeplitz"
+                )
+            for r in range(w):
+                params[("A1", i, j, r)] = first[r]
+
+    # (d) f-f grid must mirror the e-e grid
+    for i in range(m):
+        for j in range(m):
+            block = mat.block(bd + i * w, bd + (i + 1) * w, bd + j * w, bd + (j + 1) * w)
+            expected = -_toeplitz(w, [params[("A1", j, i, r)] for r in range(w)])
+            if i == j:
+                expected = expected + diag
+            if block != expected:
+                return TemplateMismatch(
+                    f"f-f block ({i},{j})", "does not equal diag - transposed e-e grid"
+                )
+
+    # (e) the two off-diagonal grids: Toeplitz and grid-symmetric
+    for name, r0, c0 in (("A2", 0, bd), ("A4", bd, 0)):
+        for i in range(m):
+            for j in range(m):
+                block = mat.block(
+                    r0 + i * w, r0 + (i + 1) * w, c0 + j * w, c0 + (j + 1) * w
+                )
+                first = toeplitz_params(block, name)
+                if first is None:
+                    return TemplateMismatch(
+                        f"{'e-f' if name == 'A2' else 'f-e'} block ({i},{j})",
+                        "not lower triangular Toeplitz",
+                    )
+                if j < i:
+                    prior = [params[(name, j, i, r)] for r in range(w)]
+                    if first != prior:
+                        return TemplateMismatch(
+                            f"{'e-f' if name == 'A2' else 'f-e'} grid",
+                            f"block ({i},{j}) is not symmetric to ({j},{i})",
+                        )
+                else:
+                    for r in range(w):
+                        params[(name, i, j, r)] = first[r]
+
+    # (f) bottom strip is free
+    for r in range(w):
+        for c in range(2 * bd):
+            params[("strip", r, c)] = mat[2 * bd + r, c]
+    return TemplateMatch(params=params)

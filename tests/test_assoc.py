@@ -11,6 +11,7 @@ from currentlie.assoc import (
     NonSplitError,
     derivations,
     direct_sum,
+    first_assoc_violation,
     jacobson_radical,
     rbar,
     regular_rep,
@@ -24,6 +25,7 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
+from currentlie.serialize import first_axiom_violation
 from helpers import (
     assert_is_largest_nilpotent_ideal,
     rand_frac,
@@ -76,6 +78,33 @@ def test_check_axioms_rejects_bad_tables():
         [1, 0],
     )
     assert not bad2.check_axioms()
+
+
+def test_assoc_violation_messages_are_pinned():
+    a = truncated_polynomial(2)  # basis 1, t, t^2
+    assert first_assoc_violation(a) is None
+    # unit 1 + t: (1 + t) * t = t + t^2 breaks the left identity on 1 first
+    bad_unit = AssocAlgebra(a.labels, a.structure, [1, 1, 0])
+    assert first_assoc_violation(bad_unit) == "unit is not a left identity on 1"
+    # a unit that only works from the left
+    right = AssocAlgebra(["1", "x"], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]], [1, 0])
+    assert first_assoc_violation(right) == "unit is not a right identity on x"
+    # unital, but x y = y while y x = 0
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        table[0][i][i] = table[i][0][i] = 1
+    table[1][2][2] = 1
+    noncomm = AssocAlgebra(["1", "x", "y"], table, [1, 0, 0])
+    assert first_assoc_violation(noncomm) == "commutativity fails on (x, y)"
+    # commutative and unital: x x = y, y y = x, x y = 0; (x x) y = x but x (x y) = 0
+    table[1][2][2] = 0
+    table[1][1][2] = 1
+    table[2][2][1] = 1
+    nonassoc = AssocAlgebra(["1", "x", "y"], table, [1, 0, 0])
+    assert first_assoc_violation(nonassoc) == "associativity fails on (x, x, y)"
+    for alg in (bad_unit, right, noncomm, nonassoc):
+        assert not alg.check_axioms()
+        assert first_axiom_violation(alg) == first_assoc_violation(alg)
 
 
 def test_left_mult_matrix_is_multiplicative():

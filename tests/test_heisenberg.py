@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import reference_match, reference_matrix
 
 from currentlie.heisenberg import (
     DerivationTemplate,
@@ -257,3 +258,108 @@ def test_template_rejects_bad_parameters():
         DerivationTemplate(0, 1)
     with pytest.raises(ValueError):
         DerivationTemplate(1, -1)
+
+
+# (m, k) grid of the oracle tests; k = 0 has no ("q", r) keys
+ORACLE_GRID = [(m, k) for m in (1, 2, 3) for k in (0, 1, 2, 4)]
+
+
+def _same_fit(tpl, mat):
+    """Assert that match and the dense reference agree on mat; return the fit."""
+    fit, ref = tpl.match(mat), reference_match(tpl, mat)
+    assert fit.ok == ref.ok
+    if ref.ok:
+        assert list(fit.params.items()) == list(ref.params.items())
+        assert all(type(v) is Fraction for v in fit.params.values())
+        assert tpl.matrix(fit.params) == mat
+    else:
+        assert (fit.block, fit.relation) == (ref.block, ref.relation)
+    return fit
+
+
+def _with_entry(mat, r, c, val):
+    rows = [list(row) for row in mat.rows]
+    rows[r][c] = val
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("m,k", ORACLE_GRID)
+def test_match_agrees_with_dense_reference(m, k):
+    rng = random.Random(1000 * m + k)
+    tpl = DerivationTemplate(m, k)
+    keys = tpl.parameter_keys()
+    basis = list(truncated_heisenberg(m, k).derivations().basis_matrices())
+    for mat in basis:
+        assert _same_fit(tpl, mat).ok
+    # seeded random rational combinations of the derivation basis
+    for _ in range(5):
+        combo = ExactMatrix.zero(tpl.dim, tpl.dim)
+        for mat in rng.sample(basis, min(4, len(basis))):
+            combo = combo + Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * mat
+        assert _same_fit(tpl, combo).ok
+    # template matrices of random sparse and full assignments
+    samples = []
+    for density in (0.1, 0.5, 1.0):
+        assignment = {
+            key: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            for key in keys
+            if rng.random() < density
+        }
+        mat = tpl.matrix(assignment)
+        assert mat == reference_matrix(tpl, assignment)
+        assert _same_fit(tpl, mat).ok
+        samples.append(mat)
+    # one single-entry tweak in every w x w block of the matrix, which
+    # covers every block region (the bottom strip is free and still fits)
+    w = tpl.width
+    for mat in samples:
+        for bi in range(2 * m + 1):
+            for bj in range(2 * m + 1):
+                r, c = bi * w + rng.randrange(w), bj * w + rng.randrange(w)
+                delta = rng.choice([1, -1, Fraction(1, 2)])
+                _same_fit(tpl, _with_entry(mat, r, c, mat[r, c] + delta))
+    # tweaks in two blocks at once: the first bad block in checking order wins
+    blocks = [(bi, bj) for bi in range(2 * m + 1) for bj in range(2 * m + 1)]
+    pairs = [(a, b) for a in blocks for b in blocks if a < b]
+    for (ai, aj), (bi, bj) in rng.sample(pairs, min(len(pairs), 80)):
+        mat = samples[1]
+        for bi_, bj_ in ((ai, aj), (bi, bj)):
+            r, c = bi_ * w + rng.randrange(w), bj_ * w + rng.randrange(w)
+            mat = _with_entry(mat, r, c, mat[r, c] + 1)
+        _same_fit(tpl, mat)
+    # rescaling one off-diagonal block of a symmetric grid keeps it
+    # Toeplitz; only the mirror relation can catch it
+    bd = tpl.block_dim
+    for r0, c0 in ((0, bd), (bd, 0)):
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                rows = [list(row) for row in samples[-1].rows]
+                for r in range(w):
+                    for c in range(w):
+                        rows[r0 + i * w + r][c0 + j * w + c] *= 2
+                scaled = ExactMatrix(rows)
+                assert _same_fit(tpl, scaled).ok == (scaled == samples[-1])
+    for shape in ((tpl.dim - 1, tpl.dim - 1), (tpl.dim + 1, tpl.dim + 1), (tpl.dim, tpl.dim + 1)):
+        fit = _same_fit(tpl, ExactMatrix.zero(*shape))
+        assert fit.block == "shape"
+
+
+@pytest.mark.parametrize("m,k", [(1, 0), (1, 2), (2, 1), (3, 0)])
+def test_basis_and_span_agree_with_dense_reference(m, k):
+    tpl = DerivationTemplate(m, k)
+    basis = tpl.basis()
+    assert [key for key, _ in basis] == tpl.parameter_keys()
+    reference = [reference_matrix(tpl, {key: 1}) for key in tpl.parameter_keys()]
+    assert [mat for _, mat in basis] == reference
+    assert tpl.span() == EndoSubspace.from_matrices(reference, tpl.dim)
+    assert tpl.span().dim == tpl.parameter_count()
+
+
+def test_template_matrix_coerces_known_keys_only():
+    tpl = DerivationTemplate(1, 1)
+    assignment = {("p", 0): "1/2", ("q", 1): 3, ("unknown", 0): 0.5}
+    assert tpl.matrix(assignment) == reference_matrix(tpl, assignment)
+    with pytest.raises(TypeError):
+        tpl.matrix({("p", 0): 0.5})
