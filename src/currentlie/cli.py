@@ -51,6 +51,7 @@ from currentlie.linalg import EndoSubspace, ExactMatrix, Subspace, rat_str
 from currentlie.serialize import (
     AxiomError,
     FormatError,
+    MAX_DIM,
     algebra_to_dict,
     dumps_canonical,
     first_axiom_violation,
@@ -60,7 +61,14 @@ from currentlie.serialize import (
 
 
 def _matrix_doc(mat: ExactMatrix) -> list:
-    return [[rat_str(v) for v in row] for row in mat.rows]
+    # entry strings, row by row; only the nonzero entries go through rat_str
+    doc = []
+    for row, items in zip(mat.rows, mat._int_rows()[1]):
+        cells = ["0"] * mat.ncols
+        for c, _ in items:
+            cells[c] = rat_str(row[c])
+        doc.append(cells)
+    return doc
 
 
 def _format_matrix(cells: list) -> str:
@@ -105,6 +113,9 @@ def _emit(args, report: dict, text_lines) -> int:
 def cmd_heisenberg(args) -> int:
     if args.m < 1 or args.k < 0:
         raise FormatError("need --m >= 1 and --k >= 0")
+    dim = (2 * args.m + 1) * (args.k + 1)
+    if dim > MAX_DIM:
+        raise FormatError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
     ca = truncated_heisenberg(args.m, args.k)
     doc = dumps_canonical(algebra_to_dict(ca.product))
     if args.out:
@@ -276,7 +287,7 @@ def _check_radical(args) -> int:
         args, args.paths, "pass",
         dimensions={"algebra": alg.dim, "radical": rad.dim},
         flags={},
-        radical_basis=[[rat_str(v) for v in row] for row in rad.basis.rows],
+        radical_basis=_matrix_doc(rad.basis),
     )
     combos = ", ".join(_combo(alg.labels, row) for row in rad.basis.rows)
     lines = [

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from currentlie.assoc import AssocAlgebra, jacobson_radical
 from currentlie.lie import (
     LieAlgebra,
+    _memoized,
     center,
     centroid,
     derivations,
@@ -84,26 +85,21 @@ class CurrentAlgebra:
     # cached views of the component algebras
 
     def der_g(self) -> EndoSubspace:
-        return self._cached("der_g", lambda: derivations(self.g))
+        return _memoized(self, "der_g", lambda: derivations(self.g))
 
     def centroid_g(self) -> EndoSubspace:
-        return self._cached("centroid_g", lambda: centroid(self.g))
+        return _memoized(self, "centroid_g", lambda: centroid(self.g))
 
     def hom0_g(self) -> EndoSubspace:
-        return self._cached("hom0_g", lambda: hom_quotient_to_center(self.g))
+        return _memoized(self, "hom0_g", lambda: hom_quotient_to_center(self.g))
 
     def der_a(self) -> EndoSubspace:
         from currentlie.assoc import derivations as assoc_derivations
 
-        return self._cached("der_a", lambda: assoc_derivations(self.a))
+        return _memoized(self, "der_a", lambda: assoc_derivations(self.a))
 
     def derivations(self) -> EndoSubspace:
-        return self._cached("der_full", lambda: derivations(self.product))
-
-    def _cached(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        return _memoized(self, "der_full", lambda: derivations(self.product))
 
     def __repr__(self):
         return f"CurrentAlgebra(g={self.g.labels}, a={self.a.labels}, dim={self.dim})"
@@ -178,7 +174,7 @@ def summand_h(ca: CurrentAlgebra) -> EndoSubspace:
                 mats.append(kron(d, ca.a.left_mult_matrix(_unit_vector(ca.a.dim, j))))
         return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
 
-    return ca._cached("summand_h", compute)
+    return _memoized(ca, "summand_h", compute)
 
 
 def summand_w(ca: CurrentAlgebra) -> EndoSubspace:
@@ -192,7 +188,7 @@ def summand_w(ca: CurrentAlgebra) -> EndoSubspace:
         ]
         return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
 
-    return ca._cached("summand_w", compute)
+    return _memoized(ca, "summand_w", compute)
 
 
 def summand_k(ca: CurrentAlgebra) -> EndoSubspace:
@@ -213,7 +209,7 @@ def summand_k(ca: CurrentAlgebra) -> EndoSubspace:
                     mats.append(kron(t, unit))
         return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
 
-    return ca._cached("summand_k", compute)
+    return _memoized(ca, "summand_k", compute)
 
 
 def _unit_vector(n, j):

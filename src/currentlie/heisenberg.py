@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
 from currentlie.current import (
@@ -97,6 +98,14 @@ def _layout(m: int, k: int) -> tuple:
     return tuple(layout)
 
 
+@cache
+def _key_index(m: int, k: int) -> tuple:
+    """The keys of _layout(m, k) in its order, and {defining position: index}."""
+    layout = _layout(m, k)
+    keys = tuple(key for key, _ in layout)
+    return keys, {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
+
+
 # parameter_keys() order: the three grids, the two series, the strip
 _KEY_ORDER = {"A1": 0, "A2": 1, "A4": 2, "p": 3, "q": 4, "strip": 5}
 
@@ -148,9 +157,10 @@ class DerivationTemplate:
         self.block_dim = m * self.width
         self.dim = (2 * m + 1) * self.width
         self._layout = _layout(m, k)
+        self._keys, self._defined_at = _key_index(m, k)
 
     def parameter_keys(self) -> list:
-        return sorted((key for key, _ in self._layout), key=lambda key: _KEY_ORDER[key[0]])
+        return sorted(self._keys, key=lambda key: _KEY_ORDER[key[0]])
 
     def parameter_count(self) -> int:
         return len(self._layout)
@@ -192,15 +202,28 @@ class DerivationTemplate:
         Each parameter is read at its defining position, net of the
         parameters solved before it; the nonzero ones are expanded into
         the entries the template then expects, and the match holds iff
-        those are exactly the nonzero entries of mat.
+        those are exactly the nonzero entries of mat.  Only the keys whose
+        defining position holds an actual or an expected entry are
+        solved, in layout order; every other parameter is zero.
         """
         n = self.dim
         if mat.shape != (n, n):
             return TemplateMismatch("shape", f"expected {n} x {n}")
+        layout, defined_at = self._layout, self._defined_at
         actual = mat._nonzero_entries()
         expected: dict = {}
-        params: dict = {}
-        for key, entries in self._layout:
+        params = dict.fromkeys(self._keys, _ZERO)
+        # a key's entries reach only the defining positions of later keys,
+        # so popping indices in increasing order solves in layout order
+        todo = [defined_at[pos] for pos in actual if pos in defined_at]
+        heapify(todo)
+        last = -1
+        while todo:
+            idx = heappop(todo)
+            if idx == last:
+                continue
+            last = idx
+            key, entries = layout[idx]
             pos, coeff = entries[0]
             value = actual.get(pos, _ZERO)
             if pos in expected:
@@ -209,7 +232,10 @@ class DerivationTemplate:
                 if coeff != 1:
                     value /= coeff
                 _expand(expected, entries, value)
-            params[key] = value
+                for later, _ in entries[1:]:
+                    if later in defined_at:
+                        heappush(todo, defined_at[later])
+                params[key] = value
         expected = {pos: x for pos, x in expected.items() if x}
         if expected == actual:
             return TemplateMatch(params=params)

@@ -175,10 +175,11 @@ def _combo(g: LieAlgebra, vec) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _memoized(g: LieAlgebra, key: str, compute):
-    if key not in g._memo:
-        g._memo[key] = compute()
-    return g._memo[key]
+def _memoized(owner, key: str, compute):
+    """owner._memo[key], computed once; owner is a LieAlgebra or CurrentAlgebra."""
+    if key not in owner._memo:
+        owner._memo[key] = compute()
+    return owner._memo[key]
 
 
 def center(g: LieAlgebra) -> Subspace:

@@ -9,15 +9,19 @@ nonzero entries.  Products, commutators, Kronecker products, sums and
 scalar multiples work on that view: they accumulate integer numerators
 over the product of the operands' common denominators (1 for integer
 matrices) and build a Fraction once per nonzero entry of the result.
-Linear systems are eliminated sparse: one Gauss-Jordan routine works on
-rows held as {column: value} dicts of their nonzero entries, and a
-Subspace keeps the result as its canonical dense RREF basis.
+Linear systems are eliminated sparse and in integers: one fraction-free
+Gauss-Jordan routine takes rows held as {column: value} dicts of their
+nonzero entries, scales each to a primitive integer row, eliminates with
+integer cross-multiplication and builds a Fraction only for the entries
+of the final RREF basis.  A Subspace keeps that basis as its canonical
+dense RREF matrix together with its sparse rows, and the basis matrices
+of an EndoSubspace carry their sparse integer view from those rows, so
+reading their nonzero entries never scans the dense rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -131,9 +135,12 @@ class ExactMatrix:
         }
 
     def _nonzero_entries(self) -> dict:
-        """{(row, col): entry} over the nonzero entries; nothing is cached."""
-        cols = range(self.ncols)
-        return {(i, c): row[c] for i, row in enumerate(self.rows) for c in compress(cols, row)}
+        """{(row, col): entry} over the nonzero entries."""
+        return {
+            (i, c): row[c]
+            for i, (row, items) in enumerate(zip(self.rows, self._int_rows()[1]))
+            for c, _ in items
+        }
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -350,60 +357,89 @@ def _dense(row: dict, n: int) -> tuple:
 
 
 def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
-    """Sparse Gauss-Jordan: the RREF basis of the span of the rows.
+    """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
-    Rows are {column: nonzero Fraction} dicts and are not modified.  Each
-    row is scaled to leading entry 1 and skipped if an equal row came
-    before (Leibniz-style systems repeat rows and their multiples
-    heavily).  The rest are reduced by the pivot rows found so far; a new
-    pivot row, led by its leftmost entry, is then cleared out of the
-    earlier ones.  So the pivot rows always have a leading 1 that is the
-    only nonzero in its column, and at the end they are the unique RREF
-    basis.  Returned as (pivot column, row) pairs sorted by pivot.
+    Rows are {column: nonzero int or Fraction} dicts and are not modified.
+    Each row is scaled to a primitive integer row with a positive leading
+    entry and skipped if an equal row came before (Leibniz-style systems
+    repeat rows and their multiples heavily).  The rest are eliminated
+    forward on their leading entries only, by gcd-reduced integer
+    cross-multiplication, so the pivot rows form an echelon basis.  This
+    is fraction-free elimination in the style of Bareiss (Math. Comp. 22,
+    1968), except that each row is made primitive again after each step
+    instead of being divided by the previous pivot.  One
+    back-substitution, last pivot first, then clears every pivot column,
+    and each entry of the unique RREF basis becomes one Fraction.
+    Returned as (pivot column, {column: Fraction}) pairs sorted by pivot.
     """
     seen = set()
     pivot_rows: dict[int, dict] = {}
     for row in rows:
         if not row:
             continue
-        items = sorted(row.items())
-        lead = items[0][1]
-        if lead != _ONE:
-            inv = _ONE / lead
-            items = [(j, x * inv) for j, x in items]
-        key = tuple(items)
+        key = _primitive(row)
         if key in seen:
             continue
         seen.add(key)
-        work = dict(items)
-        # pivot rows vanish on each other's pivots, so these stay the
-        # only pivot columns of `work` while it is reduced
-        for c in [c for c in work if c in pivot_rows]:
-            _subtract(work, work.pop(c), pivot_rows[c], c)
-        if not work:
-            continue
-        p = min(work)
-        pv = work[p]
-        if pv != _ONE:
-            inv = _ONE / pv
-            work = {j: x * inv for j, x in work.items()}
-        for other in pivot_rows.values():
-            f = other.pop(p, None)
-            if f is not None:
-                _subtract(other, f, work, p)
-        pivot_rows[p] = work
-    return sorted(pivot_rows.items())
+        work = dict(key)
+        p = key[0][0]
+        while p in pivot_rows:
+            _eliminate(work, p, pivot_rows[p])
+            if not work:
+                break
+            p = min(work)
+        if work:
+            if work[p] < 0:
+                work = {j: -x for j, x in work.items()}
+            pivot_rows[p] = work
+    # pivot rows are zero left of their pivots, so clearing the pivot
+    # columns of a row with the already reduced later rows adds no new ones
+    reduced = []
+    for p in sorted(pivot_rows, reverse=True):
+        work = pivot_rows[p]
+        for c in [c for c in work if c != p and c in pivot_rows]:
+            _eliminate(work, c, pivot_rows[c])
+        d = work[p]
+        reduced.append((p, {j: Q(x, d) for j, x in work.items()}))
+    reduced.reverse()
+    return reduced
 
 
-def _subtract(row: dict, f: Q, pivot_row: dict, pivot: int) -> None:
-    # row -= f * pivot_row off the pivot column, dropping cancelled entries
-    for j, x in pivot_row.items():
-        if j != pivot:
-            v = row.get(j, _ZERO) - f * x
-            if v:
-                row[j] = v
+def _primitive(row: dict) -> tuple:
+    # the row's ((column, int), ...) multiple, sorted by column, with
+    # coprime entries and a positive leading one
+    items = sorted(row.items())
+    den = lcm(*(x.denominator for _, x in items))
+    ints = [x.numerator * (den // x.denominator) for _, x in items]
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return tuple(zip([j for j, _ in items], ints))
+
+
+def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
+    # work := a * work - b * pivot_row off column c, where a * work[c] =
+    # b * pivot_row[c] with a > 0 and a, b coprime (pivot_row leads at c
+    # with a positive entry); then divide out the content of what is left
+    w, v = work.pop(c), pivot_row[c]
+    g = gcd(w, v)
+    a, b = v // g, w // g
+    if a != 1:
+        for j in work:
+            work[j] *= a
+    for j, y in pivot_row.items():
+        if j != c:
+            x = work.get(j, 0) - b * y
+            if x:
+                work[j] = x
             else:
-                del row[j]
+                del work[j]
+    g = gcd(*work.values())
+    if g > 1:
+        for j in work:
+            work[j] //= g
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
@@ -448,6 +484,11 @@ def _derivation_space(structure, diagonal: bool) -> "EndoSubspace":
     """
     n = len(structure)
     nz = _nonzero_table(structure)
+    # the equations are linear in the structure constants, so scaling them
+    # all by their common denominator keeps the solutions and makes every
+    # row an integer row
+    den = lcm(*(v.denominator for row in nz for terms in row for _, v in terms))
+    nz = [[[(k, v.numerator * (den // v.denominator)) for k, v in terms] for terms in row] for row in nz]
     # left[i]: (q, p, c_iq^p); right[j]: (q, p, c_qj^p)
     left = [[(q, p, v) for q in range(n) for p, v in nz[i][q]] for i in range(n)]
     right = [[(q, p, v) for q in range(n) for p, v in nz[q][j]] for j in range(n)]
@@ -462,7 +503,7 @@ def _derivation_space(structure, diagonal: bool) -> "EndoSubspace":
                 for q, p, v in terms:
                     row = by_p.setdefault(p, {})
                     col = q * n + unknown
-                    row[col] = row.get(col, _ZERO) - v
+                    row[col] = row.get(col, 0) - v
             rows.extend({col: x for col, x in row.items() if x} for row in by_p.values())
     return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
@@ -669,12 +710,18 @@ class EndoSubspace:
         return self.space._coordinates(m._flat_nonzeros())
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
+        """The basis rows as n x n matrices, each with its sparse view set."""
         if self._mats is None:
             n = self.n
-            self._mats = tuple(
-                ExactMatrix._trusted(tuple(row[i * n : (i + 1) * n] for i in range(n)), n, n)
-                for row in self.space.basis.rows
-            )
+            mats = []
+            for nz in self.space._nonzeros():
+                den = lcm(*(x.denominator for _, x in nz))
+                int_rows = [[] for _ in range(n)]
+                for j, x in nz:
+                    i, c = divmod(j, n)
+                    int_rows[i].append((c, x.numerator * (den // x.denominator)))
+                mats.append(ExactMatrix._from_ints(n, n, den, int_rows))
+            self._mats = tuple(mats)
         return self._mats
 
     def __eq__(self, other) -> bool:

@@ -3,7 +3,7 @@
 An algebra file is a single JSON object:
 
     kind      "lie" or "assoc"
-    dim       basis size
+    dim       basis size, at most MAX_DIM
     basis     list of dim labels
     unit      list of dim rational strings (assoc only)
     products  list of [i, j, k, coeff] entries meaning
@@ -27,6 +27,12 @@ from currentlie.lie import LieAlgebra, first_lie_violation
 from currentlie.linalg import Q, rat, rat_str
 
 _ZERO = Q(0)
+
+
+# The largest dim a file may declare.  Loading allocates a dense dim^3
+# structure table (8 M entries at 200) before it reads any product, so a
+# tiny file must not be able to ask for more.
+MAX_DIM = 200
 
 
 class FormatError(ValueError):
@@ -107,6 +113,7 @@ def algebra_from_dict(doc):
     dim = doc["dim"]
     _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
              "dim must be a positive integer")
+    _require(dim <= MAX_DIM, f"dim {dim} exceeds the supported maximum {MAX_DIM}")
     basis = doc["basis"]
     _require(
         isinstance(basis, list)

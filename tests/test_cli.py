@@ -17,6 +17,8 @@ from currentlie.linalg import ExactMatrix, rat
 from currentlie.serialize import (
     AxiomError,
     FormatError,
+    MAX_DIM,
+    algebra_from_dict,
     algebra_to_dict,
     dumps_canonical,
     load_algebra,
@@ -68,6 +70,32 @@ def test_heisenberg_bad_arguments(capsys):
     code, _, stderr = run(["heisenberg", "--m", "0", "--k", "1"], capsys)
     assert code == 2
     assert "--m" in stderr
+
+
+def test_heisenberg_dimension_cap(capsys, monkeypatch):
+    # refused before anything is built; the stub keeps a missing cap from
+    # allocating the huge algebra
+    def refuse(m, k):
+        raise AssertionError("algebra built past the cap")
+
+    monkeypatch.setattr("currentlie.cli.truncated_heisenberg", refuse)
+    for m, k in ((10**6, 0), (1, 10**9), (100, 0)):
+        code, stdout, stderr = run(["heisenberg", "--m", str(m), "--k", str(k)], capsys)
+        assert code == 2 and not stdout
+        assert f"maximum {MAX_DIM}" in stderr
+
+
+def test_algebra_file_dimension_cap(tmp_path, capsys):
+    dim = MAX_DIM + 1
+    doc = {"kind": "lie", "dim": dim, "basis": [f"x{i}" for i in range(dim)], "products": []}
+    with pytest.raises(FormatError, match=f"dim {dim} exceeds the supported maximum {MAX_DIM}"):
+        algebra_from_dict(doc)
+    # the CLI maps the refusal to exit code 2; the --dim report never runs
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, stdout, stderr = run(["check", "axioms", str(path)], capsys)
+    assert code == 2 and not stdout
+    assert "exceeds the supported maximum" in stderr
 
 
 def test_derive_dim_flag(files, capsys):

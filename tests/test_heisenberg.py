@@ -363,3 +363,19 @@ def test_template_matrix_coerces_known_keys_only():
     assert tpl.matrix(assignment) == reference_matrix(tpl, assignment)
     with pytest.raises(TypeError):
         tpl.matrix({("p", 0): 0.5})
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (2, 2), (3, 1)])
+def test_match_reads_basis_views_like_plain_matrices(m, k):
+    # basis matrices come with a sparse view built from the subspace's
+    # rows; a plain ExactMatrix of the same rows builds its own
+    tpl = DerivationTemplate(m, k)
+    for mat in truncated_heisenberg(m, k).derivations().basis_matrices():
+        plain = ExactMatrix(mat.rows)
+        fit, plain_fit = tpl.match(mat), tpl.match(plain)
+        assert fit == plain_fit and fit.ok
+        assert list(fit.params) == list(plain_fit.params)
+        assert set(fit.params) == set(tpl.parameter_keys())
+        # a matrix that differs only off the view still mismatches alike
+        tweaked = _with_entry(mat, 0, tpl.dim - 1, 1)
+        assert tpl.match(tweaked) == tpl.match(ExactMatrix(tweaked.rows))

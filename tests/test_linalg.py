@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from currentlie.heisenberg import truncated_heisenberg
 from currentlie.linalg import (
+    EndoSubspace,
     ExactMatrix,
     _nullspace_from_system,
+    _rref_sparse,
     SpanSolver,
     Subspace,
     commutator,
@@ -364,3 +367,131 @@ def test_commutator_rejects_mismatched_shapes():
         commutator(ExactMatrix([[1, 2]]), ExactMatrix([[1], [2]]))
     with pytest.raises(ValueError):
         commutator(ExactMatrix.identity(2), ExactMatrix.identity(3))
+
+
+def _wide_entry(rng):
+    """A nonzero int or Fraction; some have denominators up to 10^9 and
+    numerators above 2^64."""
+    while True:
+        r = rng.random()
+        if r < 0.35:
+            x = rng.randint(-9, 9)
+        elif r < 0.7:
+            x = rand_frac(rng)
+        elif r < 0.85:
+            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**9))
+        else:
+            x = Fraction(rng.choice([-1, 1]) * rng.randint(2**64, 2**70), rng.randint(1, 10**9))
+        if x:
+            return x
+
+
+def _wide_system(rng, ncols):
+    """Sparse rows of _wide_entry values plus dependent, repeated and empty ones."""
+    base = []
+    for _ in range(rng.randint(1, min(ncols, 30))):
+        cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+        base.append({c: _wide_entry(rng) for c in cols})
+    rows = list(base)
+    scales = [-1, 2, Fraction(-7, 3), Fraction(10**9 + 7, 2**65), -(2**66)]
+    for _ in range(rng.randint(0, len(base))):
+        a, b = rng.choice(base), rng.choice(base)
+        s = rng.choice(scales)
+        if rng.random() < 0.5:
+            # scaled or negated copy
+            row = {c: s * x for c, x in a.items()}
+        else:
+            # a sum of two rows, which only elimination can find dependent
+            row = dict(a)
+            for c, x in b.items():
+                row[c] = row.get(c, 0) + s * x
+        rows.append({c: x for c, x in row.items() if x})
+    rows.extend(dict(rng.choice(rows)) for _ in range(rng.randint(0, 3)))
+    rows.extend({} for _ in range(rng.randint(0, 2)))
+    rng.shuffle(rows)
+    return rows
+
+
+def _leading(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
+def test_fraction_free_elimination_matches_reference():
+    rng = random.Random(41)
+    for trial in range(40):
+        ncols = rng.randint(1, 60)
+        rows = _wide_system(rng, ncols)
+        dense = ExactMatrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        ref = reference_rref(dense)
+        ref_rows = _nonzero_rows(ref)
+        ref_pivots = [_leading(row) for row in ref_rows]
+
+        reduced = _rref_sparse(rows)
+        assert [p for p, _ in reduced] == ref_pivots
+        for (p, row), want in zip(reduced, ref_rows):
+            assert all(type(x) is Fraction and x for x in row.values())
+            assert tuple(row.get(c, Fraction(0)) for c in range(ncols)) == want
+
+        assert rank(dense) == len(ref_rows)
+        got, pivots = rref(dense)
+        assert got == ref and list(pivots) == ref_pivots
+        assert _all_fractions(got)
+        space = Subspace.from_vectors(dense.rows, ncols)
+        assert list(space.basis.rows) == ref_rows and _all_fractions(space.basis)
+
+        # nullspace: the reference RREF of the free-column solutions
+        solutions = []
+        for f in range(ncols):
+            if f not in ref_pivots:
+                v = [Fraction(0)] * ncols
+                v[f] = Fraction(1)
+                for row, p in zip(ref_rows, ref_pivots):
+                    v[p] = -row[f]
+                solutions.append(v)
+        ns = nullspace(dense)
+        want = _nonzero_rows(reference_rref(ExactMatrix(solutions))) if solutions else []
+        assert list(ns.basis.rows) == want and _all_fractions(ns.basis)
+        assert _nullspace_from_system(rows, ncols) == ns
+
+        # SpanSolver: the RREF [R | T] of [V | I] gives, for v in the row
+        # space, the coefficients sum over pivots p of v[p] * T_p
+        if trial % 4 == 0:
+            count = dense.nrows
+            augmented = reference_rref(hstack([dense, ExactMatrix.identity(count)]))
+            solver = SpanSolver(dense.rows, ncols)
+            weights = [rand_frac(rng) for _ in range(count)]
+            target = [sum((w * row[c] for w, row in zip(weights, dense.rows)), Fraction(0))
+                      for c in range(ncols)]
+            expected = [Fraction(0)] * count
+            for row in _nonzero_rows(augmented):
+                p = _leading(row)
+                if p < ncols:
+                    expected = [e + target[p] * t for e, t in zip(expected, row[ncols:])]
+            coeffs = solver.coefficients(target)
+            assert coeffs == tuple(expected)
+            assert all(type(x) is Fraction for x in coeffs)
+            for f in range(ncols):
+                if f not in ref_pivots:
+                    assert solver.coefficients([int(c == f) for c in range(ncols)]) is None
+                    break
+
+
+def _dense_nonzeros(m):
+    return {(i, c): x for i, row in enumerate(m.rows) for c, x in enumerate(row) if x}
+
+
+def test_basis_matrices_carry_their_sparse_view():
+    rng = random.Random(43)
+    spaces = [truncated_heisenberg(2, 2).derivations()]
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        mats = [ExactMatrix([[_wide_entry(rng) if rng.random() < 0.3 else 0 for _ in range(n)]
+                             for _ in range(n)]) for _ in range(rng.randint(1, 6))]
+        spaces.append(EndoSubspace.from_matrices(mats, n))
+    for space in spaces:
+        for m, row in zip(space.basis_matrices(), space.space.basis.rows, strict=True):
+            assert m.flat() == row and _all_fractions(m)
+            fresh = ExactMatrix(m.rows)
+            assert m._nonzero_entries() == _dense_nonzeros(m)
+            assert m._int_rows() == fresh._int_rows()
+            assert m._flat_nonzeros() == fresh._flat_nonzeros()
