@@ -13,7 +13,6 @@ from currentlie.assoc import (
     direct_sum,
     jacobson_radical,
     rbar,
-    regular_rep,
     truncated_polynomial,
     wedderburn_complement,
 )
@@ -82,7 +81,6 @@ from currentlie.linalg import (
     rat,
     rat_str,
     rref,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
     vstack,

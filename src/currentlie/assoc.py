@@ -1,9 +1,12 @@
 """Commutative associative unital algebras over Q, given by structure constants.
 
-Provides the coefficient algebras used on the right-hand side of a current
-Lie algebra g (x) A: truncated polynomial rings, their direct sums, and the
-structure theory needed later (derivations, Jacobson radical, a split
-Wedderburn complement, multiplication operators).
+An AssocAlgebra stores only its nonzero products, in the sparse form it
+shares with LieAlgebra (linalg._Algebra), and every routine here reads
+that form.  The module provides the coefficient algebras used on the
+right-hand side of a current Lie algebra g (x) A: truncated polynomial
+rings, their direct sums, and the structure theory needed later
+(derivations, Jacobson radical, a split Wedderburn complement,
+multiplication operators).
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ from currentlie.linalg import (
     Q,
     SpanSolver,
     Subspace,
+    _Algebra,
+    _dense,
     _derivation_space,
+    _int_products,
+    _left_mult,
     nullspace,
     rat,
 )
@@ -30,56 +37,26 @@ class NonSplitError(ValueError):
     """The semisimple quotient has a factor that is not Q itself."""
 
 
-class AssocAlgebra:
+class AssocAlgebra(_Algebra):
     """Structure-constant presentation of a commutative unital algebra.
 
-    structure[i][j] is the coordinate vector of basis_i * basis_j; unit is
-    the coordinate vector of 1.
+    products[(i, j)] lists the nonzero coordinates of e_i e_j, for both
+    orders of each pair; unit is the coordinate vector of 1.
+    AssocAlgebra(labels, table, unit) takes the dense table, table[i][j]
+    the coordinate vector of e_i e_j.
     """
 
-    def __init__(self, labels: Sequence[str], structure, unit: Sequence):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        n = self.dim
-        self.structure = tuple(
-            tuple(tuple(rat(x) for x in structure[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        self.unit = tuple(rat(x) for x in unit)
-        if len(self.unit) != n:
-            raise ValueError("unit length mismatch")
-        for i in range(n):
-            if len(self.structure[i]) != n or any(
-                len(self.structure[i][j]) != n for j in range(n)
-            ):
-                raise ValueError("structure tensor shape mismatch")
+    multiply = _Algebra._product
 
-    def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        x = [rat(v) for v in x]
-        y = [rat(v) for v in y]
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] += c * s
-        return tuple(out)
+    def _init(self, labels: tuple, products: dict, unit: Sequence) -> None:
+        super()._init(labels, products)
+        self.unit = tuple(rat(x) for x in unit)
+        if len(self.unit) != self.dim:
+            raise ValueError("unit length mismatch")
 
     def left_mult_matrix(self, x: Sequence) -> ExactMatrix:
         """Matrix of multiplication by x in the chosen basis (columns are x*e_j)."""
-        cols = []
-        zero = [_ZERO] * self.dim
-        for j in range(self.dim):
-            e = list(zero)
-            e[j] = _ONE
-            cols.append(self.multiply(x, e))
-        return ExactMatrix(list(zip(*cols)))
+        return _left_mult(self, x)
 
     def power(self, x: Sequence, n: int) -> tuple:
         out = self.unit
@@ -100,15 +77,10 @@ class AssocAlgebra:
         return first_assoc_violation(self) is None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AssocAlgebra)
-            and self.labels == other.labels
-            and self.structure == other.structure
-            and self.unit == other.unit
-        )
+        return super().__eq__(other) and self.unit == other.unit
 
     def __hash__(self):
-        return hash((self.labels, self.structure, self.unit))
+        return hash((super().__hash__(), self.unit))
 
     def __repr__(self):
         return f"AssocAlgebra(dim={self.dim}, labels={self.labels})"
@@ -120,23 +92,45 @@ def first_assoc_violation(a: AssocAlgebra):
     The unit is checked first (left, then right, on each basis element),
     then commutativity on the pairs i <= j, then associativity
     (e_i e_j) e_k = e_i (e_j e_k) on all triples in lexicographic order.
+    Both sides are zero unless e_j e_k != 0 or e_m e_k != 0 for some e_m
+    in e_i e_j, so only those triples are evaluated; and if the unit is a
+    basis vector, the triples through it hold once the unit checks pass.
     """
     n = a.dim
-    basis = [tuple(_ONE if t == i else _ZERO for t in range(n)) for i in range(n)]
+    prod = a.products
+    unit = [(p, u) for p, u in enumerate(a.unit) if u]
     for i in range(n):
-        if a.multiply(a.unit, basis[i]) != basis[i]:
+        e_i = ((i, _ONE),)
+        if a._times(unit, e_i) != {i: _ONE}:
             return f"unit is not a left identity on {a.labels[i]}"
-        if a.multiply(basis[i], a.unit) != basis[i]:
+        if a._times(e_i, unit) != {i: _ONE}:
             return f"unit is not a right identity on {a.labels[i]}"
-    for i in range(n):
-        for j in range(i, n):
-            if a.structure[i][j] != a.structure[j][i]:
-                return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
+    for i, j in sorted({(min(key), max(key)) for key in prod}):
+        if prod.get((i, j)) != prod.get((j, i)):
+            return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
+    skip = {unit[0][0]} if len(unit) == 1 and unit[0][1] == 1 else set()
+    nz = _int_products(a)
+    right = [[] for _ in range(n)]  # right[m]: the k outside skip with e_m e_k != 0
+    for m, k in nz:
+        if k not in skip:
+            right[m].append(k)
     for i in range(n):
         for j in range(n):
-            ij = a.structure[i][j]
-            for k in range(n):
-                if a.multiply(ij, basis[k]) != a.multiply(basis[i], a.structure[j][k]):
+            ij = nz.get((i, j), ())
+            if i in skip or j in skip or not (ij or right[j]):
+                continue
+            ks = set(right[j])
+            for m, _ in ij:
+                ks.update(right[m])
+            for k in sorted(ks):
+                diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), scaled to integers
+                for m, c in ij:
+                    for p, w in nz.get((m, k), ()):
+                        diff[p] = diff.get(p, 0) + c * w
+                for m, c in nz.get((j, k), ()):
+                    for p, w in nz.get((i, m), ()):
+                        diff[p] = diff.get(p, 0) - c * w
+                if any(diff.values()):
                     labels = (a.labels[i], a.labels[j], a.labels[k])
                     return f"associativity fails on ({', '.join(labels)})"
     return None
@@ -147,35 +141,20 @@ def truncated_polynomial(k: int) -> AssocAlgebra:
     if k < 0:
         raise ValueError("k must be >= 0")
     n = k + 1
-    structure = [
-        [
-            tuple(_ONE if p == i + j else _ZERO for p in range(n))
-            if i + j <= k
-            else (_ZERO,) * n
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    products = {(i, j): ((i + j, _ONE),) for i in range(n) for j in range(n - i)}
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     unit = tuple(_ONE if p == 0 else _ZERO for p in range(n))
-    return AssocAlgebra(labels, structure, unit)
+    return AssocAlgebra._from_products(labels, products, unit)
 
 
 def direct_sum(a: AssocAlgebra, b: AssocAlgebra) -> AssocAlgebra:
     """Componentwise product algebra a (+) b; the unit is (1_a, 1_b)."""
-    n, m = a.dim, b.dim
-    dim = n + m
-    zero = (_ZERO,) * dim
-    structure = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            structure[i][j] = tuple(a.structure[i][j]) + (_ZERO,) * m
-    for i in range(m):
-        for j in range(m):
-            structure[n + i][n + j] = (_ZERO,) * n + tuple(b.structure[i][j])
+    n = a.dim
+    products = dict(a.products)
+    for (i, j), terms in b.products.items():
+        products[n + i, n + j] = tuple((n + k, c) for k, c in terms)
     labels = [f"{lab}.L" for lab in a.labels] + [f"{lab}.R" for lab in b.labels]
-    unit = tuple(a.unit) + tuple(b.unit)
-    return AssocAlgebra(labels, [list(r) for r in structure], unit)
+    return AssocAlgebra._from_products(labels, products, a.unit + b.unit)
 
 
 def derivations(a: AssocAlgebra) -> EndoSubspace:
@@ -184,7 +163,7 @@ def derivations(a: AssocAlgebra) -> EndoSubspace:
     Solved as the exact nullspace of the Leibniz conditions over basis
     pairs; D(1) = 0 follows automatically.
     """
-    return _derivation_space(a.structure, diagonal=True)
+    return _derivation_space(a, diagonal=True)
 
 
 def jacobson_radical(a: AssocAlgebra) -> Subspace:
@@ -194,15 +173,14 @@ def jacobson_radical(a: AssocAlgebra) -> Subspace:
     matrix G[i][j] = tr(L_(e_i e_j)) is exactly the Jacobson radical.
     """
     n = a.dim
-    c = a.structure
-    tracevec = [sum((c[l][p][p] for p in range(n)), _ZERO) for l in range(n)]
-    gram = []
-    for i in range(n):
-        grow = []
-        for j in range(n):
-            prod = c[i][j]
-            grow.append(sum((prod[l] * tracevec[l] for l in range(n) if prod[l]), _ZERO))
-        gram.append(grow)
+    tracevec = [_ZERO] * n  # tracevec[l] = tr(L_(e_l)) = sum_p c_lp^p
+    for (l, p), terms in a.products.items():
+        for k, c in terms:
+            if k == p:
+                tracevec[l] += c
+    gram = [[_ZERO] * n for _ in range(n)]
+    for (i, j), terms in a.products.items():
+        gram[i][j] = sum((c * tracevec[l] for l, c in terms), _ZERO)
     return nullspace(ExactMatrix(gram))
 
 
@@ -211,27 +189,22 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
     n = a.dim
     pivot_set = set(j.pivots)
     cols = [col for col in range(n) if col not in pivot_set]
-    qdim = len(cols)
-    basis = []
-    for col in cols:
-        e = [_ZERO] * n
-        e[col] = _ONE
-        basis.append(tuple(e))
     pos = {col: idx for idx, col in enumerate(cols)}
 
-    def project(v):
-        w = j.reduce(v)
-        out = [_ZERO] * qdim
-        for col, idx in pos.items():
-            out[idx] = w[col]
-        return tuple(out)
+    def project(terms) -> dict:
+        # a vector, given by its nonzero (index, Fraction) pairs, modulo J;
+        # the reduced vector is zero on the pivots
+        return {pos[col]: x for col, x in j._reduce(dict(terms)).items()}
 
-    structure = [
-        [project(a.multiply(basis[i], basis[jj])) for jj in range(qdim)]
-        for i in range(qdim)
-    ]
+    products = {}
+    for (ci, cj), terms in a.products.items():
+        if ci in pos and cj in pos:
+            w = project(terms)
+            if w:
+                products[pos[ci], pos[cj]] = tuple(sorted(w.items()))
+    unit = _dense(project((p, u) for p, u in enumerate(a.unit) if u), len(cols))
     labels = [a.labels[col] for col in cols]
-    quotient = AssocAlgebra(labels, structure, project(a.unit))
+    quotient = AssocAlgebra._from_products(labels, products, unit)
 
     def embed(v):
         out = [_ZERO] * n
@@ -458,12 +431,6 @@ def wedderburn_complement(a: AssocAlgebra) -> Subspace:
     return s
 
 
-def regular_rep(a: AssocAlgebra, p: Sequence) -> ExactMatrix:
-    """Multiplication operator L_p; for Q[t]/(t^(k+1)) a lower triangular
-    Toeplitz matrix with entry (i, j) = p_(i-j)."""
-    return a.left_mult_matrix(p)
-
-
 def rbar(a: AssocAlgebra, q: Sequence) -> ExactMatrix:
     """Derivation of Q[t]/(t^(k+1)) sending t to q (constant term dropped).
 
@@ -484,15 +451,6 @@ def rbar(a: AssocAlgebra, q: Sequence) -> ExactMatrix:
             row.append(j * qv[i - j + 1] if 1 <= j <= i else _ZERO)
         rows.append(row)
     m = ExactMatrix(rows)
-    basis = [tuple(_ONE if t == i else _ZERO for t in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lhs = m.apply(a.multiply(basis[i], basis[j]))
-            di, dj = m.apply(basis[i]), m.apply(basis[j])
-            rhs = tuple(
-                x + y
-                for x, y in zip(a.multiply(di, basis[j]), a.multiply(basis[i], dj))
-            )
-            if lhs != rhs:
-                raise ValueError("rbar result is not a derivation of this algebra")
+    if not derivations(a).contains(m):
+        raise ValueError("rbar result is not a derivation of this algebra")
     return m

@@ -161,7 +161,7 @@ def _levi_candidates(g: LieAlgebra):
     """
     if g.dim % 2 == 1 and g.dim >= 3:
         m = g.dim // 2
-        if g.structure == heisenberg(m).structure:
+        if g.products == heisenberg(m).products:
             return heisenberg_der_blocks(m)
     der_g = lie_derivations(g)
     if is_semisimple(lie_from_endo_span(der_g)):

@@ -111,29 +111,17 @@ def current_algebra(g: LieAlgebra, a: AssocAlgebra) -> CurrentAlgebra:
         raise ValueError("g does not satisfy the Lie axioms")
     if not a.check_axioms():
         raise ValueError("A is not a commutative unital associative algebra")
-    na, ng = a.dim, g.dim
+    na = a.dim
     labels = [f"{gl}*{al}" for gl in g.labels for al in a.labels]
-    entries = []
-    for i1 in range(ng):
-        for i2 in range(ng):
-            cvec = g.structure[i1][i2]
-            if not any(cvec):
-                continue
-            for j1 in range(na):
-                for j2 in range(na):
-                    prod = a.structure[j1][j2]
-                    if not any(prod):
-                        continue
-                    p, q = i1 * na + j1, i2 * na + j2
-                    if p >= q:
-                        continue
-                    for k, ck in enumerate(cvec):
-                        if not ck:
-                            continue
-                        for l, cl in enumerate(prod):
-                            if cl:
-                                entries.append((p, q, k * na + l, ck * cl))
-    product = LieAlgebra.from_bracket_entries(labels, entries)
+    # [x_i1 (x) a_j1, x_i2 (x) a_j2] = sum c_(i1 i2)^k d_(j1 j2)^l x_k (x) a_l;
+    # each target k*na + l arises once, in increasing order
+    products = {}
+    for (i1, i2), gterms in g.products.items():
+        for (j1, j2), aterms in a.products.items():
+            products[i1 * na + j1, i2 * na + j2] = tuple(
+                (k * na + l, ck * cl) for k, ck in gterms for l, cl in aterms
+            )
+    product = LieAlgebra._from_products(labels, dict(sorted(products.items())))
     if not product.check_lie_axioms():
         raise ValueError("product bracket violates the Lie axioms")
     return CurrentAlgebra(g, a, product)

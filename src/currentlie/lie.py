@@ -1,7 +1,8 @@
 """Finite-dimensional Lie algebras over Q given by structure constants.
 
-Carries the structure theory needed for derivation algebras of current
-Lie algebras: center, derived and lower central series, derivations,
+A LieAlgebra stores only its nonzero brackets, in the sparse form it
+shares with AssocAlgebra (linalg._Algebra), and every routine here reads
+that form: center, derived and lower central series, derivations,
 centroid, the maps g/[g,g] -> z(g), Killing form and solvable radical,
 plus the two concrete families used throughout (Heisenberg algebras and
 symplectic algebras with their matrix realization).
@@ -9,7 +10,7 @@ symplectic algebras with their matrix realization).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from currentlie.linalg import (
     EndoSubspace,
@@ -17,9 +18,11 @@ from currentlie.linalg import (
     Q,
     SpanSolver,
     Subspace,
+    _Algebra,
     _derivation_space,
-    _nonzero_table,
+    _left_mult,
     _nullspace_from_system,
+    _products,
     _rref_sparse,
     _sparse,
     commutator,
@@ -33,22 +36,20 @@ _ZERO = Q(0)
 _ONE = Q(1)
 
 
-class LieAlgebra:
+class LieAlgebra(_Algebra):
     """Structure-constant presentation of a Lie algebra.
 
-    structure[i][j] is the coordinate vector of [basis_i, basis_j]; the
-    full antisymmetric table is stored.  matrix_basis optionally records a
-    faithful matrix realization (used by the symplectic constructor).
+    products[(i, j)] lists the nonzero coordinates of [e_i, e_j], for both
+    orders of each pair.  LieAlgebra(labels, table) takes the dense table,
+    table[i][j] the coordinate vector of [e_i, e_j].  matrix_basis
+    optionally records a faithful matrix realization (used by the
+    symplectic constructor).
     """
 
-    def __init__(self, labels: Sequence[str], structure, matrix_basis=None):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        n = self.dim
-        self.structure = tuple(
-            tuple(tuple(rat(x) for x in structure[i][j]) for j in range(n))
-            for i in range(n)
-        )
+    bracket = _Algebra._product
+
+    def _init(self, labels: tuple, products: dict, matrix_basis=None) -> None:
+        super()._init(labels, products)
         self.matrix_basis = tuple(matrix_basis) if matrix_basis is not None else None
         self._memo: dict = {}
 
@@ -56,68 +57,30 @@ class LieAlgebra:
     def from_bracket_entries(cls, labels, entries, matrix_basis=None) -> "LieAlgebra":
         """Build from sparse entries (i, j, k, coeff) with i < j.
 
-        The j > i half of the table is filled in by antisymmetry.
+        Repeated (i, j, k) entries add up; the j > i half of the table is
+        filled in by antisymmetry.
         """
         n = len(labels)
-        table = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        both = []
         for i, j, k, coeff in entries:
             if not 0 <= i < j < n:
                 raise ValueError(f"bracket entry ({i},{j}) is not upper triangular")
             if not 0 <= k < n:
                 raise ValueError("bracket target index out of range")
             v = rat(coeff)
-            table[i][j][k] += v
-            table[j][i][k] -= v
-        return cls(labels, table, matrix_basis=matrix_basis)
+            both += ((i, j, k, v), (j, i, k, -v))
+        return cls._from_products(labels, _products(both), matrix_basis)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(_ONE if t == i else _ZERO for t in range(self.dim))
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        x = [rat(v) for v in x]
-        y = [rat(v) for v in y]
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] += c * s
-        return tuple(out)
-
     def ad(self, x: Sequence) -> ExactMatrix:
         """Matrix of ad_x = [x, -] in the chosen basis."""
-        x = [rat(v) for v in x]
-        n = self.dim
-        rows = [[_ZERO] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for q in range(n):
-                vec = self.structure[i][q]
-                for p in range(n):
-                    if vec[p]:
-                        rows[p][q] += xi * vec[p]
-        return ExactMatrix(rows)
+        return _left_mult(self, x)
 
     def check_lie_axioms(self) -> bool:
         """Antisymmetry (including [x,x] = 0) and Jacobi on all basis triples."""
         return first_lie_violation(self) is None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieAlgebra)
-            and self.labels == other.labels
-            and self.structure == other.structure
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.structure))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
@@ -133,46 +96,49 @@ def first_lie_violation(g: LieAlgebra):
     so only the triples reached that way from a nonzero bracket are
     evaluated; all others are zero.
     """
-    n = g.dim
-    c = g.structure
-    nz = _nonzero_table(c)
-    for i in range(n):
-        if nz[i][i]:
-            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, c[i][i])} != 0"
-        for j in range(i + 1, n):
-            if nz[i][j] != [(k, -v) for k, v in nz[j][i]]:
-                bad = tuple(a + b for a, b in zip(c[i][j], c[j][i]))
-                return (
-                    f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
-                    f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, bad)}"
-                )
+    prod = g.products
+    for i, j in sorted({(min(key), max(key)) for key in prod}):
+        if i == j:
+            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, prod[i, i])} != 0"
+        ij, ji = prod.get((i, j), ()), prod.get((j, i), ())
+        if ij != tuple((k, -v) for k, v in ji):
+            bad = dict(ij)
+            for k, v in ji:
+                bad[k] = bad.get(k, _ZERO) + v
+            return (
+                f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
+                f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, sorted(bad.items()))}"
+            )
     # partners[m]: the x with [e_x, e_m] != 0
-    partners = [[x for x in range(n) if nz[x][m]] for m in range(n)]
+    partners = [[] for _ in range(g.dim)]
+    for x, m in prod:
+        partners[m].append(x)
     triples = set()
-    for y in range(n):
-        for z in range(y + 1, n):
-            for m, _ in nz[y][z]:
+    for (y, z), terms in prod.items():
+        if y < z:
+            for m, _ in terms:
                 for x in partners[m]:
                     if x != y and x != z:
                         triples.add(tuple(sorted((x, y, z))))
     for i, j, k in sorted(triples):
-        total = [_ZERO] * n
+        total = {}
         for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in nz[b][cc]:
-                for p, w in nz[a][m]:
-                    total[p] += v * w
-        if any(total):
+            for m, v in prod.get((b, cc), ()):
+                for p, w in prod.get((a, m), ()):
+                    total[p] = total.get(p, _ZERO) + v * w
+        if any(total.values()):
             labels = (g.labels[i], g.labels[j], g.labels[k])
             return (
                 f"Jacobi fails on ({', '.join(labels)}):"
-                f" cyclic sum = {_combo(g, total)}"
+                f" cyclic sum = {_combo(g, sorted(total.items()))}"
             )
     return None
 
 
-def _combo(g: LieAlgebra, vec) -> str:
-    terms = [f"{rat_str(c)}*{g.labels[p]}" for p, c in enumerate(vec) if c]
-    return " + ".join(terms) if terms else "0"
+def _combo(g: LieAlgebra, terms) -> str:
+    # terms: (index, coefficient) pairs in increasing index
+    out = [f"{rat_str(c)}*{g.labels[p]}" for p, c in terms if c]
+    return " + ".join(out) if out else "0"
 
 
 def _memoized(owner, key: str, compute):
@@ -186,14 +152,11 @@ def center(g: LieAlgebra) -> Subspace:
     """{x : [x, g] = 0}, the kernel of x -> ad_x."""
 
     def compute():
-        n = g.dim
-        nz = _nonzero_table(g.structure)
         rows = {}  # (j, p): coordinate p of [x, e_j] as a linear form in x
-        for i in range(n):
-            for j in range(n):
-                for p, v in nz[i][j]:
-                    rows.setdefault((j, p), {})[i] = v
-        return _nullspace_from_system(rows.values(), n)
+        for (i, j), terms in g.products.items():
+            for p, v in terms:
+                rows.setdefault((j, p), {})[i] = v
+        return _nullspace_from_system(rows.values(), g.dim)
 
     return _memoized(g, "center", compute)
 
@@ -202,21 +165,9 @@ def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of the brackets of the basis rows of a with those of b.
 
     The brackets are taken on the sparse rows through the nonzero
-    structure constants and come out as {index: Fraction} rows.
+    structure constants.
     """
-    nz = _memoized(g, "nonzero_table", lambda: _nonzero_table(g.structure))
-    rows = []
-    for u in a._nonzeros():
-        for v in b._nonzeros():
-            out = {}
-            for i, x in u:
-                for j, y in v:
-                    terms = nz[i][j]
-                    if terms:
-                        xy = x * y
-                        for k, c in terms:
-                            out[k] = out[k] + xy * c if k in out else xy * c
-            rows.append({k: s for k, s in out.items() if s})
+    rows = [g._times(u, v) for u in a._nonzeros() for v in b._nonzeros()]
     return Subspace._from_rref(g.dim, _rref_sparse(rows))
 
 
@@ -261,7 +212,7 @@ def derivations(g: LieAlgebra) -> EndoSubspace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as the exact Leibniz nullspace."""
 
     def compute():
-        return _derivation_space(g.structure, diagonal=False)
+        return _derivation_space(g, diagonal=False)
 
     return _memoized(g, "derivations", compute)
 
@@ -271,18 +222,20 @@ def centroid(g: LieAlgebra) -> EndoSubspace:
 
     def compute():
         n = g.dim
-        nz = _nonzero_table(g.structure)
+        ad_terms = [[] for _ in range(n)]  # ad_terms[i]: (q, [e_i, e_q]) when nonzero
+        for (i, q), terms in g.products.items():
+            ad_terms[i].append((q, terms))
         rows = []
         for i in range(n):
             # T * ad_i - ad_i * T = 0, entry (p, q); (ad_i)_{k q} = c_iq^k
             by_pq = {}
-            for q in range(n):
-                for k, v in nz[i][q]:
+            for q, terms in ad_terms[i]:
+                for k, v in terms:
                     for p in range(n):
                         row = by_pq.setdefault((p, q), {})
                         row[p * n + k] = row.get(p * n + k, _ZERO) + v
-            for k in range(n):
-                for p, w in nz[i][k]:
+            for k, terms in ad_terms[i]:
+                for p, w in terms:
                     for q in range(n):
                         row = by_pq.setdefault((p, q), {})
                         row[k * n + q] = row.get(k * n + q, _ZERO) - w
@@ -326,22 +279,16 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
 
     def compute():
         n = g.dim
-        c = g.structure
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                # tr(ad_i ad_j) = sum_{p,k} c[i][k][p] c[j][p][k]
-                acc = _ZERO
-                for p in range(n):
-                    for k in range(n):
-                        v = c[i][k][p]
-                        if v:
-                            w = c[j][p][k]
-                            if w:
-                                acc += v * w
-                row.append(acc)
-            rows.append(row)
+        # tr(ad_i ad_j) = sum_{p,k} c_ik^p c_jp^k; ending[p, k]: the (j, c_jp^k)
+        ending = {}
+        for (j, p), terms in g.products.items():
+            for k, w in terms:
+                ending.setdefault((p, k), []).append((j, w))
+        rows = [[_ZERO] * n for _ in range(n)]
+        for (i, k), terms in g.products.items():
+            for p, v in terms:
+                for j, w in ending.get((p, k), ()):
+                    rows[i][j] += v * w
         return ExactMatrix(rows)
 
     return _memoized(g, "killing", compute)
@@ -381,35 +328,40 @@ def is_ideal(g: LieAlgebra, space: Subspace) -> bool:
 def subalgebra(g: LieAlgebra, space: Subspace, labels=None) -> LieAlgebra:
     """Induced Lie algebra on the RREF basis of a bracket-closed subspace."""
     basis = space.basis.rows
-    d = len(basis)
     if labels is None:
-        labels = [f"u{i}" for i in range(d)]
-    table = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = space.coordinates(g.bracket(basis[i], basis[j]))
-            if coords is None:
-                raise ValueError("subspace is not closed under the bracket")
-            table[i][j] = list(coords)
-            table[j][i] = [-x for x in coords]
-    return LieAlgebra(labels, table)
+        labels = [f"u{i}" for i in range(len(basis))]
+    return _lie_from_brackets(
+        labels, lambda i, j: space.coordinates(g.bracket(basis[i], basis[j]))
+    )
 
 
 def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
     """Lie algebra structure on a commutator-closed space of matrices."""
     mats = endo.basis_matrices()
-    d = len(mats)
     if labels is None:
-        labels = [f"m{i}" for i in range(d)]
-    table = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+        labels = [f"m{i}" for i in range(len(mats))]
+    return _lie_from_brackets(
+        labels, lambda i, j: endo.coordinates(commutator(mats[i], mats[j])), mats
+    )
+
+
+def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
+    """The Lie algebra on a bracket-closed basis b_0, ..., b_(d-1), d = len(labels).
+
+    coordinates(i, j) gives the coordinates of [b_i, b_j] over the basis,
+    or None if the bracket lies outside its span.
+    """
+    d = len(labels)
+    entries = []
     for i in range(d):
         for j in range(i + 1, d):
-            coords = endo.coordinates(commutator(mats[i], mats[j]))
+            coords = coordinates(i, j)
             if coords is None:
-                raise ValueError("matrix space is not closed under the commutator")
-            table[i][j] = list(coords)
-            table[j][i] = [-x for x in coords]
-    return LieAlgebra(labels, table, matrix_basis=mats)
+                raise ValueError("basis is not closed under the bracket")
+            for k, c in enumerate(coords):
+                if c:
+                    entries += ((i, j, k, c), (j, i, k, -c))
+    return LieAlgebra._from_products(labels, _products(entries), matrix_basis)
 
 
 def heisenberg(m: int) -> LieAlgebra:
@@ -464,16 +416,9 @@ def sp(m: int) -> LieAlgebra:
                 rows[m + j][i] += _ONE
             add(rows, f"c{i + 1}{j + 1}")
 
-    flat = [mat.flat() for mat in mats]
-    solver = SpanSolver(flat, n * n)
-    d = len(mats)
-    table = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = solver.coefficients(comm.flat())
-            if coords is None:
-                raise RuntimeError("symplectic basis is not commutator closed")
-            table[i][j] = list(coords)
-            table[j][i] = [-x for x in coords]
-    return LieAlgebra(labels, table, matrix_basis=mats)
+    solver = SpanSolver([mat.flat() for mat in mats], n * n)
+    return _lie_from_brackets(
+        labels,
+        lambda i, j: solver.coefficients((mats[i] * mats[j] - mats[j] * mats[i]).flat()),
+        mats,
+    )

@@ -17,6 +17,10 @@ of the final RREF basis.  A Subspace keeps that basis as its canonical
 dense RREF matrix together with its sparse rows, and the basis matrices
 of an EndoSubspace carry their sparse integer view from those rows, so
 reading their nonzero entries never scans the dense rows.
+Lie and associative algebras share one sparse store of structure
+constants (_Algebra): per ordered pair of basis elements with a nonzero
+product, the nonzero coordinates of that product.  Their axiom checks,
+their derivations (one Leibniz assembler) and every other reader use it.
 """
 
 from __future__ import annotations
@@ -473,32 +477,152 @@ def nullspace(m: ExactMatrix) -> "Subspace":
     return _nullspace_from_system([_sparse(row) for row in m.rows], m.ncols)
 
 
-def _derivation_space(structure, diagonal: bool) -> "EndoSubspace":
-    """Derivations of the bilinear product with structure tensor `structure`.
+class _Algebra:
+    """Labels and the nonzero structure constants of a bilinear product on Q^dim.
 
-    structure[i][j] is the coordinate vector of e_i e_j.  D(e_i e_j) =
-    D(e_i) e_j + e_i D(e_j) is imposed for i < j, and for i == j as well
-    when `diagonal` is set; with D flattened row-major (D[p][k] at
-    p*n + k), coordinate p of one such equation reads
+    `products` maps each ordered pair (i, j) with e_i e_j != 0 to the
+    (k, c_ij^k) with c_ij^k != 0, in increasing k, as Fractions; its keys
+    come in increasing order.  It is the only stored form of the
+    constants.  `structure` is a dense dim^3 view built on first use, for
+    independent checks in tests.  The public constructor takes that
+    dense table, checks its shape and keeps its nonzero entries;
+    `_from_products` takes the stored form as it is.
+    """
+
+    def __init__(self, labels: Sequence[str], table, *args, **kwargs):
+        labels = tuple(labels)
+        self._init(labels, _table_products(table, len(labels)), *args, **kwargs)
+
+    @classmethod
+    def _from_products(cls, labels: Sequence[str], products: dict, *args, **kwargs):
+        # internal: products already in the stored form
+        alg = object.__new__(cls)
+        alg._init(tuple(labels), products, *args, **kwargs)
+        return alg
+
+    def _init(self, labels: tuple, products: dict) -> None:
+        self.labels = labels
+        self.dim = len(labels)
+        self.products = products
+        self._structure = None
+
+    def _times(self, xs, ys) -> dict:
+        """{k: nonzero Fraction}: the product of two (index, Fraction) pair lists."""
+        products = self.products
+        out = {}
+        for i, x in xs:
+            for j, y in ys:
+                terms = products.get((i, j))
+                if terms:
+                    xy = x * y
+                    for k, c in terms:
+                        out[k] = out[k] + xy * c if k in out else xy * c
+        return {k: c for k, c in out.items() if c}
+
+    def _product(self, x: Sequence, y: Sequence) -> tuple:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length does not match the algebra dimension")
+        return _dense(self._times(_sparse(x).items(), _sparse(y).items()), self.dim)
+
+    @property
+    def structure(self) -> tuple:
+        """structure[i][j]: the coordinate vector of e_i e_j (dense, built once)."""
+        if self._structure is None:
+            n = self.dim
+            self._structure = tuple(
+                tuple(_dense(dict(self.products.get((i, j), ())), n) for j in range(n))
+                for i in range(n)
+            )
+        return self._structure
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.labels == other.labels
+            and self.products == other.products
+        )
+
+    def __hash__(self):
+        return hash((self.labels, frozenset(self.products.items())))
+
+
+def _table_products(table, n: int) -> dict:
+    """The stored form of a dense n x n x n table; a wrong shape raises ValueError."""
+    if len(table) != n or any(
+        len(row) != n or any(len(vec) != n for vec in row) for row in table
+    ):
+        raise ValueError(f"structure table is not {n} x {n} x {n}")
+    return _products(
+        (i, j, k, c)
+        for i, row in enumerate(table)
+        for j, vec in enumerate(row)
+        for k, c in enumerate(map(rat, vec))
+        if c
+    )
+
+
+def _products(entries: Iterable) -> dict:
+    """The stored form of (i, j, k, c) entries, summed over repeats."""
+    acc = {}
+    for i, j, k, c in entries:
+        acc[i, j, k] = acc.get((i, j, k), _ZERO) + c
+    products = {}
+    for (i, j, k), c in sorted(acc.items()):
+        if c:
+            products.setdefault((i, j), []).append((k, c))
+    return {key: tuple(terms) for key, terms in products.items()}
+
+
+def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
+    """The matrix of y -> x y; column j holds the coordinates of x e_j."""
+    if len(x) != alg.dim:
+        raise ValueError("vector length does not match the algebra dimension")
+    xs = _sparse(x)
+    rows = [[_ZERO] * alg.dim for _ in range(alg.dim)]
+    for (i, j), terms in alg.products.items():
+        xi = xs.get(i)
+        if xi:
+            for k, c in terms:
+                rows[k][j] += xi * c
+    return ExactMatrix(rows)
+
+
+def _int_products(alg: _Algebra) -> dict:
+    """{(i, j): [(k, v)]}, c_ij^k = v / den for the common denominator den.
+
+    Equations homogeneous in the constants (Leibniz rules, associativity)
+    keep their solutions under that scaling and then hold in integers.
+    """
+    den = lcm(*(c.denominator for terms in alg.products.values() for _, c in terms))
+    return {
+        key: [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        for key, terms in alg.products.items()
+    }
+
+
+def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
+    """Derivations of the bilinear product of `alg`.
+
+    D(e_i e_j) = D(e_i) e_j + e_i D(e_j) is imposed for i < j, and for
+    i == j as well when `diagonal` is set; with D flattened row-major
+    (D[p][k] at p*n + k), coordinate p of one such equation reads
         sum_k c_ij^k D[p][k] - sum_q c_qj^p D[q][i] - sum_q c_iq^p D[q][j] = 0.
     """
-    n = len(structure)
-    nz = _nonzero_table(structure)
-    # the equations are linear in the structure constants, so scaling them
-    # all by their common denominator keeps the solutions and makes every
-    # row an integer row
-    den = lcm(*(v.denominator for row in nz for terms in row for _, v in terms))
-    nz = [[[(k, v.numerator * (den // v.denominator)) for k, v in terms] for terms in row] for row in nz]
-    # left[i]: (q, p, c_iq^p); right[j]: (q, p, c_qj^p)
-    left = [[(q, p, v) for q in range(n) for p, v in nz[i][q]] for i in range(n)]
-    right = [[(q, p, v) for q in range(n) for p, v in nz[q][j]] for j in range(n)]
+    n = alg.dim
+    nz = _int_products(alg)
+    left = [[] for _ in range(n)]  # left[i]: (q, p, c_iq^p)
+    right = [[] for _ in range(n)]  # right[j]: (q, p, c_qj^p)
+    for (i, j), terms in nz.items():
+        for p, v in terms:
+            left[i].append((j, p, v))
+            right[j].append((i, p, v))
     rows = []
     for i in range(n):
         for j in range(i if diagonal else i + 1, n):
             by_p = {}
-            if nz[i][j]:
+            if (i, j) in nz:
                 for p in range(n):
-                    by_p[p] = {p * n + k: v for k, v in nz[i][j]}
+                    by_p[p] = {p * n + k: v for k, v in nz[i, j]}
             for terms, unknown in ((right[j], i), (left[i], j)):
                 for q, p, v in terms:
                     row = by_p.setdefault(p, {})
@@ -506,11 +630,6 @@ def _derivation_space(structure, diagonal: bool) -> "EndoSubspace":
                     row[col] = row.get(col, 0) - v
             rows.extend({col: x for col, x in row.items() if x} for row in by_p.values())
     return EndoSubspace(n, _nullspace_from_system(rows, n * n))
-
-
-def _nonzero_table(structure) -> list:
-    """nz[i][j]: the (k, c_ij^k) with c_ij^k != 0, in order of k."""
-    return [[[(k, v) for k, v in enumerate(vec) if v] for vec in row] for row in structure]
 
 
 class Subspace:
@@ -561,9 +680,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def basis_rows(self) -> tuple:
-        return self.basis.rows
 
     def _nonzeros(self):
         if self._nnz is None:
@@ -663,10 +779,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                         vec[j] += coeff * x
         vectors.append(vec)
     return Subspace.from_vectors(vectors, a.ambient)
-
-
-def subspace_contains(space: Subspace, v: Sequence) -> bool:
-    return space.contains(v)
 
 
 class EndoSubspace:

@@ -24,14 +24,12 @@ from pathlib import Path
 
 from currentlie.assoc import AssocAlgebra, first_assoc_violation
 from currentlie.lie import LieAlgebra, first_lie_violation
-from currentlie.linalg import Q, rat, rat_str
+from currentlie.linalg import _products, rat, rat_str
 
-_ZERO = Q(0)
-
-
-# The largest dim a file may declare.  Loading allocates a dense dim^3
-# structure table (8 M entries at 200) before it reads any product, so a
-# tiny file must not be able to ask for more.
+# The largest dim a file may declare.  Loading keeps only the listed
+# products, but derivations of the algebra are a linear system in dim^2
+# unknowns, and a Subspace still stores its basis dense, so a tiny file
+# must not be able to ask for a larger one.
 MAX_DIM = 200
 
 
@@ -74,17 +72,17 @@ def algebra_to_dict(alg) -> dict:
         kind = "assoc"
     else:
         raise TypeError(f"cannot serialize {type(alg).__name__}")
-    n = alg.dim
-    products = []
-    for i in range(n):
-        lo = i + 1 if kind == "lie" else i
-        for j in range(lo, n):
-            for k, coeff in enumerate(alg.structure[i][j]):
-                if coeff:
-                    products.append([i, j, k, _coeff_out(coeff)])
+    # the stored pairs come in increasing order, so the entries are
+    # ordered by (i, j, k)
+    products = [
+        [i, j, k, _coeff_out(coeff)]
+        for (i, j), terms in alg.products.items()
+        if i < j or (i == j and kind == "assoc")
+        for k, coeff in terms
+    ]
     doc = {
         "kind": kind,
-        "dim": n,
+        "dim": alg.dim,
         "basis": list(alg.labels),
         "products": products,
     }
@@ -124,7 +122,7 @@ def algebra_from_dict(doc):
 
     products = doc["products"]
     _require(isinstance(products, list), "products must be a list")
-    structure = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    entries = []
     seen = set()
     for pos, entry in enumerate(products):
         where = f"products[{pos}]"
@@ -145,25 +143,20 @@ def algebra_from_dict(doc):
             _require(i <= j, f"{where}: assoc entries need i <= j")
         _require((i, j, k) not in seen, f"{where}: duplicate entry ({i},{j},{k})")
         seen.add((i, j, k))
-        structure[i][j][k] = _coeff_in(coeff, where)
+        c = _coeff_in(coeff, where)
+        entries.append((i, j, k, c))
+        if i != j:
+            entries.append((j, i, k, -c if kind == "lie" else c))
 
     if kind == "lie":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(dim):
-                    structure[j][i][k] = -structure[i][j][k]
-        return LieAlgebra(basis, structure)
-
-    for i in range(dim):
-        for j in range(i):
-            structure[i][j] = structure[j][i]
+        return LieAlgebra._from_products(basis, _products(entries))
     unit = doc["unit"]
     _require(
         isinstance(unit, list) and len(unit) == dim,
         "unit must be a list of dim coefficients",
     )
     unit_vec = [_coeff_in(v, f"unit[{p}]") for p, v in enumerate(unit)]
-    return AssocAlgebra(basis, structure, unit_vec)
+    return AssocAlgebra._from_products(basis, _products(entries), unit_vec)
 
 
 def save_algebra(alg, path) -> None:

@@ -15,7 +15,6 @@ import pytest
 from currentlie.assoc import (
     jacobson_radical,
     rbar,
-    regular_rep,
     truncated_polynomial,
     wedderburn_complement,
 )
@@ -204,8 +203,8 @@ def test_criterion_6_truncated_polynomial_facts():
         for _ in range(20):
             p = [rand_frac(rng) for _ in range(a.dim)]
             q = [rand_frac(rng) for _ in range(a.dim)]
-            assert regular_rep(a, p) * regular_rep(a, q) == regular_rep(
-                a, a.multiply(p, q)
+            assert a.left_mult_matrix(p) * a.left_mult_matrix(q) == a.left_mult_matrix(
+                a.multiply(p, q)
             )
         if k == 0:
             continue

@@ -14,7 +14,6 @@ from currentlie.assoc import (
     first_assoc_violation,
     jacobson_radical,
     rbar,
-    regular_rep,
     truncated_polynomial,
     wedderburn_complement,
 )
@@ -105,6 +104,69 @@ def test_assoc_violation_messages_are_pinned():
     for alg in (bad_unit, right, noncomm, nonassoc):
         assert not alg.check_axioms()
         assert first_axiom_violation(alg) == first_assoc_violation(alg)
+
+
+def _dense_assoc_violation(a):
+    """Oracle: the axioms on every basis pair and triple of the dense view."""
+    n, c, labels = a.dim, a.structure, a.labels
+
+    def mul(x, y):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if x[i] and y[j]:
+                    for k in range(n):
+                        out[k] += x[i] * y[j] * c[i][j][k]
+        return tuple(out)
+
+    e = [_basis(n, i) for i in range(n)]
+    for i in range(n):
+        if mul(a.unit, e[i]) != e[i]:
+            return f"unit is not a left identity on {labels[i]}"
+        if mul(e[i], a.unit) != e[i]:
+            return f"unit is not a right identity on {labels[i]}"
+    for i in range(n):
+        for j in range(i, n):
+            if c[i][j] != c[j][i]:
+                return f"commutativity fails on ({labels[i]}, {labels[j]})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mul(c[i][j], e[k]) != mul(e[i], c[j][k]):
+                    return f"associativity fails on ({labels[i]}, {labels[j]}, {labels[k]})"
+    return None
+
+
+def test_assoc_violation_matches_dense_oracle():
+    # valid algebras, then copies with one constant (or the unit) perturbed
+    # Q + (square-zero ideal): 1 e = e, every other product is 0
+    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        table[0][i][i] = table[i][0][i] = 1
+    square_zero = AssocAlgebra(["1", "x", "y", "z"], table, [1, 0, 0, 0])
+    algebras = [
+        truncated_polynomial(3),
+        direct_sum(truncated_polynomial(1), truncated_polynomial(2)),
+        square_zero,
+    ]
+    rng = random.Random(53)
+    messages = set()
+    for a in algebras:
+        for t in range(12):
+            table = [[list(v) for v in row] for row in a.structure]
+            unit = list(a.unit)
+            if t % 4 == 3:
+                unit[rng.randrange(a.dim)] += 1
+            elif t:
+                i, j, k = (rng.randrange(a.dim) for _ in range(3))
+                table[i][j][k] += rng.choice([1, -1, Fraction(1, 2)])
+                if t % 2:
+                    table[j][i][k] = table[i][j][k]  # keep commutativity
+            b = AssocAlgebra(a.labels, table, unit)
+            message = first_assoc_violation(b)
+            assert message == _dense_assoc_violation(b)
+            messages.add(message.split(" ")[0] if message else None)
+    assert messages == {None, "unit", "commutativity", "associativity"}
 
 
 def test_left_mult_matrix_is_multiplicative():
@@ -237,18 +299,18 @@ def test_wedderburn_complement_refuses_nonsplit_quotient():
 
 def test_regular_rep_toeplitz():
     a1 = truncated_polynomial(1)
-    assert regular_rep(a1, (1, 2)) == ExactMatrix([[1, 0], [2, 1]])
+    assert a1.left_mult_matrix((1, 2)) == ExactMatrix([[1, 0], [2, 1]])
     rng = random.Random(41)
     a3 = truncated_polynomial(3)
     for _ in range(20):
         p = [rand_frac(rng) for _ in range(4)]
         q = [rand_frac(rng) for _ in range(4)]
-        rp = regular_rep(a3, p)
+        rp = a3.left_mult_matrix(p)
         for i in range(4):
             for j in range(4):
                 assert rp[i, j] == (p[i - j] if i >= j else 0)
-        assert regular_rep(a3, a3.multiply(p, q)) == rp * regular_rep(a3, q)
-    assert regular_rep(a3, a3.unit) == ExactMatrix.identity(4)
+        assert a3.left_mult_matrix(a3.multiply(p, q)) == rp * a3.left_mult_matrix(q)
+    assert a3.left_mult_matrix(a3.unit) == ExactMatrix.identity(4)
 
 
 def test_rbar_fixed_matrices():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,35 @@ def test_algebra_file_dimension_cap(tmp_path, capsys):
     code, stdout, stderr = run(["check", "axioms", str(path)], capsys)
     assert code == 2 and not stdout
     assert "exceeds the supported maximum" in stderr
+
+
+def test_max_dim_files_load_and_check_in_little_memory(tmp_path):
+    # only the listed products are stored: no dim^3 table on the way in,
+    # and the axiom checks visit only what those products reach
+    basis = [f"x{i}" for i in range(MAX_DIM)]
+    docs = {
+        "lie": {"kind": "lie", "dim": MAX_DIM, "basis": basis, "products": [[0, 1, 2, "1"]]},
+        # Q + (square-zero ideal): the unit x0 times each x_j, nothing else
+        "assoc": {
+            "kind": "assoc",
+            "dim": MAX_DIM,
+            "basis": basis,
+            "unit": ["1"] + ["0"] * (MAX_DIM - 1),
+            "products": [[0, j, j, "1"] for j in range(MAX_DIM)],
+        },
+    }
+    for kind, doc in docs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            alg = load_algebra(path, check=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (kind, peak)
+        assert alg.dim == MAX_DIM
+        assert algebra_to_dict(alg)["products"] == doc["products"]
 
 
 def test_derive_dim_flag(files, capsys):

@@ -25,7 +25,8 @@ from currentlie.lie import (
     sp,
     subalgebra,
 )
-from currentlie.linalg import EndoSubspace, ExactMatrix, Subspace, rank
+from currentlie.assoc import AssocAlgebra
+from currentlie.linalg import EndoSubspace, ExactMatrix, Subspace, rank, rat_str
 from currentlie.serialize import first_axiom_violation
 from helpers import rand_frac
 
@@ -132,6 +133,107 @@ def test_axiom_violation_messages_are_pinned():
     table[2][2][3] = -2
     assert first_axiom_violation(LieAlgebra(labels, table)) == "[c,c] = -2*d != 0"
     assert not g.check_lie_axioms() and not bad.check_lie_axioms()
+
+
+def _dense_lie_violation(g):
+    """Oracle: the Lie axioms on every basis pair and triple of the dense view."""
+    n, c, labels = g.dim, g.structure, g.labels
+
+    def combo(vec):
+        return " + ".join(f"{rat_str(x)}*{labels[p]}" for p, x in enumerate(vec) if x) or "0"
+
+    def bracket(x, y):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if x[i] and y[j]:
+                    for k in range(n):
+                        out[k] += x[i] * y[j] * c[i][j][k]
+        return out
+
+    for i in range(n):
+        if any(c[i][i]):
+            return f"[{labels[i]},{labels[i]}] = {combo(c[i][i])} != 0"
+        for j in range(i + 1, n):
+            total = [a + b for a, b in zip(c[i][j], c[j][i])]
+            if any(total):
+                pair = f"[{labels[i]},{labels[j]}] + [{labels[j]},{labels[i]}]"
+                return f"antisymmetry fails: {pair} = {combo(total)}"
+    e = [g.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [
+                    sum(t)
+                    for t in zip(
+                        bracket(e[i], c[j][k]), bracket(e[j], c[k][i]), bracket(e[k], c[i][j])
+                    )
+                ]
+                if any(total):
+                    names = f"{labels[i]}, {labels[j]}, {labels[k]}"
+                    return f"Jacobi fails on ({names}): cyclic sum = {combo(total)}"
+    return None
+
+
+def test_violation_messages_match_dense_oracle():
+    algebras = [sp(1), lie_from_endo_span(derivations(heisenberg(1))), heisenberg(2)]
+    rng = random.Random(59)
+    messages = set()
+    for g in algebras:
+        for t in range(12):
+            table = [[list(v) for v in row] for row in g.structure]
+            if t:
+                i, j, k = (rng.randrange(g.dim) for _ in range(3))
+                table[i][j][k] += rng.choice([1, -1, 3])
+                if t % 3 and i != j:
+                    table[j][i][k] = -table[i][j][k]  # keep antisymmetry
+            h = LieAlgebra(g.labels, table)
+            message = first_axiom_violation(h)
+            assert message == _dense_lie_violation(h)
+            messages.add(message.split(" ")[0][:1] if message else None)
+    # all three kinds of violation occur: [x,x], antisymmetry, Jacobi
+    assert messages == {None, "[", "a", "J"}
+
+
+def test_sparse_readers_match_dense_oracles():
+    for g in (sp(2), lie_from_endo_span(derivations(heisenberg(1))), heisenberg(2)):
+        n, c = g.dim, g.structure
+        assert LieAlgebra(g.labels, c) == g
+        assert all(x for terms in g.products.values() for _, x in terms)
+        kil = [
+            [sum(c[i][k][p] * c[j][p][k] for p in range(n) for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert killing_form(g) == ExactMatrix(kil)
+        for i in range(n):
+            assert g.ad(g.basis_vector(i)) == ExactMatrix(
+                [[c[i][q][p] for q in range(n)] for p in range(n)]
+            )
+
+
+def test_dense_tables_are_shape_checked_and_kept_sparse():
+    # a coefficient on a basis index that does not exist
+    with pytest.raises(ValueError, match="structure table"):
+        LieAlgebra(["x", "y"], [[[0, 0], [0, 1, 7]], [[0, -1], [0, 0]]])
+    # a short row
+    with pytest.raises(ValueError, match="structure table"):
+        LieAlgebra(["x", "y"], [[[0, 0], [0, 1]], [[0, -1]]])
+    dual = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]  # Q[x]/(x^2)
+    assert AssocAlgebra(["1", "x"], dual, [1, 0]).check_axioms()
+    # an extra row, then an extra column
+    with pytest.raises(ValueError, match="structure table"):
+        AssocAlgebra(["1", "x"], dual + [[[0, 0], [0, 0]]], [1, 0])
+    with pytest.raises(ValueError, match="structure table"):
+        AssocAlgebra(["1", "x"], [row + [[0, 0]] for row in dual], [1, 0])
+    # entries that cancel leave nothing behind
+    cancel = LieAlgebra.from_bracket_entries(["x", "y"], [(0, 1, 1, 1), (0, 1, 1, -1)])
+    zero = LieAlgebra(["x", "y"], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    assert cancel.products == zero.products == {}
+    assert cancel == zero and hash(cancel) == hash(zero)
+    with pytest.raises(ValueError, match="vector length"):
+        zero.bracket((1, 0, 0), (0, 1))
+    with pytest.raises(ValueError, match="vector length"):
+        zero.ad((1,))
 
 
 def test_abelian_invariants():

@@ -21,7 +21,6 @@ from currentlie.linalg import (
     rat,
     rat_str,
     rref,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
     vstack,
@@ -238,7 +237,7 @@ def test_subspace_canonical_under_respanning():
 def test_subspace_membership():
     s = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3)
     assert s.contains([1, 1, 2])
-    assert subspace_contains(s, [2, -1, 1])
+    assert s.contains([2, -1, 1])
     assert not s.contains([0, 0, 1])
     assert s.coordinates([1, 1, 2]) == (1, 1)
     assert s.coordinates([0, 0, 1]) is None
