@@ -202,7 +202,7 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
             w = project(terms)
             if w:
                 products[pos[ci], pos[cj]] = tuple(sorted(w.items()))
-    unit = _dense(project((p, u) for p, u in enumerate(a.unit) if u), len(cols))
+    unit = _dense(project((p, u) for p, u in enumerate(a.unit) if u).items(), len(cols))
     labels = [a.labels[col] for col in cols]
     quotient = AssocAlgebra._from_products(labels, products, unit)
 

@@ -61,12 +61,13 @@ from currentlie.serialize import (
 
 
 def _matrix_doc(mat: ExactMatrix) -> list:
-    # entry strings, row by row; only the nonzero entries go through rat_str
+    # entry strings, row by row, from the sparse view: only the nonzero
+    # entries go through rat_str and no dense row is built
     doc = []
-    for row, items in zip(mat.rows, mat._int_rows()[1]):
+    for items in mat._fraction_rows():
         cells = ["0"] * mat.ncols
-        for c, _ in items:
-            cells[c] = rat_str(row[c])
+        for c, x in items:
+            cells[c] = rat_str(x)
         doc.append(cells)
     return doc
 
@@ -77,12 +78,9 @@ def _format_matrix(cells: list) -> str:
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
-def _combo(labels, vec) -> str:
-    terms = []
-    for p, c in enumerate(vec):
-        if not c:
-            continue
-        terms.append(labels[p] if c == 1 else f"{rat_str(c)}*{labels[p]}")
+def _combo(labels, items) -> str:
+    # items: the nonzero (index, coefficient) pairs of a vector, by index
+    terms = [labels[p] if c == 1 else f"{rat_str(c)}*{labels[p]}" for p, c in items]
     return " + ".join(terms) if terms else "0"
 
 
@@ -289,7 +287,7 @@ def _check_radical(args) -> int:
         flags={},
         radical_basis=_matrix_doc(rad.basis),
     )
-    combos = ", ".join(_combo(alg.labels, row) for row in rad.basis.rows)
+    combos = ", ".join(_combo(alg.labels, row) for row in rad._nnz)
     lines = [
         f"{label} dimension: {rad.dim}",
         f"basis: {combos}" if rad.dim else "basis: (zero)",
@@ -412,6 +410,11 @@ def main(argv=None) -> int:
     except (FormatError, NonSplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ValueError) as exc:
+        # loaded files passed their axiom checks, so a certificate built from
+        # them failed (idempotent lifting, the bracket of g (x) A): exit 1
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

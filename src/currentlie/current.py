@@ -39,6 +39,7 @@ from currentlie.linalg import (
     ExactMatrix,
     Q,
     Subspace,
+    _rref_sparse,
     commutator,
     kron,
     subspace_intersection,
@@ -495,16 +496,16 @@ def _cross(left, right, exhaustive, sample_count):
     return pairs
 
 
-def _endo_from_coords(space: EndoSubspace, coords) -> Subspace:
+def _endo_from_coords(space: EndoSubspace, coords: Subspace) -> Subspace:
+    # the span of the matrices whose coordinates over space are the basis of coords
     mats = space.basis_matrices()
-    flat = []
-    for vec in coords:
+    rows = []
+    for vec in coords._nnz:
         acc = ExactMatrix.zero(space.n, space.n)
-        for c, m in zip(vec, mats):
-            if c:
-                acc = acc + c * m
-        flat.append(acc.flat())
-    return Subspace.from_vectors(flat, space.n * space.n)
+        for i, c in vec:
+            acc = acc + c * mats[i]
+        rows.append(acc._flat_nonzeros())
+    return Subspace._from_rref(space.n * space.n, _rref_sparse(rows))
 
 
 def radical_subspace(
@@ -536,7 +537,7 @@ def radical_subspace(
 
     lie_der = lie_from_endo_span(der_g)
     rad_coords = solvable_radical(lie_der)
-    expected_r = _endo_from_coords(der_g, rad_coords.basis.rows)
+    expected_r = _endo_from_coords(der_g, rad_coords)
     if expected_r != r.space:
         raise PreconditionError("r is not the solvable radical of der(g)")
 

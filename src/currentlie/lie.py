@@ -167,7 +167,7 @@ def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     The brackets are taken on the sparse rows through the nonzero
     structure constants.
     """
-    rows = [g._times(u, v) for u in a._nonzeros() for v in b._nonzeros()]
+    rows = [g._times(u, v) for u in a._nnz for v in b._nnz]
     return Subspace._from_rref(g.dim, _rref_sparse(rows))
 
 
@@ -258,17 +258,9 @@ def hom_quotient_to_center(g: LieAlgebra) -> EndoSubspace:
         derived = derived_subalgebra(g)
         # rows of N vanish exactly on z: over Q the dot form is anisotropic,
         # so the double orthogonal complement recovers the span exactly
-        normal_rows = nullspace(z.basis).basis.rows
-        rows = [
-            {p * n + k: x for k, x in enumerate(d) if x}
-            for d in derived.basis.rows
-            for p in range(n)
-        ]
-        rows += [
-            {p * n + j: x for p, x in enumerate(nu) if x}
-            for nu in normal_rows
-            for j in range(n)
-        ]
+        normal_rows = nullspace(z.basis)._nnz
+        rows = [{p * n + k: x for k, x in d} for d in derived._nnz for p in range(n)]
+        rows += [{p * n + j: x for p, x in nu} for nu in normal_rows for j in range(n)]
         return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
     return _memoized(g, "hom0", compute)
@@ -309,9 +301,9 @@ def is_semisimple(g: LieAlgebra) -> bool:
 
 
 def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
-    basis = space.basis.rows
+    basis = space._nnz
     return all(
-        space.contains(g.bracket(u, v))
+        not space._reduce(g._times(u, v))
         for i, u in enumerate(basis)
         for v in basis[i + 1 :]
     )
@@ -319,19 +311,19 @@ def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
 
 def is_ideal(g: LieAlgebra, space: Subspace) -> bool:
     return all(
-        space.contains(g.bracket(g.basis_vector(i), v))
+        not space._reduce(g._times([(i, _ONE)], v))
         for i in range(g.dim)
-        for v in space.basis.rows
+        for v in space._nnz
     )
 
 
 def subalgebra(g: LieAlgebra, space: Subspace, labels=None) -> LieAlgebra:
     """Induced Lie algebra on the RREF basis of a bracket-closed subspace."""
-    basis = space.basis.rows
+    basis = space._nnz
     if labels is None:
         labels = [f"u{i}" for i in range(len(basis))]
     return _lie_from_brackets(
-        labels, lambda i, j: space.coordinates(g.bracket(basis[i], basis[j]))
+        labels, lambda i, j: space._coordinates(g._times(basis[i], basis[j]))
     )
 
 

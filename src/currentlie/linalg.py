@@ -2,21 +2,22 @@
 
 Every entry is a fractions.Fraction, so ranks, nullspaces and subspace
 operations are exact certificates rather than floating-point estimates.
-An ExactMatrix exposes its entries as an immutable dense tuple of rows,
-and keeps, computed once, a sparse integer view of them: a common
-denominator and, per row, the (column, integer numerator) pairs of its
-nonzero entries.  Products, commutators, Kronecker products, sums and
-scalar multiples work on that view: they accumulate integer numerators
-over the product of the operands' common denominators (1 for integer
-matrices) and build a Fraction once per nonzero entry of the result.
+An ExactMatrix exposes its entries as an immutable dense tuple of rows
+and has two sparse views of them: the nonzero (column, Fraction) pairs
+of each row, and an integer view, a common denominator and, per row,
+the (column, integer numerator) pairs.  It holds at least one of the
+three and builds the others on first use, so a matrix born sparse builds
+no dense rows unless a caller reads them.
+Products, commutators, Kronecker products, sums and scalar multiples
+work on the integer view: they accumulate integer numerators over the
+product of the operands' common denominators (1 for integer matrices)
+and keep the result in the same view.
 Linear systems are eliminated sparse and in integers: one fraction-free
 Gauss-Jordan routine takes rows held as {column: value} dicts of their
 nonzero entries, scales each to a primitive integer row, eliminates with
 integer cross-multiplication and builds a Fraction only for the entries
-of the final RREF basis.  A Subspace keeps that basis as its canonical
-dense RREF matrix together with its sparse rows, and the basis matrices
-of an EndoSubspace carry their sparse integer view from those rows, so
-reading their nonzero entries never scans the dense rows.
+of the final RREF basis.  A Subspace stores only that basis, as sparse
+rows.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra): per ordered pair of basis elements with a nonzero
 product, the nonzero coordinates of that product.  Their axiom checks,
@@ -58,12 +59,15 @@ def rat_str(value) -> str:
 class ExactMatrix:
     """Immutable matrix with Fraction entries.
 
-    `rows` is the dense tuple of rows.  The arithmetic reads the sparse
-    integer view (see `_int_rows`), which the kernels attach to their
-    results and which is otherwise built from `rows` on first use.
+    A matrix holds at least one of three views and builds the others from
+    it on first use: `rows`, the dense tuple of rows; `_fraction_rows`,
+    the nonzero (column, Fraction) pairs of each row; and `_int_rows`, the
+    sparse integer view the arithmetic reads.  Kernel results hold only
+    the integer view and basis matrices only the Fraction pairs, so their
+    dense rows are built only if a caller reads them.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_view")
+    __slots__ = ("nrows", "ncols", "_rows", "_fracs", "_view")
 
     def __init__(self, rows: Iterable[Sequence]):
         rows = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -72,90 +76,81 @@ class ExactMatrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
-        self.rows = rows
+        self._rows = rows
         self.nrows = len(rows)
         self.ncols = width
-        self._view = None
+        self._fracs = self._view = None
 
     @classmethod
-    def _trusted(cls, rows: tuple, nrows: int, ncols: int) -> "ExactMatrix":
-        # internal: rows already a tuple of width-ncols tuples of Fractions
+    def _trusted(cls, rows, nrows: int, ncols: int, fracs=None, view=None) -> "ExactMatrix":
+        # internal: rows a tuple of width-ncols tuples of Fractions, or None
+        # when fracs or view is given (both as their readers return them)
         m = object.__new__(cls)
-        m.rows = rows
-        m.nrows = nrows
-        m.ncols = ncols
-        m._view = None
+        m._rows, m.nrows, m.ncols, m._fracs, m._view = rows, nrows, ncols, fracs, view
         return m
 
     @classmethod
     def _from_ints(cls, nrows: int, ncols: int, den: int, int_rows: list) -> "ExactMatrix":
         """The matrix whose entry (i, c) is v / den for (c, v) in int_rows[i].
 
-        Every v must be nonzero; columns not listed are zero.  den is first
-        cut down to the least common denominator of the entries, so that
-        denominators do not grow along chains of products.
+        Every v must be nonzero and each row listed by increasing column;
+        columns not listed are zero.  den is first cut down to the least
+        common denominator of the entries, so that denominators do not
+        grow along chains of products.
         """
         if den != 1:
             g = gcd(den, *(v for row in int_rows for _, v in row))
             if g != 1:
                 den //= g
                 int_rows = [[(c, v // g) for c, v in row] for row in int_rows]
-        zero_row = (_ZERO,) * ncols
-        rows = []
-        for items in int_rows:
-            if not items:
-                rows.append(zero_row)
-                continue
-            row = [_ZERO] * ncols
-            for c, v in items:
-                row[c] = Q(v) if den == 1 else Q(v, den)
-            rows.append(tuple(row))
-        m = cls._trusted(tuple(rows), nrows, ncols)
-        m._view = (den, int_rows)
-        return m
+        return cls._trusted(None, nrows, ncols, view=(den, int_rows))
+
+    @property
+    def rows(self) -> tuple:
+        """The dense tuple of rows, built on first read."""
+        if self._rows is None:
+            self._rows = tuple(_dense(row, self.ncols) for row in self._fraction_rows())
+        return self._rows
+
+    def _fraction_rows(self) -> list:
+        """Per row, the (column, entry) pairs of its nonzero entries, by column."""
+        if self._fracs is None:
+            if self._rows is None:
+                den, rows = self._view
+                self._fracs = [[(c, Q(v) if den == 1 else Q(v, den)) for c, v in r] for r in rows]
+            else:
+                self._fracs = [[(c, x) for c, x in enumerate(row) if x] for row in self._rows]
+        return self._fracs
 
     def _int_rows(self) -> tuple:
         """(den, int_rows): entry (i, c) is v / den for (c, v) in int_rows[i].
 
         den is the least common denominator of the entries; int_rows lists
-        the nonzero entries of each row only.
+        the nonzero entries of each row only, by column.
         """
         if self._view is None:
-            nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in self.rows]
+            nonzero = self._fraction_rows()
             den = lcm(*(x.denominator for row in nonzero for _, x in row))
-            self._view = (
-                den,
-                [[(c, x.numerator * (den // x.denominator)) for c, x in row] for row in nonzero],
-            )
+            ints = [[(c, x.numerator * (den // x.denominator)) for c, x in r] for r in nonzero]
+            self._view = (den, ints)
         return self._view
 
     def _flat_nonzeros(self) -> dict:
         """{row-major flat index: entry} over the nonzero entries."""
         n = self.ncols
-        return {
-            i * n + c: row[c]
-            for i, (row, items) in enumerate(zip(self.rows, self._int_rows()[1]))
-            for c, _ in items
-        }
+        return {i * n + c: x for i, row in enumerate(self._fraction_rows()) for c, x in row}
 
     def _nonzero_entries(self) -> dict:
         """{(row, col): entry} over the nonzero entries."""
-        return {
-            (i, c): row[c]
-            for i, (row, items) in enumerate(zip(self.rows, self._int_rows()[1]))
-            for c, _ in items
-        }
+        return {(i, c): x for i, row in enumerate(self._fraction_rows()) for c, x in row}
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls._trusted(tuple((_ZERO,) * ncols for _ in range(nrows)), nrows, ncols)
+        return cls._trusted(None, nrows, ncols, [()] * nrows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        rows = tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-        )
-        return cls._trusted(rows, n, n)
+        return cls._trusted(None, n, n, [[(i, _ONE)] for i in range(n)])
 
     @classmethod
     def from_flat(cls, nrows: int, ncols: int, flat: Sequence) -> "ExactMatrix":
@@ -217,12 +212,11 @@ class ExactMatrix:
             acc = {c: v * fa for c, v in ra}
             for c, v in rb:
                 acc[c] = acc.get(c, 0) + v * fb
-            out.append([(c, v) for c, v in acc.items() if v])
+            out.append(sorted((c, v) for c, v in acc.items() if v))
         return ExactMatrix._from_ints(self.nrows, self.ncols, den, out)
 
     def __neg__(self) -> "ExactMatrix":
-        rows = tuple(tuple(-a for a in row) for row in self.rows)
-        return ExactMatrix._trusted(rows, self.nrows, self.ncols)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -345,17 +339,13 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 
 def _sparse(v: Sequence) -> dict:
     """The nonzero entries of a dense vector, as {index: Fraction}."""
-    out = {}
-    for j, x in enumerate(v):
-        q = rat(x)
-        if q:
-            out[j] = q
-    return out
+    return {j: q for j, q in enumerate(map(rat, v)) if q}
 
 
-def _dense(row: dict, n: int) -> tuple:
+def _dense(items: Iterable, n: int) -> tuple:
+    # the length-n vector with the given (index, value) pairs, zero elsewhere
     v = [_ZERO] * n
-    for j, x in row.items():
+    for j, x in items:
         v[j] = x
     return tuple(v)
 
@@ -364,24 +354,34 @@ def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
     """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
     Rows are {column: nonzero int or Fraction} dicts and are not modified.
-    Each row is scaled to a primitive integer row with a positive leading
-    entry and skipped if an equal row came before (Leibniz-style systems
-    repeat rows and their multiples heavily).  The rest are eliminated
-    forward on their leading entries only, by gcd-reduced integer
-    cross-multiplication, so the pivot rows form an echelon basis.  This
-    is fraction-free elimination in the style of Bareiss (Math. Comp. 22,
-    1968), except that each row is made primitive again after each step
-    instead of being divided by the previous pivot.  One
-    back-substitution, last pivot first, then clears every pivot column,
-    and each entry of the unique RREF basis becomes one Fraction.
+    A one-entry row e_j becomes a pivot row, and column j is dropped from
+    every other row before anything is eliminated (most Leibniz rows have
+    one entry).  Each other row is scaled to a primitive integer row with
+    a positive leading entry and skipped if an equal row came before
+    (Leibniz-style systems repeat rows and their multiples heavily).  The
+    rest are eliminated forward on their leading entries only, by
+    gcd-reduced integer cross-multiplication, so the pivot rows form an
+    echelon basis.  This is fraction-free elimination in the style of
+    Bareiss (Math. Comp. 22, 1968), except that each row is made
+    primitive again after each step instead of being divided by the
+    previous pivot.  One back-substitution, last pivot first, then clears
+    every pivot column, and each entry of the unique RREF basis becomes
+    one Fraction.
     Returned as (pivot column, {column: Fraction}) pairs sorted by pivot.
     """
+    rows = [row for row in rows if row]
+    zero = {j for row in rows if len(row) == 1 for j in row}
+    pivot_rows: dict[int, dict] = {j: {j: 1} for j in zero}
     seen = set()
-    pivot_rows: dict[int, dict] = {}
     for row in rows:
-        if not row:
+        if len(row) == 1:
             continue
-        key = _primitive(row)
+        if zero:
+            row = {j: x for j, x in row.items() if j not in zero}
+            if not row:
+                continue
+        # a row left with one entry is primitive as e_j: no sort, lcm or gcd
+        key = ((*row, 1),) if len(row) == 1 else _primitive(row)
         if key in seen:
             continue
         seen.add(key)
@@ -404,7 +404,7 @@ def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
         for c in [c for c in work if c != p and c in pivot_rows]:
             _eliminate(work, c, pivot_rows[c])
         d = work[p]
-        reduced.append((p, {j: Q(x, d) for j, x in work.items()}))
+        reduced.append((p, {j: Q(x) if d == 1 else Q(x, d) for j, x in work.items()}))
     reduced.reverse()
     return reduced
 
@@ -448,15 +448,13 @@ def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form, same shape as the input, plus pivot columns."""
-    reduced = _rref_sparse(_sparse(row) for row in m.rows)
-    rows = tuple(_dense(row, m.ncols) for _, row in reduced)
-    rows += ((_ZERO,) * m.ncols,) * (m.nrows - len(rows))
-    out = ExactMatrix._trusted(rows, m.nrows, m.ncols)
-    return out, tuple(p for p, _ in reduced)
+    reduced = _rref_sparse(map(dict, m._fraction_rows()))
+    fracs = [sorted(row.items()) for _, row in reduced] + [()] * (m.nrows - len(reduced))
+    return ExactMatrix._trusted(None, m.nrows, m.ncols, fracs), tuple(p for p, _ in reduced)
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_rref_sparse(_sparse(row) for row in m.rows))
+    return len(_rref_sparse(map(dict, m._fraction_rows())))
 
 
 def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
@@ -474,7 +472,7 @@ def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
 
 def nullspace(m: ExactMatrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace of Q^ncols."""
-    return _nullspace_from_system([_sparse(row) for row in m.rows], m.ncols)
+    return _nullspace_from_system(map(dict, m._fraction_rows()), m.ncols)
 
 
 class _Algebra:
@@ -522,7 +520,7 @@ class _Algebra:
     def _product(self, x: Sequence, y: Sequence) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        return _dense(self._times(_sparse(x).items(), _sparse(y).items()), self.dim)
+        return _dense(self._times(_sparse(x).items(), _sparse(y).items()).items(), self.dim)
 
     @property
     def structure(self) -> tuple:
@@ -530,7 +528,7 @@ class _Algebra:
         if self._structure is None:
             n = self.dim
             self._structure = tuple(
-                tuple(_dense(dict(self.products.get((i, j), ())), n) for j in range(n))
+                tuple(_dense(self.products.get((i, j), ()), n) for j in range(n))
                 for i in range(n)
             )
         return self._structure
@@ -635,18 +633,21 @@ def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
 class Subspace:
     """A subspace of Q^n held as its unique RREF basis (zero rows dropped).
 
-    Because the RREF basis is unique, equality of Subspace objects is
-    equality of subspaces.
+    The basis is stored sparse: its pivots, and per row the nonzero
+    (index, Fraction) pairs by index (`_nnz`).  `basis`, the same rows as
+    an ExactMatrix, is built on first read.  Because the RREF basis is
+    unique, equality of Subspace objects is equality of subspaces.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_nnz")
+    __slots__ = ("ambient", "pivots", "_nnz", "_basis")
 
     def __init__(self, ambient: int, basis: ExactMatrix, pivots: tuple[int, ...]):
-        # trusted constructor; use from_vectors for arbitrary spanning sets
+        # trusted constructor; use from_vectors for arbitrary spanning sets.
+        # Rows become lists, as everywhere else, so that == compares like types
         self.ambient = ambient
-        self.basis = basis
         self.pivots = pivots
-        self._nnz = None
+        self._nnz = list(map(list, basis._fraction_rows()))
+        self._basis = basis
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
@@ -660,39 +661,39 @@ class Subspace:
     @classmethod
     def _from_rref(cls, ambient: int, reduced: list) -> "Subspace":
         # reduced: (pivot, sparse row) pairs as returned by _rref_sparse
-        basis = tuple(_dense(row, ambient) for _, row in reduced)
-        space = cls(
-            ambient,
-            ExactMatrix._trusted(basis, len(basis), ambient),
-            tuple(p for p, _ in reduced),
-        )
-        space._nnz = [sorted(row.items()) for _, row in reduced]
+        nnz = [sorted(row.items()) for _, row in reduced]
+        return cls._from_rows(ambient, tuple(p for p, _ in reduced), nnz)
+
+    @classmethod
+    def _from_rows(cls, ambient: int, pivots: tuple, nnz: list) -> "Subspace":
+        space = object.__new__(cls)
+        space.ambient, space.pivots, space._nnz, space._basis = ambient, pivots, nnz, None
         return space
 
     @classmethod
     def zero_space(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ExactMatrix.zero(0, ambient), ())
+        return cls._from_rows(ambient, (), [])
 
     @classmethod
     def full_space(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ExactMatrix.identity(ambient), tuple(range(ambient)))
+        return cls._from_rows(ambient, tuple(range(ambient)), [[(i, _ONE)] for i in range(ambient)])
+
+    @property
+    def basis(self) -> ExactMatrix:
+        """The RREF basis rows as a matrix (its dense rows are built lazily too)."""
+        if self._basis is None:
+            self._basis = ExactMatrix._trusted(None, len(self._nnz), self.ambient, self._nnz)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
-
-    def _nonzeros(self):
-        if self._nnz is None:
-            self._nnz = [
-                [(j, x) for j, x in enumerate(row) if x] for row in self.basis.rows
-            ]
-        return self._nnz
+        return len(self.pivots)
 
     def reduce(self, v: Sequence) -> list:
         """Canonical representative of v modulo this subspace."""
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return list(_dense(self._reduce(_sparse(v)), self.ambient))
+        return list(_dense(self._reduce(_sparse(v)).items(), self.ambient))
 
     def _reduce(self, w: dict, coeffs: list | None = None) -> dict:
         """Reduce the sparse vector w {index: nonzero Fraction} in place.
@@ -701,7 +702,7 @@ class Subspace:
         subspace; the coefficient taken at each pivot is appended to
         coeffs when it is given.
         """
-        for nz, p in zip(self._nonzeros(), self.pivots):
+        for nz, p in zip(self._nnz, self.pivots):
             f = w.get(p)
             if coeffs is not None:
                 coeffs.append(_ZERO if f is None else f)
@@ -722,7 +723,7 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(not other._reduce(dict(nz)) for nz in self._nonzeros())
+        return all(not other._reduce(dict(nz)) for nz in self._nnz)
 
     def coordinates(self, v: Sequence):
         """Coefficients of v in the RREF basis, or None if v is outside."""
@@ -731,19 +732,18 @@ class Subspace:
     def _coordinates(self, w: dict):
         # w as in _reduce
         coeffs = []
-        if self._reduce(w, coeffs):
-            return None
-        return tuple(coeffs)
+        return None if self._reduce(w, coeffs) else tuple(coeffs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.pivots == other.pivots
+            and self._nnz == other._nnz
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.pivots, tuple(map(tuple, self._nnz))))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -752,7 +752,7 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
-    return Subspace.from_vectors(list(a.basis.rows) + list(b.basis.rows), a.ambient)
+    return Subspace._from_rref(a.ambient, _rref_sparse(map(dict, a._nnz + b._nnz)))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -765,20 +765,20 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero_space(a.ambient)
-    stacked = vstack([a.basis, b.basis])
-    left_kernel = nullspace(stacked.transpose())
+    system = {}  # column j of the stacked bases: {row: entry}
+    for i, nz in enumerate(a._nnz + b._nnz):
+        for j, x in nz:
+            system.setdefault(j, {})[i] = x
+    left_kernel = _nullspace_from_system(system.values(), a.dim + b.dim)
     vectors = []
-    p = a.dim
-    for row in left_kernel.basis.rows:
-        alpha = row[:p]
-        vec = [_ZERO] * a.ambient
-        for coeff, brow in zip(alpha, a.basis.rows):
-            if coeff:
-                for j, x in enumerate(brow):
-                    if x:
-                        vec[j] += coeff * x
-        vectors.append(vec)
-    return Subspace.from_vectors(vectors, a.ambient)
+    for nz in left_kernel._nnz:
+        vec = {}
+        for i, coeff in nz:
+            if i < a.dim:
+                for j, x in a._nnz[i]:
+                    vec[j] = vec.get(j, _ZERO) + coeff * x
+        vectors.append({j: x for j, x in vec.items() if x})
+    return Subspace._from_rref(a.ambient, _rref_sparse(vectors))
 
 
 class EndoSubspace:
@@ -822,17 +822,19 @@ class EndoSubspace:
         return self.space._coordinates(m._flat_nonzeros())
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
-        """The basis rows as n x n matrices, each with its sparse view set."""
+        """The basis rows as n x n matrices, held as their nonzero Fractions."""
         if self._mats is None:
             n = self.n
             mats = []
-            for nz in self.space._nonzeros():
-                den = lcm(*(x.denominator for _, x in nz))
-                int_rows = [[] for _ in range(n)]
+            for nz in self.space._nnz:
+                fracs = [()] * n
                 for j, x in nz:
                     i, c = divmod(j, n)
-                    int_rows[i].append((c, x.numerator * (den // x.denominator)))
-                mats.append(ExactMatrix._from_ints(n, n, den, int_rows))
+                    if fracs[i]:
+                        fracs[i].append((c, x))
+                    else:
+                        fracs[i] = [(c, x)]
+                mats.append(ExactMatrix._trusted(None, n, n, fracs))
             self._mats = tuple(mats)
         return self._mats
 

@@ -27,9 +27,9 @@ from currentlie.lie import LieAlgebra, first_lie_violation
 from currentlie.linalg import _products, rat, rat_str
 
 # The largest dim a file may declare.  Loading keeps only the listed
-# products, but derivations of the algebra are a linear system in dim^2
-# unknowns, and a Subspace still stores its basis dense, so a tiny file
-# must not be able to ask for a larger one.
+# products and subspaces are stored sparse, but derivations of the algebra
+# are a linear system in dim^2 unknowns, so a tiny file must not be able
+# to ask for a larger one.
 MAX_DIM = 200
 
 

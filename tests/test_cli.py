@@ -128,6 +128,42 @@ def test_max_dim_files_load_and_check_in_little_memory(tmp_path):
         assert algebra_to_dict(alg)["products"] == doc["products"]
 
 
+def test_derive_dim_of_abelian_max_dim_file_in_little_memory(tmp_path, capsys):
+    # der of an abelian g is all of gl(g): a nullspace of MAX_DIM^2 = 40000
+    # unknowns with no equations, stored as 40000 one-entry sparse rows
+    # (measured peak: 37 MB); a dense basis would need 40000^2 pointers
+    doc = {"kind": "lie", "dim": MAX_DIM, "basis": [f"x{i}" for i in range(MAX_DIM)],
+           "products": []}
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run(["derive", str(path), "--dim"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and stdout.strip() == str(MAX_DIM**2)
+    assert peak < 80 * 2**20, peak
+
+
+def test_failed_certificates_exit_1(files, capsys, monkeypatch):
+    # no known file reaches these raises, so stubs stand in for them: a
+    # loaded file has passed its axiom checks, and a certificate step that
+    # then fails is a mathematical failure, not a traceback
+    def no_lifting(a):
+        raise RuntimeError("idempotent lifting did not converge")
+
+    def bad_product(g, a):
+        raise ValueError("product bracket violates the Lie axioms")
+
+    monkeypatch.setattr("currentlie.cli.wedderburn_complement", no_lifting)
+    code, stdout, stderr = run(["levi", files["h1"], files["a1"]], capsys)
+    assert code == 1 and not stdout and "idempotent lifting" in stderr
+    monkeypatch.setattr("currentlie.cli.current_algebra", bad_product)
+    code, stdout, stderr = run(["check", "table1", files["h1"], files["a1"]], capsys)
+    assert code == 1 and not stdout and "violates the Lie axioms" in stderr
+
+
 def test_derive_dim_flag(files, capsys):
     code, stdout, _ = run(["derive", files["h11"], "--dim"], capsys)
     assert code == 0

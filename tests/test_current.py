@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from currentlie.assoc import (
@@ -11,6 +14,7 @@ from currentlie.assoc import (
 from currentlie.current import (
     CurrentAlgebra,
     PreconditionError,
+    _endo_from_coords,
     certify_decomposition,
     current_algebra,
     embed_h,
@@ -33,6 +37,7 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
+from helpers import rand_matrix, rand_vector
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +287,19 @@ def test_certify_semisimple_coefficient_case(sp1a1):
     assert report.all_flags_true
     assert report.levi_candidate.dim == 3
     assert report.radical_candidate.dim == 4
+
+
+def test_endo_from_coords_matches_dense_combinations():
+    # the span of sum_k c_k * basis_matrices()[k] over the basis rows c of coords
+    rng = random.Random(61)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        space = EndoSubspace.from_matrices([rand_matrix(rng, n, n) for _ in range(3)], n)
+        mats = space.basis_matrices()
+        vectors = [rand_vector(rng, space.dim) for _ in range(rng.randint(1, space.dim))]
+        coords = Subspace.from_vectors(vectors, space.dim)
+        flats = [
+            [sum((c * m.flat()[t] for c, m in zip(row, mats)), Fraction(0)) for t in range(n * n)]
+            for row in coords.basis.rows
+        ]
+        assert _endo_from_coords(space, coords) == Subspace.from_vectors(flats, n * n)

@@ -494,3 +494,92 @@ def test_basis_matrices_carry_their_sparse_view():
             assert m._nonzero_entries() == _dense_nonzeros(m)
             assert m._int_rows() == fresh._int_rows()
             assert m._flat_nonzeros() == fresh._flat_nonzeros()
+
+
+def _sparse_random_matrix(rng, nrows, ncols, density):
+    return ExactMatrix([[_wide_entry(rng) if rng.random() < density else 0 for _ in range(ncols)]
+                        for _ in range(nrows)])
+
+
+def test_subspace_equality_and_hash_across_constructors():
+    rng = random.Random(47)
+    for trial in range(30):
+        n = rng.randint(1, 8)
+        m = _sparse_random_matrix(rng, rng.randint(1, n + 2), n, rng.choice([0.2, 0.5, 1.0]))
+        rows = [dict((c, x) for c, x in enumerate(row) if x) for row in m.rows]
+        ref = _nonzero_rows(reference_rref(m))
+        pivots = tuple(_leading(row) for row in ref)
+        dense = Subspace(n, ExactMatrix(ref) if ref else ExactMatrix.zero(0, n), pivots)
+        # a space is the kernel of its annihilator (the dot form is anisotropic over Q)
+        annihilator = nullspace(m)
+        twice = nullspace(annihilator.basis) if annihilator.dim else Subspace.full_space(n)
+        equal = [
+            Subspace.from_vectors(m.rows, n),
+            Subspace._from_rref(n, _rref_sparse(rows)),
+            dense,
+            twice,
+        ]
+        if not ref:
+            equal += [Subspace.zero_space(n), nullspace(ExactMatrix.identity(n))]
+        if len(ref) == n:
+            equal += [Subspace.full_space(n), nullspace(ExactMatrix.zero(1, n))]
+        for space in equal:
+            assert space == equal[0] and hash(space) == hash(equal[0])
+            assert space.dim == len(ref) and space.pivots == pivots
+        assert len(set(equal)) == 1
+
+        # one entry off a pivot column changes the subspace
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        if free:
+            i, c = rng.choice(free)
+            bumped = [list(row) for row in ref]
+            bumped[i][c] += 1
+            other = Subspace(n, ExactMatrix(bumped), pivots)
+            assert other != equal[0] and equal[0] != other
+            assert len({other, equal[0]}) == 2
+        assert Subspace.full_space(n) != Subspace.zero_space(n)
+        assert Subspace.zero_space(n) != Subspace.zero_space(n + 1)
+
+        # the same span, as matrices: from_matrices against the flat vectors
+        if trial % 3 == 0:
+            k = rng.randint(1, 3)
+            mats = [_sparse_random_matrix(rng, k, k, 0.4) for _ in range(rng.randint(1, 4))]
+            endo = EndoSubspace.from_matrices(mats, k)
+            again = EndoSubspace.from_matrices([2 * x for x in reversed(mats)], k)
+            assert endo == again and hash(endo) == hash(again)
+            assert endo.space == Subspace.from_vectors([x.flat() for x in mats], k * k)
+
+
+def test_lazy_dense_views_match_reference():
+    rng = random.Random(53)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+        m = _sparse_random_matrix(rng, nrows, ncols, rng.choice([0.2, 0.5, 1.0]))
+        ref = _nonzero_rows(reference_rref(m))
+
+        space = Subspace.from_vectors(m.rows, ncols)
+        assert space._basis is None  # nothing dense until a caller asks
+        assert space.basis._rows is None
+        assert list(space.basis.rows) == ref and _all_fractions(space.basis)
+        assert space.basis.shape == (len(ref), ncols)
+
+        # kernel results hold only their integer view until rows are read
+        b = _sparse_random_matrix(rng, ncols, rng.randint(1, 6), 0.5)
+        c = _sparse_random_matrix(rng, nrows, ncols, 0.5)
+        diff = ExactMatrix([[x - y for x, y in zip(u, v)] for u, v in zip(m.rows, c.rows)])
+        for got, want in ((m * b, reference_matmul(m, b)), (kron(m, b), reference_kron(m, b)),
+                          (m - c, diff), (-m, m * -1)):
+            assert got._rows is None
+            rebuilt = ExactMatrix(got.rows)
+            assert got == want == rebuilt and _all_fractions(got)
+            assert got._fraction_rows() == rebuilt._fraction_rows()
+            assert got._int_rows() == rebuilt._int_rows()
+
+        # basis matrices hold only their nonzero Fractions
+        k = rng.randint(1, 4)
+        mats = [_sparse_random_matrix(rng, k, k, 0.5) for _ in range(3)]
+        endo = EndoSubspace.from_matrices(mats, k)
+        for mat, row in zip(endo.basis_matrices(), endo.space.basis.rows, strict=True):
+            assert mat._rows is None and mat._view is None
+            assert mat._flat_nonzeros() == {j: x for j, x in enumerate(row) if x}
+            assert mat.flat() == row and mat == ExactMatrix.from_flat(k, k, row)
