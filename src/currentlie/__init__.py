@@ -17,23 +17,6 @@ from currentlie.assoc import (
     wedderburn_complement,
 )
 from currentlie.assoc import derivations as assoc_derivations
-from currentlie.current import (
-    CurrentAlgebra,
-    DecompositionReport,
-    PreconditionError,
-    TableIdentityError,
-    TableReport,
-    certify_decomposition,
-    current_algebra,
-    embed_h,
-    embed_k,
-    embed_w,
-    levi_candidate_subspace,
-    radical_subspace,
-    verify_bracket_table,
-    verify_levi_decomposition,
-    zusmanovich_span,
-)
 from currentlie.heisenberg import (
     DerivationTemplate,
     TemplateMatch,
@@ -98,6 +81,46 @@ from currentlie.serialize import (
 
 __version__ = "0.1.0"
 
+# currentlie.current and its names load on first use (PEP 562): the light
+# CLI verbs never need that module, and every `currentlie` command imports
+# this package first.  The names are looked up in currentlie.current on
+# each use, not copied here, so they always are that module's objects.
+# currentlie.heisenberg stays imported above, before `heisenberg` is bound
+# to lie.heisenberg: the first import of a submodule sets the package
+# attribute of its name to the module, so importing it later would
+# replace the function.
+_LAZY = frozenset({
+    "current",
+    "CurrentAlgebra",
+    "DecompositionReport",
+    "PreconditionError",
+    "TableIdentityError",
+    "TableReport",
+    "certify_decomposition",
+    "current_algebra",
+    "embed_h",
+    "embed_k",
+    "embed_w",
+    "levi_candidate_subspace",
+    "radical_subspace",
+    "verify_bracket_table",
+    "verify_levi_decomposition",
+    "zusmanovich_span",
+})
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        current = import_module("currentlie.current")
+        return current if name == "current" else getattr(current, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY)
+
 
 def derivations(algebra):
     """Derivation algebra of a LieAlgebra, AssocAlgebra or CurrentAlgebra."""
@@ -105,6 +128,8 @@ def derivations(algebra):
         return lie_derivations(algebra)
     if isinstance(algebra, AssocAlgebra):
         return assoc_derivations(algebra)
+    from currentlie.current import CurrentAlgebra
+
     if isinstance(algebra, CurrentAlgebra):
         return algebra.derivations()
     raise TypeError(f"no derivations for {type(algebra).__name__}")

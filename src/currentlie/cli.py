@@ -26,13 +26,6 @@ from currentlie.assoc import (
     wedderburn_complement,
 )
 from currentlie.assoc import derivations as assoc_derivations
-from currentlie.current import (
-    PreconditionError,
-    TableIdentityError,
-    certify_decomposition,
-    current_algebra,
-    verify_bracket_table,
-)
 from currentlie.heisenberg import heisenberg_der_blocks, truncated_heisenberg
 from currentlie.lie import (
     LieAlgebra,
@@ -169,6 +162,10 @@ def _levi_candidates(g: LieAlgebra):
 
 
 def cmd_levi(args) -> int:
+    # only levi and check table1 import currentlie.current, so that the
+    # other verbs start without it
+    from currentlie.current import PreconditionError, certify_decomposition, current_algebra
+
     g = load_algebra(args.g_path)
     a = load_algebra(args.a_path)
     if not isinstance(g, LieAlgebra):
@@ -212,6 +209,8 @@ def cmd_levi(args) -> int:
 
 
 def _check_table1(args) -> int:
+    from currentlie.current import TableIdentityError, current_algebra, verify_bracket_table
+
     if len(args.paths) != 2:
         raise FormatError("check table1 needs a lie file and an assoc file")
     g = load_algebra(args.paths[0])

@@ -17,8 +17,7 @@ decomposition of the full derivation algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from currentlie.assoc import AssocAlgebra, jacobson_radical
 from currentlie.lie import (
@@ -209,12 +208,11 @@ def _zero_endo(n):
     return EndoSubspace(n, Subspace.zero_space(n * n))
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Outcome of the span and Levi checks on der(g (x) A)."""
 
     der_dim: int
-    flags: dict = field(default_factory=dict)
+    flags: dict
     der_full: Optional[EndoSubspace] = None
     summand_h: Optional[EndoSubspace] = None
     summand_w: Optional[EndoSubspace] = None
@@ -257,8 +255,7 @@ def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:
     )
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     """Outcome of the pairwise bracket-rule verification."""
 
     mode: str
@@ -665,6 +662,4 @@ def certify_decomposition(
     levi = levi_candidate_subspace(ca, s, big_s)
     levi_report = verify_levi_decomposition(ca, radical, levi)
     report.flags.update(levi_report.flags)
-    report.radical_candidate = radical
-    report.levi_candidate = levi
-    return report
+    return report._replace(radical_candidate=radical, levi_candidate=levi)

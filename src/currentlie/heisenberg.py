@@ -14,19 +14,18 @@ nonzero entries of the matrix it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, NamedTuple
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
-from currentlie.current import (
-    CurrentAlgebra,
-    DecompositionReport,
-    certify_decomposition,
-    current_algebra,
-)
 from currentlie.lie import heisenberg, sp
 from currentlie.linalg import EndoSubspace, ExactMatrix, Q, kron, rat
+
+# every `currentlie` command imports this module through the package, and
+# most never need currentlie.current, so the functions that do import it
+if TYPE_CHECKING:
+    from currentlie.current import CurrentAlgebra, DecompositionReport
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -34,6 +33,8 @@ _ONE = Q(1)
 
 def truncated_heisenberg(m: int, k: int) -> CurrentAlgebra:
     """h_m (x) Q[t]/(t^(k+1)), dimension (2m+1)(k+1)."""
+    from currentlie.current import current_algebra
+
     return current_algebra(heisenberg(m), truncated_polynomial(k))
 
 
@@ -100,10 +101,12 @@ def _layout(m: int, k: int) -> tuple:
 
 @cache
 def _key_index(m: int, k: int) -> tuple:
-    """The keys of _layout(m, k) in its order, and {defining position: index}."""
+    """The keys of _layout(m, k) in its order, {defining position: index},
+    and {key: 0} over those keys, which `match` copies as its start."""
     layout = _layout(m, k)
     keys = tuple(key for key, _ in layout)
-    return keys, {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
+    defined_at = {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
+    return keys, defined_at, dict.fromkeys(keys, _ZERO)
 
 
 # parameter_keys() order: the three grids, the two series, the strip
@@ -114,16 +117,14 @@ _KEY_ORDER = {"A1": 0, "A2": 1, "A4": 2, "p": 3, "q": 4, "strip": 5}
 _Z_COLUMN, _Z_CORNER, _E_E, _F_F, _E_F, _F_E = range(6)
 
 
-@dataclass
-class TemplateMatch:
+class TemplateMatch(NamedTuple):
     """Successful fit; params maps structured keys to rationals."""
 
     params: dict
     ok: bool = True
 
 
-@dataclass
-class TemplateMismatch:
+class TemplateMismatch(NamedTuple):
     """First violated constraint of the template."""
 
     block: str
@@ -157,7 +158,7 @@ class DerivationTemplate:
         self.block_dim = m * self.width
         self.dim = (2 * m + 1) * self.width
         self._layout = _layout(m, k)
-        self._keys, self._defined_at = _key_index(m, k)
+        self._keys, self._defined_at, self._zeros = _key_index(m, k)
 
     def parameter_keys(self) -> list:
         return sorted(self._keys, key=lambda key: _KEY_ORDER[key[0]])
@@ -212,7 +213,7 @@ class DerivationTemplate:
         layout, defined_at = self._layout, self._defined_at
         actual = mat._nonzero_entries()
         expected: dict = {}
-        params = dict.fromkeys(self._keys, _ZERO)
+        params = self._zeros.copy()
         # a key's entries reach only the defining positions of later keys,
         # so popping indices in increasing order solves in layout order
         todo = [defined_at[pos] for pos in actual if pos in defined_at]
@@ -346,6 +347,8 @@ def sp_block_embedding(m: int, k: int) -> list[ExactMatrix]:
 
 def levi_report(m: int, k: int, ca: CurrentAlgebra | None = None) -> DecompositionReport:
     """Run the full decomposition certificate for h_m (x) A_k."""
+    from currentlie.current import certify_decomposition
+
     if ca is None:
         ca = truncated_heisenberg(m, k)
     s, r = heisenberg_der_blocks(m)

@@ -178,14 +178,17 @@ class ExactMatrix:
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
+        # the sparse integer view is canonical (least common denominator,
+        # nonzero entries by column), so no dense rows are built
         return (
             isinstance(other, ExactMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._int_rows() == other._int_rows()
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        den, rows = self._int_rows()
+        return hash((self.shape, den, tuple(map(tuple, rows))))
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"

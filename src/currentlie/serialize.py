@@ -18,7 +18,6 @@ so identical algebras produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -41,12 +40,82 @@ class AxiomError(ValueError):
     """The file parsed but its structure constants violate the axioms."""
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline end.
+
+    The text is exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n",
+    written by `_dump` rather than the json module's pure-Python indenting
+    encoder, which costs a generator step per value.
+    """
+    return _dump(obj, "\n", {}) + "\n"
+
+
+def _dump(value, newline: str, rows: dict) -> str:
+    # newline: "\n" and the indent of the line value starts on; rows: the
+    # text of each list of strings written so far, by (newline, *items)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if isinstance(value[0], str):
+            # a matrix row: one join, and repeated rows from the memo; only
+            # lists of strings are stored, and no other type equals a str
+            try:
+                key = (newline, *value)
+                text = rows.get(key)
+                if text is None:
+                    inner = newline + "  "
+                    text = "[" + inner + ("," + inner).join(map(_encode_str, value)) + newline + "]"
+                    rows[key] = text
+                return text
+            except TypeError:  # an item that is not a str
+                pass
+        inner = newline + "  "
+        items = [
+            _encode_str(x) if type(x) is str
+            else int.__repr__(x) if type(x) is int
+            else _dump(x, inner, rows)
+            for x in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _encode_str(k if isinstance(k, str) else _key_text(k)) + ": " + _dump(v, inner, rows)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    # a non-string key becomes the JSON text of its value, as in json.dumps
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def sha256_file(path) -> str:
+    # imported here: loading OpenSSL is a few ms of start-up that the verbs
+    # without an input digest (heisenberg, failed loads) need not pay
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -159,7 +159,7 @@ def test_failed_certificates_exit_1(files, capsys, monkeypatch):
     monkeypatch.setattr("currentlie.cli.wedderburn_complement", no_lifting)
     code, stdout, stderr = run(["levi", files["h1"], files["a1"]], capsys)
     assert code == 1 and not stdout and "idempotent lifting" in stderr
-    monkeypatch.setattr("currentlie.cli.current_algebra", bad_product)
+    monkeypatch.setattr("currentlie.current.current_algebra", bad_product)
     code, stdout, stderr = run(["check", "table1", files["h1"], files["a1"]], capsys)
     assert code == 1 and not stdout and "violates the Lie axioms" in stderr
 
@@ -410,6 +410,9 @@ DATA = Path(__file__).parent / "data"
         (["levi", "h2.json", "a1.json", "--json"], "levi_h2_a1.json"),
         (["check", "table1", "h2.json", "a4.json", "--json", "--seed", "1"],
          "table1_h2_a4_seed1.json"),
+        (["derive", "a4.json", "--json", "--basis"], "derive_a4_basis.json"),
+        # an algebra document: lists that mix ints and strings
+        (["heisenberg", "--m", "1", "--k", "1"], "heisenberg_m1_k1.json"),
     ],
 )
 def test_json_reports_match_golden_files(argv, golden):

@@ -583,3 +583,65 @@ def test_lazy_dense_views_match_reference():
             assert mat._rows is None and mat._view is None
             assert mat._flat_nonzeros() == {j: x for j, x in enumerate(row) if x}
             assert mat.flat() == row and mat == ExactMatrix.from_flat(k, k, row)
+
+
+def test_matrix_equality_and_hash_across_views():
+    # == and hash read the canonical sparse integer view, so a matrix held
+    # as dense rows, as Fraction pairs or as a kernel result compares and
+    # hashes alike, and no dense rows are built
+    rng = random.Random(59)
+    for trial in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = _sparse_random_matrix(rng, nrows, ncols, rng.choice([0.2, 0.5, 1.0]))
+        zero = ExactMatrix.zero(nrows, ncols)
+        same = [
+            ExactMatrix(m.rows),
+            ExactMatrix._trusted(None, nrows, ncols, m._fraction_rows()),
+            m * ExactMatrix.identity(ncols),
+            ExactMatrix.identity(nrows) * m,
+            m + zero,
+            (m * 6) * Fraction(1, 6),
+            -(-m),
+        ]
+        for x in same:
+            assert x == m and m == x and not x != m
+            assert hash(x) == hash(m)
+        assert all(x._rows is None for x in same[2:])  # compared without dense rows
+        assert len(set(same + [m])) == 1
+
+        # sums that cancel to zero equal the zero matrix of their shape
+        zeros = [zero, m - m, m + m * -1, ExactMatrix([[0] * ncols] * nrows), 0 * m]
+        if nrows == ncols:
+            zeros.append(commutator(ExactMatrix.identity(nrows), m))
+        for x in zeros:
+            assert x == zero and hash(x) == hash(zero) and x.is_zero()
+        assert (m == zero) == m.is_zero()
+
+        # one entry changed, or the same entries in another shape, differ
+        i, j = rng.randrange(nrows), rng.randrange(ncols)
+        bumped = [list(row) for row in m.rows]
+        bumped[i][j] += Fraction(1, 3)
+        assert ExactMatrix(bumped) != m and m != ExactMatrix(bumped)
+        flat = m.flat()
+        for shape in ((1, nrows * ncols), (nrows * ncols, 1), (ncols, nrows)):
+            if shape != (nrows, ncols):
+                assert ExactMatrix.from_flat(*shape, flat) != m
+        if nrows != ncols:
+            assert zero != ExactMatrix.zero(ncols, nrows)
+
+        # a non-matrix operand is never equal
+        for other in (m.rows, list(m.rows), flat, 0, None, "m"):
+            assert m != other and not m == other
+
+        # identity and basis matrices, held as Fraction pairs
+        n = rng.randint(1, 4)
+        dense_identity = ExactMatrix([[int(r == c) for c in range(n)] for r in range(n)])
+        for x in (ExactMatrix.identity(n), kron(ExactMatrix.identity(1), ExactMatrix.identity(n))):
+            assert x == dense_identity and hash(x) == hash(dense_identity)
+        if trial % 4 == 0:
+            mats = [_sparse_random_matrix(rng, n, n, 0.5) for _ in range(3)]
+            endo = EndoSubspace.from_matrices(mats, n)
+            for mat, row in zip(endo.basis_matrices(), endo.space.basis.rows, strict=True):
+                dense = ExactMatrix.from_flat(n, n, row)
+                assert mat == dense and hash(mat) == hash(dense)
+                assert mat == mat * ExactMatrix.identity(n) and mat._rows is None
