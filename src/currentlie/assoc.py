@@ -109,7 +109,7 @@ def first_assoc_violation(a: AssocAlgebra):
         if prod.get((i, j)) != prod.get((j, i)):
             return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
     skip = {unit[0][0]} if len(unit) == 1 and unit[0][1] == 1 else set()
-    nz = _int_products(a)
+    _, nz = _int_products(a)
     right = [[] for _ in range(n)]  # right[m]: the k outside skip with e_m e_k != 0
     for m, k in nz:
         if k not in skip:

@@ -8,9 +8,9 @@ Verbs:
   info         dimensions, center, series, radical summary
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the
-report carries a counterexample), 2 input/IO/format error.  With
-identical inputs and seed the machine-readable report is byte
-identical: sorted keys, no timestamps, sha256 digests of the inputs.
+report carries a counterexample), 2 input/IO/format error or out of
+memory.  With identical inputs and seed the machine-readable report is
+byte identical: sorted keys, no timestamps, sha256 digests of the inputs.
 """
 
 from __future__ import annotations
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
         return 1
     except (FormatError, NonSplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as exc:
         # loaded files passed their axiom checks, so a certificate built from

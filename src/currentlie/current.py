@@ -41,6 +41,7 @@ from currentlie.linalg import (
     _rref_sparse,
     commutator,
     kron,
+    linear_combination,
     subspace_intersection,
     subspace_sum,
 )
@@ -290,20 +291,13 @@ def verify_bracket_table(
     exhaustive = ca.dim <= 8
     rng = None if exhaustive else random.Random(seed)
 
-    def combo(mats, coeffs):
-        out = ExactMatrix.zero(mats[0].nrows, mats[0].ncols)
-        for m, c in zip(mats, coeffs):
-            if c:
-                out = out + c * m
-        return out
-
     def sample_mats(mats):
         if not mats:
             return None
         coeffs = [Q(rng.randint(-3, 3)) for _ in mats]
         if not any(coeffs):
             coeffs[rng.randrange(len(mats))] = Q(1)
-        return combo(mats, coeffs)
+        return linear_combination(zip(coeffs, mats), *mats[0].shape)
 
     def sample_vec(n):
         return tuple(Q(rng.randint(-3, 3)) for _ in range(n))
@@ -496,12 +490,10 @@ def _cross(left, right, exhaustive, sample_count):
 def _endo_from_coords(space: EndoSubspace, coords: Subspace) -> Subspace:
     # the span of the matrices whose coordinates over space are the basis of coords
     mats = space.basis_matrices()
-    rows = []
-    for vec in coords._nnz:
-        acc = ExactMatrix.zero(space.n, space.n)
-        for i, c in vec:
-            acc = acc + c * mats[i]
-        rows.append(acc._flat_nonzeros())
+    rows = [
+        linear_combination(((c, mats[i]) for i, c in vec), space.n, space.n)._flat_nonzeros()
+        for vec in coords._nnz
+    ]
     return Subspace._from_rref(space.n * space.n, _rref_sparse(rows))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
@@ -99,16 +100,6 @@ def _layout(m: int, k: int) -> tuple:
     return tuple(layout)
 
 
-@cache
-def _key_index(m: int, k: int) -> tuple:
-    """The keys of _layout(m, k) in its order, {defining position: index},
-    and {key: 0} over those keys, which `match` copies as its start."""
-    layout = _layout(m, k)
-    keys = tuple(key for key, _ in layout)
-    defined_at = {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
-    return keys, defined_at, dict.fromkeys(keys, _ZERO)
-
-
 # parameter_keys() order: the three grids, the two series, the strip
 _KEY_ORDER = {"A1": 0, "A2": 1, "A4": 2, "p": 3, "q": 4, "strip": 5}
 
@@ -157,8 +148,11 @@ class DerivationTemplate:
         self.width = k + 1
         self.block_dim = m * self.width
         self.dim = (2 * m + 1) * self.width
-        self._layout = _layout(m, k)
-        self._keys, self._defined_at, self._zeros = _key_index(m, k)
+        self._layout = layout = _layout(m, k)
+        self._keys = tuple(key for key, _ in layout)
+        # {defining position: index}, and {key: 0}, which `match` copies
+        self._defined_at = {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
+        self._zeros = dict.fromkeys(self._keys, _ZERO)
 
     def parameter_keys(self) -> list:
         return sorted(self._keys, key=lambda key: _KEY_ORDER[key[0]])
@@ -211,7 +205,12 @@ class DerivationTemplate:
         if mat.shape != (n, n):
             return TemplateMismatch("shape", f"expected {n} x {n}")
         layout, defined_at = self._layout, self._defined_at
+        # integers over twice the common denominator of mat: the only defining
+        # coefficient other than 1 is the 2 of the p keys, at positions no
+        # other key reaches, so the `//` below is exact
         actual = mat._nonzero_entries()
+        den = 2 * lcm(*(x.denominator for x in actual.values()))
+        actual = {pos: x.numerator * (den // x.denominator) for pos, x in actual.items()}
         expected: dict = {}
         params = self._zeros.copy()
         # a key's entries reach only the defining positions of later keys,
@@ -226,17 +225,17 @@ class DerivationTemplate:
             last = idx
             key, entries = layout[idx]
             pos, coeff = entries[0]
-            value = actual.get(pos, _ZERO)
+            value = actual.get(pos, 0)
             if pos in expected:
                 value -= expected[pos]
             if value:
                 if coeff != 1:
-                    value /= coeff
+                    value //= coeff
                 _expand(expected, entries, value)
                 for later, _ in entries[1:]:
                     if later in defined_at:
                         heappush(todo, defined_at[later])
-                params[key] = value
+                params[key] = Q(value, den)
         expected = {pos: x for pos, x in expected.items() if x}
         if expected == actual:
             return TemplateMatch(params=params)
@@ -300,7 +299,10 @@ def _is_toeplitz(entries: dict, r0: int, c0: int, w: int) -> bool:
 
 def match_template(m: int, k: int, mat: ExactMatrix):
     """Fit a matrix against the derivation template of h_m (x) A_k."""
-    return DerivationTemplate(m, k).match(mat)
+    return _template(m, k).match(mat)
+
+
+_template = cache(DerivationTemplate)
 
 
 def _extend_to_heisenberg(d: ExactMatrix, m: int) -> ExactMatrix:

@@ -20,6 +20,7 @@ from currentlie.linalg import (
     Subspace,
     _Algebra,
     _derivation_space,
+    _int_products,
     _left_mult,
     _nullspace_from_system,
     _products,
@@ -97,13 +98,16 @@ def first_lie_violation(g: LieAlgebra):
     evaluated; all others are zero.
     """
     prod = g.products
+    # the checks run on the integer constants v = den * c_ij^k; a cyclic
+    # sum of products of two constants is then scaled by den^2
+    den, nz = _int_products(g)
     for i, j in sorted({(min(key), max(key)) for key in prod}):
         if i == j:
             return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, prod[i, i])} != 0"
-        ij, ji = prod.get((i, j), ()), prod.get((j, i), ())
-        if ij != tuple((k, -v) for k, v in ji):
-            bad = dict(ij)
-            for k, v in ji:
+        ij, ji = nz.get((i, j), ()), nz.get((j, i), ())
+        if ij != [(k, -v) for k, v in ji]:
+            bad = dict(prod.get((i, j), ()))
+            for k, v in prod.get((j, i), ()):
                 bad[k] = bad.get(k, _ZERO) + v
             return (
                 f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
@@ -123,15 +127,13 @@ def first_lie_violation(g: LieAlgebra):
     for i, j, k in sorted(triples):
         total = {}
         for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in prod.get((b, cc), ()):
-                for p, w in prod.get((a, m), ()):
-                    total[p] = total.get(p, _ZERO) + v * w
+            for m, v in nz.get((b, cc), ()):
+                for p, w in nz.get((a, m), ()):
+                    total[p] = total.get(p, 0) + v * w
         if any(total.values()):
             labels = (g.labels[i], g.labels[j], g.labels[k])
-            return (
-                f"Jacobi fails on ({', '.join(labels)}):"
-                f" cyclic sum = {_combo(g, sorted(total.items()))}"
-            )
+            terms = sorted((p, Q(v, den * den)) for p, v in total.items())
+            return f"Jacobi fails on ({', '.join(labels)}): cyclic sum = {_combo(g, terms)}"
     return None
 
 

@@ -14,10 +14,10 @@ product of the operands' common denominators (1 for integer matrices)
 and keep the result in the same view.
 Linear systems are eliminated sparse and in integers: one fraction-free
 Gauss-Jordan routine takes rows held as {column: value} dicts of their
-nonzero entries, scales each to a primitive integer row, eliminates with
-integer cross-multiplication and builds a Fraction only for the entries
-of the final RREF basis.  A Subspace stores only that basis, as sparse
-rows.
+nonzero entries, scales each to a primitive integer row and eliminates
+with integer cross-multiplication; a null space is built from its integer
+rows, and a Fraction only for the entries of a returned RREF basis.  A
+Subspace stores only that basis, as sparse rows.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra): per ordered pair of basis elements with a nonzero
 product, the nonzero coordinates of that product.  Their axiom checks,
@@ -142,7 +142,7 @@ class ExactMatrix:
 
     def _nonzero_entries(self) -> dict:
         """{(row, col): entry} over the nonzero entries."""
-        return {(i, c): x for i, row in enumerate(self._fraction_rows()) for c, x in row}
+        return {(i, c): x for i, row in enumerate(self._fraction_rows()) if row for c, x in row}
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -197,26 +197,10 @@ class ExactMatrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, 1)
+        return linear_combination(((1, self), (1, other)), self.nrows, self.ncols)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        # self + sign * other, over the lcm of the two denominators
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        da, arows = self._int_rows()
-        db, brows = other._int_rows()
-        den = lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        out = []
-        for ra, rb in zip(arows, brows):
-            acc = {c: v * fa for c, v in ra}
-            for c, v in rb:
-                acc[c] = acc.get(c, 0) + v * fb
-            out.append(sorted((c, v) for c, v in acc.items() if v))
-        return ExactMatrix._from_ints(self.nrows, self.ncols, den, out)
+        return linear_combination(((1, self), (-1, other)), self.nrows, self.ncols)
 
     def __neg__(self) -> "ExactMatrix":
         return self * -1
@@ -289,6 +273,25 @@ def _accumulate(acc: list, row, rows, sign: int) -> None:
             acc[c] += x * y
 
 
+def linear_combination(terms: Iterable, nrows: int, ncols: int) -> ExactMatrix:
+    """Sum of c * m over the (c, m) pairs, in one pass over the integer views."""
+    views = []
+    for c, m in terms:
+        if m.shape != (nrows, ncols):
+            raise ValueError("shape mismatch")
+        if c:
+            views.append((rat(c), *m._int_rows()))
+    den = lcm(*(c.denominator * d for c, d, _ in views))
+    acc = [{} for _ in range(nrows)]
+    for c, d, rows in views:
+        f = c.numerator * (den // (c.denominator * d))
+        for out, row in zip(acc, rows):
+            for j, v in row:
+                out[j] = out.get(j, 0) + f * v
+    out = [sorted((j, v) for j, v in row.items() if v) for row in acc]
+    return ExactMatrix._from_ints(nrows, ncols, den, out)
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """ab - ba, both products accumulated in one integer pass."""
     if a.shape != b.shape or a.nrows != a.ncols:
@@ -353,7 +356,7 @@ def _dense(items: Iterable, n: int) -> tuple:
     return tuple(v)
 
 
-def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
+def _rref_ints(rows: Iterable[dict]) -> list[tuple[int, int, dict]]:
     """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
     Rows are {column: nonzero int or Fraction} dicts and are not modified.
@@ -368,9 +371,10 @@ def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
     Bareiss (Math. Comp. 22, 1968), except that each row is made
     primitive again after each step instead of being divided by the
     previous pivot.  One back-substitution, last pivot first, then clears
-    every pivot column, and each entry of the unique RREF basis becomes
-    one Fraction.
-    Returned as (pivot column, {column: Fraction}) pairs sorted by pivot.
+    every pivot column.
+    Returned as (pivot column, d, {column: int}) triples sorted by pivot:
+    each row is primitive, d > 0 is its pivot entry, and row / d is the
+    row of the unique RREF basis.
     """
     rows = [row for row in rows if row]
     zero = {j for row in rows if len(row) == 1 for j in row}
@@ -406,24 +410,32 @@ def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
         work = pivot_rows[p]
         for c in [c for c in work if c != p and c in pivot_rows]:
             _eliminate(work, c, pivot_rows[c])
-        d = work[p]
-        reduced.append((p, {j: Q(x) if d == 1 else Q(x, d) for j, x in work.items()}))
+        reduced.append((p, work[p], work))
     reduced.reverse()
     return reduced
+
+
+def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
+    """_rref_ints with each row / d as (pivot, {column: Fraction}) pairs."""
+    return [
+        (p, {j: Q(x) if d == 1 else Q(x, d) for j, x in row.items()})
+        for p, d, row in _rref_ints(rows)
+    ]
 
 
 def _primitive(row: dict) -> tuple:
     # the row's ((column, int), ...) multiple, sorted by column, with
     # coprime entries and a positive leading one
-    items = sorted(row.items())
-    den = lcm(*(x.denominator for _, x in items))
-    ints = [x.numerator * (den // x.denominator) for _, x in items]
+    cols = sorted(row)
+    vals = [row[j] for j in cols]
+    den = lcm(*[x.denominator for x in vals])
+    ints = [x.numerator * (den // x.denominator) for x in vals]
     g = gcd(*ints)
     if ints[0] < 0:
         g = -g
     if g != 1:
         ints = [x // g for x in ints]
-    return tuple(zip([j for j, _ in items], ints))
+    return tuple(zip(cols, ints))
 
 
 def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
@@ -457,20 +469,25 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_rref_sparse(map(dict, m._fraction_rows())))
+    return len(_rref_ints(map(dict, m._fraction_rows())))
 
 
 def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
     """Solution space of (rows) * x = 0, for sparse rows {column: value}."""
-    reduced = _rref_sparse(rows)
-    pivots = {p for p, _ in reduced}
-    # one solution per free column f: x_f = 1, x_p = -row_p[f] on pivots
-    free = {f: {f: _ONE} for f in range(ncols) if f not in pivots}
-    for p, row in reduced:
+    reduced = _rref_ints(rows)
+    pivots = {p for p, _, _ in reduced}
+    # one solution per free column f: x_f = 1 and x_p = -row_p[f] / d_p on
+    # the pivots, held in integers scaled by the lcm of those d_p
+    free = {f: [] for f in range(ncols) if f not in pivots}
+    for p, d, row in reduced:
         for j, x in row.items():
             if j != p:
-                free[j][p] = -x
-    return Subspace._from_rref(ncols, _rref_sparse(free.values()))
+                free[j].append((p, x, d))
+    solutions = []
+    for f, terms in free.items():
+        s = lcm(*(d for _, _, d in terms))
+        solutions.append({f: s} | {p: -x * (s // d) for p, x, d in terms})
+    return Subspace._from_rref(ncols, _rref_sparse(solutions))
 
 
 def nullspace(m: ExactMatrix) -> "Subspace":
@@ -588,14 +605,14 @@ def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _int_products(alg: _Algebra) -> dict:
-    """{(i, j): [(k, v)]}, c_ij^k = v / den for the common denominator den.
+def _int_products(alg: _Algebra) -> tuple[int, dict]:
+    """(den, {(i, j): [(k, v)]}), c_ij^k = v / den for the common denominator den.
 
-    Equations homogeneous in the constants (Leibniz rules, associativity)
+    Equations homogeneous in the constants (Leibniz, associativity, Jacobi)
     keep their solutions under that scaling and then hold in integers.
     """
     den = lcm(*(c.denominator for terms in alg.products.values() for _, c in terms))
-    return {
+    return den, {
         key: [(k, c.numerator * (den // c.denominator)) for k, c in terms]
         for key, terms in alg.products.items()
     }
@@ -610,7 +627,7 @@ def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
         sum_k c_ij^k D[p][k] - sum_q c_qj^p D[q][i] - sum_q c_iq^p D[q][j] = 0.
     """
     n = alg.dim
-    nz = _int_products(alg)
+    _, nz = _int_products(alg)
     left = [[] for _ in range(n)]  # left[i]: (q, p, c_iq^p)
     right = [[] for _ in range(n)]  # right[j]: (q, p, c_qj^p)
     for (i, j), terms in nz.items():
@@ -628,8 +645,9 @@ def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
                 for q, p, v in terms:
                     row = by_p.setdefault(p, {})
                     col = q * n + unknown
-                    row[col] = row.get(col, 0) - v
-            rows.extend({col: x for col, x in row.items() if x} for row in by_p.values())
+                    if x := row.pop(col, 0) - v:
+                        row[col] = x
+            rows.extend(by_p.values())
     return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
 

@@ -440,3 +440,16 @@ def test_levi_of_split_algebra_with_huge_coefficient(files, tmp_path, capsys):
     assert code == 0 and doc["status"] == "pass"
     assert doc["dimensions"]["levi"] == 6 and doc["dimensions"]["radical"] == 10
     assert elapsed < 2.0
+
+
+def test_out_of_memory_exits_2(files, capsys, monkeypatch):
+    # running out of memory is neither a traceback nor a mathematical
+    # failure: a one-line error and the input-error exit code
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("currentlie.cli.cmd_derive", exhausted)
+    code, stdout, stderr = run(["derive", files["h11"], "--dim"], capsys)
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr

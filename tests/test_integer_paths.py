@@ -1,0 +1,325 @@
+"""The integer paths of the derive pipeline against dense Fraction oracles.
+
+Elimination, the null-space hand-off, the Lie axiom check, matrix linear
+combinations and the template match all compute in Python ints over a
+common denominator and build Fractions only for what they return.  Each
+test here evaluates the same thing densely in Fractions, inside the test,
+and compares exactly.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from helpers import rand_frac, rand_matrix, reference_match
+
+from currentlie.assoc import truncated_polynomial
+from currentlie.current import current_algebra
+from currentlie.heisenberg import DerivationTemplate, match_template, truncated_heisenberg
+from currentlie.lie import LieAlgebra, first_lie_violation
+from currentlie.linalg import (
+    ExactMatrix,
+    Subspace,
+    _nullspace_from_system,
+    _rref_ints,
+    _rref_sparse,
+    linear_combination,
+    nullspace,
+    rat_str,
+)
+
+ZERO = Fraction(0)
+
+
+# -- elimination and the null-space hand-off --------------------------------
+
+
+def _dense_gauss_jordan(rows: list, ncols: int) -> tuple[list, list]:
+    """Pivots and RREF rows of dense Fraction rows, by textbook Gauss-Jordan."""
+    rows = [list(r) for r in rows]
+    pivots, reduced = [], []
+    for c in range(ncols):
+        i = next((i for i, r in enumerate(rows) if r[c]), None)
+        if i is None:
+            continue
+        top = rows.pop(i)
+        top = [x / top[c] for x in top]
+        reduced = [[x - r[c] * y for x, y in zip(r, top)] if r[c] else r for r in reduced]
+        rows = [[x - r[c] * y for x, y in zip(r, top)] if r[c] else r for r in rows]
+        pivots.append(c)
+        reduced.append(top)
+    return pivots, reduced
+
+
+def _dense_nullspace(rows: list, ncols: int) -> Subspace:
+    """{x : rows x = 0} from the free-column solutions, as a Subspace."""
+    pivots, reduced = _dense_gauss_jordan(rows, ncols)
+    solutions = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [ZERO] * ncols
+            v[f] = Fraction(1)
+            for p, r in zip(pivots, reduced):
+                v[p] = -r[f]
+            solutions.append(v)
+    pivots, basis = _dense_gauss_jordan(solutions, ncols)
+    mat = ExactMatrix(basis) if basis else ExactMatrix.zero(0, ncols)
+    return Subspace(ncols, mat, tuple(pivots))
+
+
+def _entry(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-4, 4)  # integer rows, as the Leibniz assembler emits
+    if kind == 1:
+        return rand_frac(rng, 9, 7)
+    if kind == 2:
+        return Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**65))
+    return rng.choice([1, -1])
+
+
+def _random_system(rng: random.Random, ncols: int) -> list:
+    """Sparse rows with repeated, scaled, fractional and cancelling rows."""
+    base = []
+    for _ in range(rng.randint(1, 8)):
+        width = rng.choice([1, 1, 2, 2, 3, ncols])
+        row = {c: _entry(rng) for c in rng.sample(range(ncols), min(width, ncols))}
+        base.append({c: x for c, x in row.items() if x})
+    rows = list(base)
+    for row in rng.sample(base, min(3, len(base))):
+        rows.append(dict(row))  # repeated
+        scale = rng.choice([Fraction(-2, 3), 5, Fraction(7, 2**40)])
+        rows.append({c: scale * x for c, x in row.items()})  # scaled
+        rows.append({c: -x for c, x in row.items()})  # cancels the original
+    if len(base) > 1:
+        # a - b and a + b: entries may cancel, the difference to nothing
+        a, b = rng.sample(base, 2)
+        for sign in (-1, 1):
+            combo = {c: a.get(c, 0) + sign * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: x for c, x in combo.items() if x})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_integer_rref_hand_off_and_nullspace_match_dense_oracle():
+    rng = random.Random(83)
+    for _ in range(80):
+        ncols = rng.randint(1, 14)
+        rows = _random_system(rng, ncols)
+        dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+        pivots, reduced = _dense_gauss_jordan(dense, ncols)
+
+        # the integer rows: primitive, pivot entry d > 0, row / d the RREF row
+        triples = _rref_ints(rows)
+        assert [p for p, _, _ in triples] == pivots
+        for (p, d, row), want in zip(triples, reduced):
+            assert all(type(x) is int and x for x in row.values())
+            assert d == row[p] > 0 and gcd(*row.values()) == 1
+            assert [Fraction(row.get(c, 0), d) for c in range(ncols)] == want
+        assert [(p, dict(r)) for p, r in _rref_sparse(rows)] == [
+            (p, {c: x for c, x in enumerate(want) if x}) for p, want in zip(pivots, reduced)
+        ]
+
+        expected = _dense_nullspace(dense, ncols)
+        assert _nullspace_from_system(rows, ncols) == expected
+        assert nullspace(ExactMatrix(dense)) == expected
+        assert all(type(x) is Fraction for row in expected._nnz for _, x in row)
+
+
+def test_nullspace_of_leibniz_like_integer_systems():
+    # integer rows only, most of them one-entry or repeated, with a few
+    # long rows whose pivots need an lcm of several pivot entries
+    rng = random.Random(89)
+    for _ in range(40):
+        ncols = rng.randint(2, 24)
+        rows = []
+        for _ in range(rng.randint(1, 2 * ncols)):
+            width = rng.choice([1, 1, 1, 2, 2, 3])
+            cols = rng.sample(range(ncols), min(width, ncols))
+            rows.append({c: rng.choice([1, -1, 2, -3, 6]) for c in cols})
+        rows += [dict(row) for row in rng.sample(rows, len(rows) // 2)]
+        dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+        assert _nullspace_from_system(rows, ncols) == _dense_nullspace(dense, ncols)
+
+
+# -- matrix linear combinations ---------------------------------------------
+
+
+def _sparse_matrix(rng: random.Random, nrows: int, ncols: int) -> ExactMatrix:
+    return ExactMatrix(
+        [[rand_frac(rng) if rng.random() < 0.4 else 0 for _ in range(ncols)] for _ in range(nrows)]
+    )
+
+
+def test_linear_combination_matches_chained_sums_and_dense_oracle():
+    rng = random.Random(97)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        mats = [
+            rng.choice([rand_matrix, _sparse_matrix])(rng, nrows, ncols)
+            for _ in range(rng.randint(1, 5))
+        ]
+        coeffs = [
+            rng.choice([0, 1, -1, rand_frac(rng), Fraction(rng.randint(1, 2**70), 3**45)])
+            for _ in mats
+        ]
+        terms = list(zip(coeffs, mats))
+        if trial % 2:
+            # the same matrix again with the opposite coefficient: it cancels
+            c, m = rng.choice(terms)
+            terms.append((-c, m))
+        got = linear_combination(terms, nrows, ncols)
+
+        chained = ExactMatrix.zero(nrows, ncols)
+        for c, m in terms:
+            if c:
+                chained = chained + c * m
+        dense = [
+            [sum((Fraction(c) * m.rows[i][j] for c, m in terms), ZERO) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        assert got == chained == ExactMatrix(dense)
+        assert got.rows == ExactMatrix(dense).rows
+        assert all(type(x) is Fraction for row in got.rows for x in row)
+        # the canonical integer view keeps no zero that cancelled
+        assert all(v for row in got._int_rows()[1] for _, v in row)
+        assert hash(got) == hash(ExactMatrix(dense))
+
+    m = rand_matrix(rng, 3, 2)
+    cancelled = linear_combination([(Fraction(2, 3), m), (Fraction(-2, 3), m)], 3, 2)
+    assert cancelled.is_zero() and cancelled == ExactMatrix.zero(3, 2)
+    assert linear_combination([], 2, 4) == ExactMatrix.zero(2, 4)
+    with pytest.raises(ValueError):
+        linear_combination([(1, m)], 2, 3)
+    with pytest.raises(ValueError):
+        m + rand_matrix(rng, 2, 3)
+
+
+# -- the Lie axiom check ----------------------------------------------------
+
+
+def _dense_first_violation(g: LieAlgebra):
+    """The first failing instance, by loops over the dense `.structure`."""
+    n, c, labels = g.dim, g.structure, g.labels
+
+    def combo(vec):
+        return " + ".join(f"{rat_str(x)}*{labels[p]}" for p, x in enumerate(vec) if x) or "0"
+
+    for i in range(n):
+        if any(c[i][i]):
+            return f"[{labels[i]},{labels[i]}] = {combo(c[i][i])} != 0"
+        for j in range(i + 1, n):
+            total = [a + b for a, b in zip(c[i][j], c[j][i])]
+            if any(total):
+                pair = f"[{labels[i]},{labels[j]}] + [{labels[j]},{labels[i]}]"
+                return f"antisymmetry fails: {pair} = {combo(total)}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                # [e_a, [e_b, e_c]] = sum_m c_bc^m [e_a, e_m]
+                total = [ZERO] * n
+                for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(n):
+                        for p in range(n):
+                            total[p] += c[b][cc][m] * c[a][m][p]
+                if any(total):
+                    names = f"{labels[i]}, {labels[j]}, {labels[k]}"
+                    return f"Jacobi fails on ({names}): cyclic sum = {combo(total)}"
+    return None
+
+
+def _fractional_algebras() -> list:
+    # h_1 with [e,f] = 2/3 z; sp(1) in the basis (2/3 h, 5/7 e, 3/4 f);
+    # and the current algebra of the latter over Q[t]/(t^2)
+    h1 = LieAlgebra.from_bracket_entries(["e", "f", "z"], [(0, 1, 2, Fraction(2, 3))])
+    sp1 = LieAlgebra.from_bracket_entries(
+        ["h", "e", "f"],
+        [(0, 1, 1, Fraction(4, 3)), (0, 2, 2, Fraction(-4, 3)), (1, 2, 0, Fraction(45, 56))],
+    )
+    return [h1, sp1, current_algebra(sp1, truncated_polynomial(1)).product]
+
+
+def test_lie_violations_with_fractional_constants_match_dense_loop():
+    rng = random.Random(101)
+    kinds = set()
+    for g in _fractional_algebras():
+        assert first_lie_violation(g) is None and _dense_first_violation(g) is None
+        for t in range(40):
+            table = [[list(v) for v in row] for row in g.structure]
+            i, j, k = (rng.randrange(g.dim) for _ in range(3))
+            table[i][j][k] += Fraction(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 9))
+            if t % 4 and i != j:
+                table[j][i][k] = -table[i][j][k]  # keep antisymmetry
+            h = LieAlgebra(g.labels, table)
+            message = first_lie_violation(h)
+            assert message == _dense_first_violation(h)
+            kinds.add(message[:1] if message else None)
+    # [x,x] != 0, antisymmetry and Jacobi failures all occur, and so do passes
+    assert kinds == {None, "[", "a", "J"}
+
+
+def test_jacobi_sum_with_fractional_constants_is_reduced():
+    # [e,f] = 2/3 z and [f,z] = 3/5 f: on (e, f, z) the cyclic sum is
+    # [e,[f,z]] + [f,[z,e]] + [z,[e,f]] = 3/5 * 2/3 z + 0 + 0 = 2/5 z; the
+    # check sees 90 z over den^2 = 15^2 and must print the reduced 2/5
+    g = LieAlgebra.from_bracket_entries(
+        ["e", "f", "z"], [(0, 1, 2, Fraction(2, 3)), (1, 2, 1, Fraction(3, 5))]
+    )
+    assert first_lie_violation(g) == "Jacobi fails on (e, f, z): cyclic sum = 2/5*z"
+    assert first_lie_violation(g) == _dense_first_violation(g)
+
+
+# -- the template match -----------------------------------------------------
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 3)])
+def test_match_fractional_multiples_and_combinations(m, k):
+    rng = random.Random(100 * m + k)
+    tpl = DerivationTemplate(m, k)
+    basis = list(truncated_heisenberg(m, k).derivations().basis_matrices())
+    scales = [Fraction(1, 3), Fraction(-5, 7), Fraction(2**70 + 1, 3**40), Fraction(7, 2), 3]
+    for mat in rng.sample(basis, min(12, len(basis))):
+        c = rng.choice(scales)
+        base, fit = match_template(m, k, mat), match_template(m, k, c * mat)
+        assert base.ok and fit.ok and tpl.matrix(fit.params) == c * mat
+        assert fit.params == {key: c * v for key, v in base.params.items()}
+        assert all(type(v) is Fraction for v in fit.params.values())
+    # fractional combinations, and template matrices whose p series has odd
+    # numerators (the z corner holds 2 p_r, the one place match divides)
+    samples = []
+    for _ in range(6):
+        terms = [(rng.choice(scales) * rand_frac(rng), b) for b in rng.sample(basis, 4)]
+        samples.append(linear_combination(terms, tpl.dim, tpl.dim))
+    for density in (0.3, 1.0):
+        assignment = {
+            key: Fraction(rng.randrange(1, 40, 2), rng.choice([1, 3, 7, 2**65]))
+            for key in tpl.parameter_keys()
+            if key[0] == "p" or rng.random() < density
+        }
+        mat = tpl.matrix(assignment)
+        fit = match_template(m, k, mat)
+        assert fit.ok and all(fit.params[key] == v for key, v in assignment.items())
+        samples.append(mat)
+    for mat in samples:
+        fit = match_template(m, k, mat)
+        assert fit.ok and tpl.matrix(fit.params) == mat
+        assert fit.params == reference_match(tpl, mat).params
+    # perturbed entries: the first bad block is the dense reference's, and
+    # scaling the whole matrix keeps it
+    for mat in samples:
+        for _ in range(12):
+            r, c = rng.randrange(tpl.dim), rng.randrange(tpl.dim)
+            rows = [list(row) for row in mat.rows]
+            rows[r][c] += Fraction(rng.randint(1, 5), rng.randint(2, 9))
+            bad = ExactMatrix(rows)
+            fit, ref = match_template(m, k, bad), reference_match(tpl, bad)
+            assert fit.ok == ref.ok
+            if ref.ok:
+                assert tpl.matrix(fit.params) == bad  # the strip is free
+            else:
+                assert (fit.block, fit.relation) == (ref.block, ref.relation)
+                scaled = match_template(m, k, Fraction(-3, 11) * bad)
+                assert (scaled.block, scaled.relation) == (fit.block, fit.relation)
