@@ -161,17 +161,26 @@ def _levi_candidates(g: LieAlgebra):
     return None
 
 
+def _load_pair(g_path, a_path) -> tuple:
+    """Load the lie and assoc files of g (x) A; a product past MAX_DIM, the
+    bound a file of it would meet, is refused before anything is built."""
+    g, a = load_algebra(g_path), load_algebra(a_path)
+    if not isinstance(g, LieAlgebra):
+        raise FormatError(f"{g_path}: expected a lie file")
+    if not isinstance(a, AssocAlgebra):
+        raise FormatError(f"{a_path}: expected an assoc file")
+    if g.dim * a.dim > MAX_DIM:
+        dims = f"{g.dim} * {a.dim} = {g.dim * a.dim}"
+        raise FormatError(f"product dim {dims} exceeds the supported maximum {MAX_DIM}")
+    return g, a
+
+
 def cmd_levi(args) -> int:
     # only levi and check table1 import currentlie.current, so that the
     # other verbs start without it
     from currentlie.current import PreconditionError, certify_decomposition, current_algebra
 
-    g = load_algebra(args.g_path)
-    a = load_algebra(args.a_path)
-    if not isinstance(g, LieAlgebra):
-        raise FormatError(f"{args.g_path}: expected a lie file")
-    if not isinstance(a, AssocAlgebra):
-        raise FormatError(f"{args.a_path}: expected an assoc file")
+    g, a = _load_pair(args.g_path, args.a_path)
     candidates = _levi_candidates(g)
     if candidates is None:
         raise FormatError(
@@ -213,10 +222,7 @@ def _check_table1(args) -> int:
 
     if len(args.paths) != 2:
         raise FormatError("check table1 needs a lie file and an assoc file")
-    g = load_algebra(args.paths[0])
-    a = load_algebra(args.paths[1])
-    if not isinstance(g, LieAlgebra) or not isinstance(a, AssocAlgebra):
-        raise FormatError("check table1 needs a lie file then an assoc file")
+    g, a = _load_pair(*args.paths)
     if args.samples < 1:
         raise FormatError("--samples must be at least 1")
     ca = current_algebra(g, a)

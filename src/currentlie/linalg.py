@@ -14,10 +14,11 @@ product of the operands' common denominators (1 for integer matrices)
 and keep the result in the same view.
 Linear systems are eliminated sparse and in integers: one fraction-free
 Gauss-Jordan routine takes rows held as {column: value} dicts of their
-nonzero entries, scales each to a primitive integer row and eliminates
-with integer cross-multiplication; a null space is built from its integer
-rows, and a Fraction only for the entries of a returned RREF basis.  A
-Subspace stores only that basis, as sparse rows.
+nonzero entries and eliminates with integer cross-multiplication.  A
+null space takes that one elimination, with the unknowns numbered in
+reverse, and reads its canonical RREF basis straight off the integer
+rows, building a Fraction only for each returned entry.  A Subspace
+stores only that basis, as sparse rows.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra): per ordered pair of basis elements with a nonzero
 product, the nonzero coordinates of that product.  Their axiom checks,
@@ -362,16 +363,14 @@ def _rref_ints(rows: Iterable[dict]) -> list[tuple[int, int, dict]]:
     Rows are {column: nonzero int or Fraction} dicts and are not modified.
     A one-entry row e_j becomes a pivot row, and column j is dropped from
     every other row before anything is eliminated (most Leibniz rows have
-    one entry).  Each other row is scaled to a primitive integer row with
-    a positive leading entry and skipped if an equal row came before
-    (Leibniz-style systems repeat rows and their multiples heavily).  The
-    rest are eliminated forward on their leading entries only, by
-    gcd-reduced integer cross-multiplication, so the pivot rows form an
-    echelon basis.  This is fraction-free elimination in the style of
-    Bareiss (Math. Comp. 22, 1968), except that each row is made
-    primitive again after each step instead of being divided by the
-    previous pivot.  One back-substitution, last pivot first, then clears
-    every pivot column.
+    one entry).  Each other row is copied, scaled to integers only if it
+    holds a Fraction, and eliminated forward on its leading entry only, by
+    gcd-reduced integer cross-multiplication; a repeated row just reduces
+    to nothing.  This is fraction-free elimination in the style of Bareiss
+    (Math. Comp. 22, 1968), except that a row is made primitive after each
+    step instead of being divided by the previous pivot, and once more,
+    with a positive pivot entry, when it becomes a pivot row.  One
+    back-substitution, last pivot first, then clears every pivot column.
     Returned as (pivot column, d, {column: int}) triples sorted by pivot:
     each row is primitive, d > 0 is its pivot entry, and row / d is the
     row of the unique RREF basis.
@@ -379,30 +378,25 @@ def _rref_ints(rows: Iterable[dict]) -> list[tuple[int, int, dict]]:
     rows = [row for row in rows if row]
     zero = {j for row in rows if len(row) == 1 for j in row}
     pivot_rows: dict[int, dict] = {j: {j: 1} for j in zero}
-    seen = set()
     for row in rows:
         if len(row) == 1:
             continue
-        if zero:
-            row = {j: x for j, x in row.items() if j not in zero}
-            if not row:
-                continue
-        # a row left with one entry is primitive as e_j: no sort, lcm or gcd
-        key = ((*row, 1),) if len(row) == 1 else _primitive(row)
-        if key in seen:
+        work = {j: x for j, x in row.items() if j not in zero}
+        if not work:
             continue
-        seen.add(key)
-        work = dict(key)
-        p = key[0][0]
+        if Fraction in map(type, work.values()):
+            den = lcm(*[x.denominator for x in work.values()])
+            work = {j: x.numerator * (den // x.denominator) for j, x in work.items()}
+        p = min(work)
         while p in pivot_rows:
             _eliminate(work, p, pivot_rows[p])
             if not work:
                 break
             p = min(work)
         if work:
-            if work[p] < 0:
-                work = {j: -x for j, x in work.items()}
-            pivot_rows[p] = work
+            g = gcd(*work.values())
+            g = g if work[p] > 0 else -g
+            pivot_rows[p] = work if g == 1 else {j: x // g for j, x in work.items()}
     # pivot rows are zero left of their pivots, so clearing the pivot
     # columns of a row with the already reduced later rows adds no new ones
     reduced = []
@@ -421,21 +415,6 @@ def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
         (p, {j: Q(x) if d == 1 else Q(x, d) for j, x in row.items()})
         for p, d, row in _rref_ints(rows)
     ]
-
-
-def _primitive(row: dict) -> tuple:
-    # the row's ((column, int), ...) multiple, sorted by column, with
-    # coprime entries and a positive leading one
-    cols = sorted(row)
-    vals = [row[j] for j in cols]
-    den = lcm(*[x.denominator for x in vals])
-    ints = [x.numerator * (den // x.denominator) for x in vals]
-    g = gcd(*ints)
-    if ints[0] < 0:
-        g = -g
-    if g != 1:
-        ints = [x // g for x in ints]
-    return tuple(zip(cols, ints))
 
 
 def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
@@ -474,20 +453,30 @@ def rank(m: ExactMatrix) -> int:
 
 def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
     """Solution space of (rows) * x = 0, for sparse rows {column: value}."""
+    last = ncols - 1
+    return _nullspace_reversed(({last - j: x for j, x in row.items()} for row in rows), ncols)
+
+
+def _nullspace_reversed(rows: Iterable[dict], ncols: int) -> "Subspace":
+    """Solution space of a system whose rows hold unknown j at column ncols - 1 - j.
+
+    With the unknowns numbered in reverse, each RREF row of the system
+    pivots on its largest unknown p and is nonzero elsewhere only on free
+    unknowns below p.  So the solution of free unknown f, x_f = 1 and
+    x_p = -row_p[f] / d_p on the pivots, is zero on the other free unknowns
+    and below f: it already is the null space's RREF row with pivot f.
+    """
     reduced = _rref_ints(rows)
+    last = ncols - 1
     pivots = {p for p, _, _ in reduced}
-    # one solution per free column f: x_f = 1 and x_p = -row_p[f] / d_p on
-    # the pivots, held in integers scaled by the lcm of those d_p
-    free = {f: [] for f in range(ncols) if f not in pivots}
-    for p, d, row in reduced:
+    free = {f: [(f, _ONE)] for f in range(ncols) if last - f not in pivots}
+    # pivots by increasing unknown, so that each solution row comes out sorted
+    for p, d, row in reversed(reduced):
+        unknown = last - p
         for j, x in row.items():
             if j != p:
-                free[j].append((p, x, d))
-    solutions = []
-    for f, terms in free.items():
-        s = lcm(*(d for _, _, d in terms))
-        solutions.append({f: s} | {p: -x * (s // d) for p, x, d in terms})
-    return Subspace._from_rref(ncols, _rref_sparse(solutions))
+                free[last - j].append((unknown, Q(-x) if d == 1 else Q(-x, d)))
+    return Subspace._from_rows(ncols, tuple(free), list(free.values()))
 
 
 def nullspace(m: ExactMatrix) -> "Subspace":
@@ -623,10 +612,13 @@ def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
 
     D(e_i e_j) = D(e_i) e_j + e_i D(e_j) is imposed for i < j, and for
     i == j as well when `diagonal` is set; with D flattened row-major
-    (D[p][k] at p*n + k), coordinate p of one such equation reads
+    (D[p][k] is unknown p*n + k), coordinate p of one such equation reads
         sum_k c_ij^k D[p][k] - sum_q c_qj^p D[q][i] - sum_q c_iq^p D[q][j] = 0.
+    The rows are emitted with unknown u at column n*n - 1 - u, the
+    numbering _nullspace_reversed solves in.
     """
     n = alg.dim
+    last = n * n - 1
     _, nz = _int_products(alg)
     left = [[] for _ in range(n)]  # left[i]: (q, p, c_iq^p)
     right = [[] for _ in range(n)]  # right[j]: (q, p, c_qj^p)
@@ -640,15 +632,15 @@ def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
             by_p = {}
             if (i, j) in nz:
                 for p in range(n):
-                    by_p[p] = {p * n + k: v for k, v in nz[i, j]}
+                    by_p[p] = {last - p * n - k: v for k, v in nz[i, j]}
             for terms, unknown in ((right[j], i), (left[i], j)):
                 for q, p, v in terms:
                     row = by_p.setdefault(p, {})
-                    col = q * n + unknown
+                    col = last - q * n - unknown
                     if x := row.pop(col, 0) - v:
                         row[col] = x
             rows.extend(by_p.values())
-    return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+    return EndoSubspace(n, _nullspace_reversed(rows, n * n))
 
 
 class Subspace:

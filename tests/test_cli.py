@@ -99,6 +99,43 @@ def test_algebra_file_dimension_cap(tmp_path, capsys):
     assert "exceeds the supported maximum" in stderr
 
 
+@pytest.mark.parametrize("verb", [["levi"], ["check", "table1"]], ids=["levi", "check-table1"])
+def test_two_file_verbs_refuse_products_over_the_cap(verb, tmp_path, capsys, monkeypatch):
+    # g (x) A is refused before der(g) or the product is built; the stubs
+    # keep a missing cap from building h_9 (x) Q[t]/(t^31), of dim 589
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr("currentlie.cli._levi_candidates", built)
+    monkeypatch.setattr("currentlie.current.current_algebra", built)
+
+    def abelian(n):
+        return LieAlgebra.from_bracket_entries([f"x{i}" for i in range(n)], [])
+
+    paths = {}
+    for name, alg in (
+        ("h9", heisenberg(9)),
+        ("t31", truncated_polynomial(30)),
+        ("ab67", abelian(67)),
+        ("t3", truncated_polynomial(2)),
+        ("ab100", abelian(100)),
+        ("t2", truncated_polynomial(1)),
+    ):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_algebra(alg, paths[name])
+    for g, a, dims in (("h9", "t31", "19 * 31 = 589"), ("ab67", "t3", "67 * 3 = 201")):
+        code, stdout, stderr = run([*verb, paths[g], paths[a]], capsys)
+        assert code == 2 and not stdout
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert f"product dim {dims} exceeds the supported maximum {MAX_DIM}" in stderr
+    # dim 100 * 2 = MAX_DIM itself is admitted, and the verb goes on to build
+    with pytest.raises(Built):
+        main([*verb, paths["ab100"], paths["t2"]])
+
+
 def test_max_dim_files_load_and_check_in_little_memory(tmp_path):
     # only the listed products are stored: no dim^3 table on the way in,
     # and the axiom checks visit only what those products reach

@@ -1,0 +1,271 @@
+"""The one-elimination null space against dense Fraction oracles.
+
+`_nullspace_from_system` numbers the unknowns in reverse before it
+eliminates, so that its free-column solutions already are the canonical
+RREF basis of the null space.  Here that basis is compared with a dense
+Fraction null space computed inside the test, on random systems and on
+the Leibniz, centroid and hom systems of the algebra callers, and the
+RREF invariants are asserted directly.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from helpers import rand_frac
+
+from currentlie.assoc import derivations as assoc_derivations
+from currentlie.assoc import truncated_polynomial
+from currentlie.current import current_algebra
+from currentlie.lie import centroid, derivations, heisenberg, hom_quotient_to_center, sp
+from currentlie.linalg import ExactMatrix, Subspace, _nullspace_from_system, nullspace
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _echelon(rows: list, ncols: int) -> dict:
+    """{pivot: dense RREF row} of the span of dense Fraction rows.
+
+    Each row is reduced against the rows kept so far and kept, scaled to
+    a leading 1, if anything is left; then every kept row is cleared at
+    the later pivots.
+    """
+    kept = {}
+    for row in rows:
+        row = list(row)
+        for p, top in kept.items():
+            if row[p]:
+                f = row[p]
+                row = [x - f * y if y else x for x, y in zip(row, top)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            f = row[lead]
+            row = [x / f if x else x for x in row]
+            for p, top in kept.items():
+                if top[lead]:
+                    f = top[lead]
+                    kept[p] = [x - f * y if y else x for x, y in zip(top, row)]
+            kept[lead] = row
+    return dict(sorted(kept.items()))
+
+
+def dense_nullspace(rows: list, ncols: int) -> Subspace:
+    """{x : rows x = 0} for dense Fraction rows, as a canonical Subspace."""
+    reduced = _echelon(rows, ncols)
+    solutions = []
+    for f in range(ncols):
+        if f not in reduced:
+            v = [ZERO] * ncols
+            v[f] = ONE
+            for p, row in reduced.items():
+                v[p] = -row[f]
+            solutions.append(v)
+    basis = _echelon(solutions, ncols)
+    mat = ExactMatrix(list(basis.values())) if basis else ExactMatrix.zero(0, ncols)
+    return Subspace(ncols, mat, tuple(basis))
+
+
+def assert_canonical_rref(space: Subspace) -> None:
+    """Pivots increase, each row leads with 1 at its pivot, other rows are 0 there."""
+    assert list(space.pivots) == sorted(set(space.pivots))
+    assert len(space._nnz) == len(space.pivots)
+    for p, row in zip(space.pivots, space._nnz):
+        assert row[0] == (p, 1)
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+        assert all(type(x) is Fraction and x for _, x in row)
+    for i, row in enumerate(space._nnz):
+        entries = dict(row)
+        assert all(q not in entries for k, q in enumerate(space.pivots) if k != i)
+
+
+def _dense(rows: list, ncols: int) -> list:
+    return [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+
+
+# -- random systems ---------------------------------------------------------
+
+
+def _entry(rng: random.Random):
+    # a nonzero int, small Fraction, int above 2^64 or Fraction over 2^64
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice([1, -1, 2, -3, 6])
+    if kind == 1:
+        return rand_frac(rng, 9, 7) or Fraction(1, 7)
+    if kind == 2:
+        return rng.choice([1, -1]) * rng.randint(2**64 + 1, 2**80)
+    return Fraction(rng.randint(-(2**70), 2**70), rng.randint(2**64, 2**66))
+
+
+def _random_rows(rng: random.Random, ncols: int) -> list:
+    """1-4 entry rows, with repeated, scaled and empty rows mixed in."""
+    rows = []
+    for _ in range(rng.randint(0, ncols + 4)):
+        cols = rng.sample(range(ncols), min(rng.randint(1, 4), ncols))
+        rows.append({c: _entry(rng) for c in cols})
+    for row in rng.sample(rows, len(rows) // 3):
+        rows.append(dict(row))
+        scale = rng.choice([-1, 3, Fraction(-5, 7), 2**65])
+        rows.append({c: scale * x for c, x in row.items()})
+    rows += [{}] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return rows
+
+
+def _full_rank_rows(rng: random.Random, ncols: int) -> list:
+    """An upper unitriangular-by-diagonal system: rank ncols, so x = 0 only."""
+    rows = []
+    for c in range(ncols):
+        row = {c: _entry(rng)}
+        for j in rng.sample(range(c + 1, ncols), min(rng.randint(0, 3), ncols - c - 1)):
+            row[j] = _entry(rng)
+        rows.append(row)
+    rows += [dict(row) for row in rng.sample(rows, ncols // 2)]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_reversed_order_nullspace_matches_dense_oracle():
+    rng = random.Random(20261018)
+    kinds = {"random": 0, "zero": 0, "full": 0, "nonzero": 0}
+    for trial in range(200):
+        ncols = 1 + trial % 40 if trial < 80 else rng.randint(1, 40)
+        if trial % 25 == 3:
+            rows, kind = [{} for _ in range(rng.randint(0, 3))], "zero"
+        elif trial % 25 == 7:
+            rows, kind = _full_rank_rows(rng, ncols), "full"
+        else:
+            rows, kind = _random_rows(rng, ncols), "random"
+        kinds[kind] += 1
+        expected = dense_nullspace(_dense(rows, ncols), ncols)
+        got = _nullspace_from_system(rows, ncols)
+        assert got == expected, (trial, rows)
+        assert_canonical_rref(got)
+        if kind == "zero":
+            assert got == Subspace.full_space(ncols)
+        if kind == "full":
+            assert got.dim == 0
+        kinds["nonzero"] += 0 < got.dim < ncols
+        # every basis row solves the system exactly
+        for nz in got._nnz:
+            assert all(sum(x * row.get(j, 0) for j, x in nz) == 0 for row in rows)
+    assert kinds["zero"] == kinds["full"] == 8 and kinds["nonzero"] > 100
+
+
+def test_nullspace_of_matrices_matches_dense_oracle():
+    rng = random.Random(11)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        rows = [
+            [_entry(rng) if rng.random() < 0.35 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        rows.append(list(rows[0]))
+        ns = nullspace(ExactMatrix(rows))
+        assert ns == dense_nullspace([[Fraction(x) for x in r] for r in rows], ncols)
+        assert_canonical_rref(ns)
+
+
+# -- the callers ------------------------------------------------------------
+
+
+def h1_der_dim(k: int) -> int:
+    """dim der(h_1 (x) Q[t]/(t^(k+1))): 3(k+1) + 2(k+1)^2 + 2k + 1."""
+    return 3 * (k + 1) + 2 * (k + 1) ** 2 + 2 * k + 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20])
+def test_heisenberg_current_derivation_dimension(k):
+    der = derivations(current_algebra(heisenberg(1), truncated_polynomial(k)).product)
+    assert der.dim == h1_der_dim(k)
+    assert_canonical_rref(der.space)
+
+
+def test_truncated_polynomial_derivation_dimension():
+    # the diagonal Leibniz rows: D is fixed by D(t), any multiple of t
+    for k in range(13):
+        der = assoc_derivations(truncated_polynomial(k))
+        assert der.dim == k
+        assert_canonical_rref(der.space)
+
+
+def dense_leibniz_rows(alg, diagonal: bool) -> list:
+    """D(e_i e_j) = D(e_i) e_j + e_i D(e_j), unknown D[p][q] at p*n + q."""
+    n = alg.dim
+    c = alg.structure
+    rows = []
+    for i in range(n):
+        for j in range(i if diagonal else i + 1, n):
+            for k in range(n):
+                row = [ZERO] * (n * n)
+                for p in range(n):
+                    row[k * n + p] += c[i][j][p]
+                    row[p * n + i] -= c[p][j][k]
+                    row[p * n + j] -= c[i][p][k]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: current_algebra(heisenberg(1), truncated_polynomial(2)).product,
+        lambda: current_algebra(sp(1), truncated_polynomial(2)).product,
+    ],
+    ids=["h_1,2", "sp(1)(x)A_2"],
+)
+def test_derivations_match_dense_leibniz_nullspace(build):
+    g = build()
+    n = g.dim
+    assert derivations(g).space == dense_nullspace(dense_leibniz_rows(g, False), n * n)
+
+
+def test_assoc_derivations_match_dense_leibniz_nullspace():
+    for k in (1, 3):
+        a = truncated_polynomial(k)
+        n = a.dim
+        assert assoc_derivations(a).space == dense_nullspace(dense_leibniz_rows(a, True), n * n)
+
+
+def dense_centroid_rows(g) -> list:
+    """T ad_i = ad_i T for every i, with (ad_i)[k][q] = c_iq^k."""
+    n = g.dim
+    c = g.structure
+    rows = []
+    for i in range(n):
+        for p in range(n):
+            for q in range(n):
+                row = [ZERO] * (n * n)
+                for k in range(n):
+                    row[p * n + k] += c[i][q][k]
+                    row[k * n + q] -= c[i][k][p]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def dense_hom0_rows(g) -> list:
+    """T kills every [e_i, e_j], and [T e_j, e_l] = 0 for all j, l."""
+    n = g.dim
+    c = g.structure
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for p in range(n):  # coordinate p of T [e_i, e_j]
+                rows.append([c[i][j][k] if r == p else ZERO for r in range(n) for k in range(n)])
+    for j in range(n):
+        for l in range(n):
+            for k in range(n):  # coordinate k of [T e_j, e_l]
+                rows.append([c[p][l][k] if q == j else ZERO for p in range(n) for q in range(n)])
+    return [row for row in rows if any(row)]
+
+
+@pytest.mark.parametrize("g", [heisenberg(2), sp(1)], ids=["h_2", "sp(1)"])
+def test_centroid_and_hom_quotient_to_center_match_dense_solve(g):
+    n = g.dim
+    assert centroid(g).space == dense_nullspace(dense_centroid_rows(g), n * n)
+    assert hom_quotient_to_center(g).space == dense_nullspace(dense_hom0_rows(g), n * n)
