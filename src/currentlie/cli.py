@@ -40,11 +40,12 @@ from currentlie.lie import (
     solvable_radical,
 )
 from currentlie.lie import derivations as lie_derivations
-from currentlie.linalg import EndoSubspace, ExactMatrix, Subspace, rat_str
+from currentlie.linalg import EndoSubspace, ExactMatrix, rat_str
 from currentlie.serialize import (
     AxiomError,
     FormatError,
     MAX_DIM,
+    MAX_SAMPLES,
     algebra_to_dict,
     dumps_canonical,
     first_axiom_violation,
@@ -156,8 +157,7 @@ def _levi_candidates(g: LieAlgebra):
             return heisenberg_der_blocks(m)
     der_g = lie_derivations(g)
     if is_semisimple(lie_from_endo_span(der_g)):
-        zero = EndoSubspace(g.dim, Subspace.zero_space(g.dim * g.dim))
-        return der_g, zero
+        return der_g, EndoSubspace.from_matrices([], g.dim)
     return None
 
 
@@ -222,9 +222,9 @@ def _check_table1(args) -> int:
 
     if len(args.paths) != 2:
         raise FormatError("check table1 needs a lie file and an assoc file")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise FormatError(f"--samples must be between 1 and {MAX_SAMPLES}")
     g, a = _load_pair(*args.paths)
-    if args.samples < 1:
-        raise FormatError("--samples must be at least 1")
     ca = current_algebra(g, a)
     try:
         outcome = verify_bracket_table(ca, sample_count=args.samples, seed=args.seed)
@@ -387,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "axioms: structure constant axioms; radical: radical basis",
     )
     p.add_argument("paths", nargs="+", help="algebra file(s)")
-    p.add_argument("--samples", type=int, default=20, help="sample pairs per rule")
+    p.add_argument("--samples", type=int, default=20, help=f"pairs per rule, 1 to {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the report to this path")

@@ -16,6 +16,7 @@ decomposition of the full derivation algebra.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import NamedTuple, Optional, Sequence
 
@@ -45,8 +46,6 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-
-_ZERO = Q(0)
 
 
 class PreconditionError(ValueError):
@@ -157,11 +156,9 @@ def summand_h(ca: CurrentAlgebra) -> EndoSubspace:
     """Span of der(g) (x) L(A) inside End(g (x) A)."""
 
     def compute():
-        mats = []
-        for d in ca.der_g().basis_matrices():
-            for j in range(ca.a.dim):
-                mats.append(kron(d, ca.a.left_mult_matrix(_unit_vector(ca.a.dim, j))))
-        return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
+        basis_a = ExactMatrix.identity(ca.a.dim).rows
+        mats = _tensor_left_mult(ca, ca.der_g().basis_matrices(), basis_a)
+        return EndoSubspace.from_matrices(mats, ca.dim)
 
     return _memoized(ca, "summand_h", compute)
 
@@ -175,7 +172,7 @@ def summand_w(ca: CurrentAlgebra) -> EndoSubspace:
             for t in ca.centroid_g().basis_matrices()
             for rho in ca.der_a().basis_matrices()
         ]
-        return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
+        return EndoSubspace.from_matrices(mats, ca.dim)
 
     return _memoized(ca, "summand_w", compute)
 
@@ -184,29 +181,26 @@ def summand_k(ca: CurrentAlgebra) -> EndoSubspace:
     """Span of Hom(g/[g,g], z(g)) (x) End(A)."""
 
     def compute():
-        na = ca.a.dim
-        mats = []
-        for t in ca.hom0_g().basis_matrices():
-            for p in range(na):
-                for q in range(na):
-                    unit = ExactMatrix(
-                        [
-                            [Q(1) if (r, c) == (p, q) else _ZERO for c in range(na)]
-                            for r in range(na)
-                        ]
-                    )
-                    mats.append(kron(t, unit))
-        return EndoSubspace.from_matrices(mats, ca.dim) if mats else _zero_endo(ca.dim)
+        units = _matrix_units(ca.a.dim)
+        mats = [kron(t, unit) for t in ca.hom0_g().basis_matrices() for unit in units]
+        return EndoSubspace.from_matrices(mats, ca.dim)
 
     return _memoized(ca, "summand_k", compute)
 
 
-def _unit_vector(n, j):
-    return tuple(Q(1) if t == j else _ZERO for t in range(n))
+def _tensor_left_mult(ca: CurrentAlgebra, mats, elements) -> list:
+    # X (x) L_u for every X in mats and u in elements
+    left_mults = [ca.a.left_mult_matrix(u) for u in elements]
+    return [kron(x, lu) for x in mats for lu in left_mults]
 
 
-def _zero_endo(n):
-    return EndoSubspace(n, Subspace.zero_space(n * n))
+def _matrix_units(n):
+    # E_pq, the single entry 1 at (p, q), in row-major order of (p, q)
+    return [
+        ExactMatrix._from_ints(n, n, 1, [[(q, 1)] if r == p else [] for r in range(n)])
+        for p in range(n)
+        for q in range(n)
+    ]
 
 
 class DecompositionReport(NamedTuple):
@@ -276,215 +270,126 @@ def verify_bracket_table(
 ) -> TableReport:
     """Verify the six pairwise bracket rules between the three families.
 
-    Uses every basis pair when dim(g (x) A) <= 8, otherwise sample_count
-    seeded random pairs per rule.  Any failure raises TableIdentityError
-    with the counterexample attached; component memberships (for example
-    T . D being a derivation again) are part of the rules.
+    A family lists factor pairs: (D, a) for h, embedded as D (x) L_a,
+    and (T, rho) or (T, f) for w and k, embedded as T (x) Y.  When
+    dim(g (x) A) <= 8 the lists hold every basis pair, and a rule checks
+    every left x right pair.  Otherwise each holds sample_count seeded
+    draws: a rule on two families pairs the i-th draw of one with the
+    i-th draw of the other, a rule on one family the first draw with
+    each draw.  The rules draw in the order h*h, h*w, h*k, w*w, w*k, k*k,
+    left family first.  Any failure raises TableIdentityError with the
+    counterexample attached; component memberships (for example T . D
+    being a derivation again) are part of the rules.
     """
-    a = ca.a
-    der_g = ca.der_g().basis_matrices()
-    cent_g = ca.centroid_g().basis_matrices()
-    hom0_g = ca.hom0_g().basis_matrices()
-    der_a = ca.der_a().basis_matrices()
-    na = a.dim
-
+    a, na = ca.a, ca.a.dim
+    der_g, cent_g, hom0_g, der_a = ca.der_g(), ca.centroid_g(), ca.hom0_g(), ca.der_a()
+    lmat = a.left_mult_matrix
     exhaustive = ca.dim <= 8
-    rng = None if exhaustive else random.Random(seed)
+    rng = random.Random(seed)
+
+    def coeffs(n):
+        return [Q(rng.randint(-3, 3)) for _ in range(n)]
 
     def sample_mats(mats):
-        if not mats:
-            return None
-        coeffs = [Q(rng.randint(-3, 3)) for _ in mats]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(mats))] = Q(1)
-        return linear_combination(zip(coeffs, mats), *mats[0].shape)
+        cs = coeffs(len(mats))
+        if not any(cs):
+            cs[rng.randrange(len(mats))] = Q(1)
+        return linear_combination(zip(cs, mats), *mats[0].shape)
 
-    def sample_vec(n):
-        return tuple(Q(rng.randint(-3, 3)) for _ in range(n))
+    # per family: its first factors (none when the family is empty), all
+    # second factors of the basis pairs, and a draw of one second factor
+    families = {
+        "h": (der_g.basis_matrices(), lambda: ExactMatrix.identity(na).rows,
+              lambda: tuple(coeffs(na))),
+        "w": (cent_g.basis_matrices() if der_a.dim else (), der_a.basis_matrices,
+              lambda: sample_mats(der_a.basis_matrices())),
+        "k": (hom0_g.basis_matrices(), lambda: _matrix_units(na),
+              lambda: ExactMatrix([coeffs(na) for _ in range(na)])),
+    }
 
-    def sample_endo(n):
-        return ExactMatrix([[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-
-    def h_pairs():
+    def draw(family):
+        firsts, all_seconds, draw_second = families[family]
         if exhaustive:
-            return [
-                (d, _unit_vector(na, j)) for d in der_g for j in range(na)
-            ]
-        return [(sample_mats(der_g), sample_vec(na)) for _ in range(sample_count)]
+            return list(itertools.product(firsts, all_seconds()))
+        return [(sample_mats(firsts), draw_second()) for _ in range(sample_count if firsts else 0)]
 
-    def w_pairs():
-        if not der_a or not cent_g:
-            return []
-        if exhaustive:
-            return [(t, rho) for t in cent_g for rho in der_a]
-        return [(sample_mats(cent_g), sample_mats(der_a)) for _ in range(sample_count)]
+    def embed(family, x, y):
+        return kron(x, lmat(y) if family == "h" else y)
 
-    def k_pairs():
-        if not hom0_g:
-            return []
-        if exhaustive:
-            units = [
-                ExactMatrix(
-                    [[Q(1) if (r, c) == (p, q) else _ZERO for c in range(na)] for r in range(na)]
-                )
-                for p in range(na)
-                for q in range(na)
-            ]
-            return [(t, f) for t in hom0_g for f in units]
-        return [(sample_mats(hom0_g), sample_endo(na)) for _ in range(sample_count)]
+    # each rule: the expected bracket, from the factors, and the memberships
+    def hh(d1, a1, d2, a2):
+        dd = commutator(d1, d2)
+        return kron(dd, lmat(a.multiply(a1, a2))), [(der_g, dd, "[D1,D2] left der(g)")]
 
-    def lmat(x):
-        return a.left_mult_matrix(x)
+    def hw(d, av, t, rho):
+        dt, a_rho, td = commutator(d, t), lmat(av) * rho, t * d
+        return kron(dt, a_rho) - kron(td, lmat(rho.apply(av))), [
+            (cent_g, dt, "[D,T] left the centroid"),
+            (der_a, a_rho, "a * rho is not a derivation of A"),
+            (der_g, td, "T D is not a derivation of g"),
+        ]
 
-    checked = {}
-    centroid_commutative = all(
-        commutator(s, t).is_zero() for s in cent_g for t in cent_g
-    )
+    def hk(d, av, t, f):
+        la, dt, td = lmat(av), d * t, t * d
+        return kron(dt, la * f) - kron(td, f * la), [
+            (hom0_g, dt, "D T left the k family"), (hom0_g, td, "T D left the k family")
+        ]
+
+    def ww(t1, rho1, t2, rho2):
+        tt, rr = t2 * t1, commutator(rho1, rho2)
+        return kron(commutator(t1, t2), rho1 * rho2) + kron(tt, rr), [
+            (cent_g, tt, "T2 T1 left the centroid"), (der_a, rr, "[rho1,rho2] left der(A)")
+        ]
+
+    def wk(t, rho, t1, f1):
+        return kron(t * t1, rho * f1) - kron(t1 * t, f1 * rho), [
+            (hom0_g, t * t1, "T T1 left the k family"), (hom0_g, t1 * t, "T1 T left the k family")
+        ]
+
+    def kk(t1, f1, t2, f2):
+        return kron(t1 * t2, f1 * f2) - kron(t2 * t1, f2 * f1), []
+
+    # (name, rule, what the commutator must match), in the order of the draws
+    rules = (("h*h", hh, "[D1,D2] (x) L_(a1 a2)"), ("h*w", hw, "the twisted rule"),
+             ("h*k", hk, "the direct rule"), ("w*w", ww, "the centroid rule"),
+             ("w*k", wk, "the composition rule"), ("k*k", kk, "the composition rule"))
+    cent = cent_g.basis_matrices()
+    centroid_commutative = all(commutator(s, t).is_zero() for s in cent for t in cent)
     z_in_derived = center(ca.g).is_subspace_of(derived_subalgebra(ca.g))
-    dot_ok = True
-    plain_ok = True
-
-    def fail(rule, msg, lhs=None, rhs=None):
-        raise TableIdentityError(rule, msg, lhs, rhs)
-
-    def limit(pairs):
-        if exhaustive or len(pairs) <= sample_count:
-            return pairs
-        return pairs[:sample_count]
-
-    # rule 1: [D1 (x) L_a1, D2 (x) L_a2] = [D1,D2] (x) L_(a1 a2)
-    count = 0
-    hp = h_pairs()
-    for d1, a1 in limit(hp):
-        for d2, a2 in limit(hp):
-            lhs = commutator(kron(d1, lmat(a1)), kron(d2, lmat(a2)))
-            rhs = kron(commutator(d1, d2), lmat(a.multiply(a1, a2)))
+    dot_ok = plain_ok = True
+    checked = {}
+    for name, rule, what in rules:
+        left, right = name.split("*")
+        lefts = draw(left)
+        rights = lefts if left == right else draw(right)
+        if exhaustive or left == right:
+            pairs = list(itertools.product(lefts if exhaustive else lefts[:1], rights))
+        else:
+            pairs = list(zip(lefts, rights))
+        for (x1, y1), (x2, y2) in pairs:
+            lhs = commutator(embed(left, x1, y1), embed(right, x2, y2))
+            rhs, memberships = rule(x1, y1, x2, y2)
             if lhs != rhs:
-                fail("h*h", "commutator does not match [D1,D2] (x) L_(a1 a2)", lhs, rhs)
-            if not ca.der_g().contains(commutator(d1, d2)):
-                fail("h*h", "[D1,D2] left der(g)")
-            count += 1
-            if not exhaustive and count >= sample_count:
-                break
-        if not exhaustive and count >= sample_count:
-            break
-    checked["h*h"] = count
+                raise TableIdentityError(name, f"commutator does not match {what}", lhs, rhs)
+            for space, m, message in memberships:
+                if not space.contains(m):
+                    raise TableIdentityError(name, message)
+            if name == "h*k":
+                # two displayed readings of the rule, sharing [D,T] (x) L_a f
+                la = lmat(y1)
+                both, td = kron(commutator(x1, x2), la * y2), x2 * x1
+                dot_ok &= both - kron(td, y2 * la - la * y2) == lhs
+                plain_ok &= both - kron(td, y2 * la) == lhs
+            elif name == "w*w" and centroid_commutative and not summand_w(ca).contains(lhs):
+                raise TableIdentityError(
+                    name, "bracket left the w family despite commutative centroid"
+                )
+            elif name == "k*k" and z_in_derived and not lhs.is_zero():
+                raise TableIdentityError(name, "bracket nonzero although z(g) lies in [g,g]", lhs)
+        checked[name] = len(pairs)
 
-    # rule 2: [D (x) L_a, T (x) rho] = [D,T] (x) (L_a rho) - (T D) (x) L_(rho a)
-    count = 0
-    for (d, av), (t, rho) in _cross(limit(h_pairs()), limit(w_pairs()), exhaustive, sample_count):
-        lhs = commutator(kron(d, lmat(av)), kron(t, rho))
-        rho_a = rho.apply(av)
-        rhs = kron(commutator(d, t), lmat(av) * rho) - kron(t * d, lmat(rho_a))
-        if lhs != rhs:
-            fail("h*w", "commutator does not match the twisted rule", lhs, rhs)
-        if not ca.centroid_g().contains(commutator(d, t)):
-            fail("h*w", "[D,T] left the centroid")
-        if not ca.der_a().contains(lmat(av) * rho):
-            fail("h*w", "a * rho is not a derivation of A")
-        if not ca.der_g().contains(t * d):
-            fail("h*w", "T D is not a derivation of g")
-        count += 1
-    checked["h*w"] = count
-
-    # rule 3: [D (x) L_a, T (x) f] = (D T) (x) (L_a f) - (T D) (x) (f L_a)
-    count = 0
-    for (d, av), (t, f) in _cross(limit(h_pairs()), limit(k_pairs()), exhaustive, sample_count):
-        la = lmat(av)
-        lhs = commutator(kron(d, la), kron(t, f))
-        rhs = kron(d * t, la * f) - kron(t * d, f * la)
-        if lhs != rhs:
-            fail("h*k", "commutator does not match the direct rule", lhs, rhs)
-        if not ca.hom0_g().contains(d * t):
-            fail("h*k", "D T left the k family")
-        if not ca.hom0_g().contains(t * d):
-            fail("h*k", "T D left the k family")
-        # two displayed readings of the same rule
-        dot = kron(commutator(d, t), la * f) - kron(t * d, f * la - la * f)
-        if dot != lhs:
-            dot_ok = False
-        plain = kron(commutator(d, t), la * f) - kron(t * d, f * la)
-        if plain != lhs:
-            plain_ok = False
-        count += 1
-    checked["h*k"] = count
-
-    # rule 4: [T1 (x) rho1, T2 (x) rho2] =
-    #         [T1,T2] (x) (rho1 rho2) + (T2 T1) (x) [rho1,rho2]
-    count = 0
-    wp = w_pairs()
-    for t1, rho1 in limit(wp):
-        for t2, rho2 in limit(wp):
-            lhs = commutator(kron(t1, rho1), kron(t2, rho2))
-            rhs = kron(commutator(t1, t2), rho1 * rho2) + kron(
-                t2 * t1, commutator(rho1, rho2)
-            )
-            if lhs != rhs:
-                fail("w*w", "commutator does not match the centroid rule", lhs, rhs)
-            if not ca.centroid_g().contains(t2 * t1):
-                fail("w*w", "T2 T1 left the centroid")
-            if not ca.der_a().contains(commutator(rho1, rho2)):
-                fail("w*w", "[rho1,rho2] left der(A)")
-            if centroid_commutative and not summand_w(ca).contains(lhs):
-                fail("w*w", "bracket left the w family despite commutative centroid")
-            count += 1
-            if not exhaustive and count >= sample_count:
-                break
-        if not exhaustive and count >= sample_count:
-            break
-    checked["w*w"] = count
-
-    # rule 5a: [T (x) rho, T1 (x) f1] = (T T1) (x) (rho f1) - (T1 T) (x) (f1 rho)
-    count = 0
-    for (t, rho), (t1, f1) in _cross(limit(w_pairs()), limit(k_pairs()), exhaustive, sample_count):
-        lhs = commutator(kron(t, rho), kron(t1, f1))
-        rhs = kron(t * t1, rho * f1) - kron(t1 * t, f1 * rho)
-        if lhs != rhs:
-            fail("w*k", "commutator does not match the composition rule", lhs, rhs)
-        if not ca.hom0_g().contains(t * t1):
-            fail("w*k", "T T1 left the k family")
-        if not ca.hom0_g().contains(t1 * t):
-            fail("w*k", "T1 T left the k family")
-        count += 1
-    checked["w*k"] = count
-
-    # rule 5b: [T1 (x) f1, T2 (x) f2] = (T1 T2) (x) (f1 f2) - (T2 T1) (x) (f2 f1),
-    # which vanishes whenever z(g) is contained in [g,g]
-    count = 0
-    kp = k_pairs()
-    for t1, f1 in limit(kp):
-        for t2, f2 in limit(kp):
-            lhs = commutator(kron(t1, f1), kron(t2, f2))
-            rhs = kron(t1 * t2, f1 * f2) - kron(t2 * t1, f2 * f1)
-            if lhs != rhs:
-                fail("k*k", "commutator does not match the composition rule", lhs, rhs)
-            if z_in_derived and not lhs.is_zero():
-                fail("k*k", "bracket nonzero although z(g) lies in [g,g]", lhs)
-            count += 1
-            if not exhaustive and count >= sample_count:
-                break
-        if not exhaustive and count >= sample_count:
-            break
-    checked["k*k"] = count
-
-    return TableReport(
-        mode="exhaustive" if exhaustive else "sampled",
-        seed=None if exhaustive else seed,
-        checked=checked,
-        dot_action_reading_matches=dot_ok,
-        plain_reading_matches=plain_ok,
-    )
-
-
-def _cross(left, right, exhaustive, sample_count):
-    if not left or not right:
-        return []
-    if exhaustive:
-        return [(l, r) for l in left for r in right]
-    pairs = []
-    for i in range(sample_count):
-        pairs.append((left[i % len(left)], right[i % len(right)]))
-    return pairs
+    mode = "exhaustive" if exhaustive else "sampled"
+    return TableReport(mode, None if exhaustive else seed, checked, dot_ok, plain_ok)
 
 
 def _endo_from_coords(space: EndoSubspace, coords: Subspace) -> Subspace:
@@ -561,17 +466,9 @@ def radical_subspace(
     if not center(g).is_subspace_of(derived_subalgebra(g)):
         raise PreconditionError("z(g) is not contained in [g,g]")
 
-    mats = []
-    for sm in s.basis_matrices():
-        for j in big_j.basis.rows:
-            mats.append(kron(sm, a.left_mult_matrix(j)))
-    for rm in r.basis_matrices():
-        for j in range(a.dim):
-            mats.append(kron(rm, a.left_mult_matrix(_unit_vector(a.dim, j))))
-    mats.extend(summand_w(ca).basis_matrices())
-    mats.extend(summand_k(ca).basis_matrices())
-    if not mats:
-        return _zero_endo(ca.dim)
+    mats = _tensor_left_mult(ca, s.basis_matrices(), big_j.basis.rows)
+    mats += _tensor_left_mult(ca, r.basis_matrices(), ExactMatrix.identity(a.dim).rows)
+    mats += summand_w(ca).basis_matrices() + summand_k(ca).basis_matrices()
     return EndoSubspace.from_matrices(mats, ca.dim)
 
 
@@ -631,13 +528,7 @@ def levi_candidate_subspace(
     ca: CurrentAlgebra, s: EndoSubspace, big_s: Subspace
 ) -> EndoSubspace:
     """s (x) S: the Levi factor predicted for der(g (x) A)."""
-    mats = [
-        kron(sm, ca.a.left_mult_matrix(u))
-        for sm in s.basis_matrices()
-        for u in big_s.basis.rows
-    ]
-    if not mats:
-        return _zero_endo(ca.dim)
+    mats = _tensor_left_mult(ca, s.basis_matrices(), big_s.basis.rows)
     return EndoSubspace.from_matrices(mats, ca.dim)
 
 

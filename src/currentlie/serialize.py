@@ -31,6 +31,11 @@ from currentlie.linalg import _products, rat, rat_str
 # to ask for a larger one.
 MAX_DIM = 200
 
+# The most pairs per rule `check table1 --samples` may ask for.  The draws
+# of each family are built as full lists before the first check, and the
+# time grows with the count: 200 is ten times the default of 20.
+MAX_SAMPLES = 200
+
 
 class FormatError(ValueError):
     """The file is not a well-formed algebra file."""

@@ -385,3 +385,34 @@ def reference_match(tpl, mat: ExactMatrix):
         for c in range(2 * bd):
             params[("strip", r, c)] = mat[2 * bd + r, c]
     return TemplateMatch(params=params)
+
+
+def nonassociative_current(g):
+    """g (x) A for the commutative, non-associative A with basis 1, x, y,
+    x x = y, x y = x and y y = 0, built from the dense tables of g and A.
+
+    current_algebra refuses this A, so this is the way to reach the
+    failure path of the bracket-table certificate.
+    """
+    from currentlie.assoc import AssocAlgebra
+    from currentlie.current import CurrentAlgebra
+    from currentlie.lie import LieAlgebra
+
+    a = AssocAlgebra(
+        ["1", "x", "y"],
+        [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [0, 0, 0]],
+        ],
+        [1, 0, 0],
+    )
+    gs, s = g.structure, a.structure
+    # [x_i1 (x) a_j1, x_i2 (x) a_j2] = [x_i1, x_i2] (x) a_j1 a_j2, x_i (x) a_j at i*3 + j
+    table = [
+        [[c * d for c in gs[i1][i2] for d in s[j1][j2]] for i2 in range(g.dim) for j2 in range(3)]
+        for i1 in range(g.dim)
+        for j1 in range(3)
+    ]
+    labels = [f"{x}*{y}" for x in g.labels for y in a.labels]
+    return CurrentAlgebra(g, a, LieAlgebra(labels, table))

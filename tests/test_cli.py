@@ -19,12 +19,14 @@ from currentlie.serialize import (
     AxiomError,
     FormatError,
     MAX_DIM,
+    MAX_SAMPLES,
     algebra_from_dict,
     algebra_to_dict,
     dumps_canonical,
     load_algebra,
     save_algebra,
 )
+from helpers import nonassociative_current
 
 
 def run(argv, capsys):
@@ -314,6 +316,45 @@ def test_check_table1_sampled_and_deterministic(files, capsys):
     assert doc["total_pairs"] == 120  # six rules, twenty samples each
 
 
+def test_check_table1_samples_bound(files, capsys, monkeypatch):
+    # --samples past the bound is refused before the files are even read;
+    # the bound itself reaches the table, which the stub stands in for
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached(kwargs.get("sample_count"))
+
+    argv = ["check", "table1", files["h1"], files["a1"], "--samples"]
+    with monkeypatch.context() as patch:
+        patch.setattr("currentlie.cli._load_pair", reached)
+        for samples in (0, MAX_SAMPLES + 1):
+            code, stdout, stderr = run([*argv, str(samples)], capsys)
+            assert code == 2 and not stdout
+            assert stderr.startswith("error: --samples") and stderr.count("\n") == 1
+    monkeypatch.setattr("currentlie.current.verify_bracket_table", reached)
+    with pytest.raises(Reached) as exc:
+        main([*argv, str(MAX_SAMPLES)])
+    assert exc.value.args == (MAX_SAMPLES,)
+
+
+def test_check_table1_failed_rule_exits_1(files, capsys, monkeypatch):
+    # a file over a non-associative A fails its axiom checks on loading, so
+    # the stub builds h_1 (x) A over one in place of the loaded h_1 (x) Q[t]/(t^3)
+    monkeypatch.setattr(
+        "currentlie.current.current_algebra", lambda g, a: nonassociative_current(g)
+    )
+    code, stdout, _ = run(["check", "table1", files["h1"], files["a2"], "--json"], capsys)
+    doc = json.loads(stdout)
+    assert code == 1 and doc["status"] == "fail" and doc["exit_code"] == 1
+    assert doc["flags"] == {"table_identities": False}
+    counterexample = doc["counterexample"]
+    assert counterexample["rule"] == "h*h"
+    assert counterexample["message"].startswith("bracket rule h*h: commutator does not match")
+    lhs, rhs = counterexample["lhs"], counterexample["rhs"]
+    assert len(lhs) == len(rhs) == 9 and lhs != rhs
+
+
 def test_check_table1_wrong_paths(files, capsys):
     code, _, stderr = run(["check", "table1", files["h1"]], capsys)
     assert code == 2 and "table1" in stderr
@@ -447,6 +488,8 @@ DATA = Path(__file__).parent / "data"
         (["levi", "h2.json", "a1.json", "--json"], "levi_h2_a1.json"),
         (["check", "table1", "h2.json", "a4.json", "--json", "--seed", "1"],
          "table1_h2_a4_seed1.json"),
+        # dim 6: every basis pair, not samples
+        (["check", "table1", "h1.json", "a1.json", "--json"], "table1_h1_a1.json"),
         (["derive", "a4.json", "--json", "--basis"], "derive_a4_basis.json"),
         # an algebra document: lists that mix ints and strings
         (["heisenberg", "--m", "1", "--k", "1"], "heisenberg_m1_k1.json"),

@@ -7,6 +7,7 @@ import pytest
 
 from currentlie.assoc import (
     AssocAlgebra,
+    direct_sum,
     jacobson_radical,
     truncated_polynomial,
     wedderburn_complement,
@@ -14,6 +15,7 @@ from currentlie.assoc import (
 from currentlie.current import (
     CurrentAlgebra,
     PreconditionError,
+    TableIdentityError,
     _endo_from_coords,
     certify_decomposition,
     current_algebra,
@@ -37,7 +39,7 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from helpers import rand_matrix, rand_vector
+from helpers import nonassociative_current, rand_matrix, rand_vector
 
 
 @pytest.fixture(scope="module")
@@ -176,11 +178,83 @@ def test_bracket_table_sampled_and_deterministic():
     assert r1.dot_action_reading_matches
 
 
+def test_bracket_table_sampled_without_w_family():
+    # A = Q^3 is semisimple, so der(A) = 0 and the w family is empty: its
+    # rules check no pair and draw nothing, and the other rules still run
+    q = truncated_polynomial(0)
+    ca = current_algebra(heisenberg(1), direct_sum(direct_sum(q, q), q))
+    report = verify_bracket_table(ca, sample_count=5)
+    assert report.mode == "sampled"
+    assert report.checked == {"h*h": 5, "h*w": 0, "h*k": 5, "w*w": 0, "w*k": 0, "k*k": 5}
+
+
 def test_bracket_table_on_semisimple_g(sp1a1):
     report = verify_bracket_table(sp1a1)
     assert report.mode == "exhaustive"
     assert report.checked["h*k"] == 0  # no k family at all
     assert report.checked["h*h"] == 36
+
+
+def test_bracket_table_failure_carries_the_counterexample():
+    # over a commutative, non-associative A, L_(a1 a2) differs from
+    # L_a1 L_a2, so the h*h rule fails, exhaustively and sampled
+    message = "bracket rule h*h: commutator does not match [D1,D2] (x) L_(a1 a2)"
+    r2 = LieAlgebra.from_bracket_entries(["a", "b"], [(0, 1, 1, 1)])  # [a, b] = b
+    ca = nonassociative_current(r2)
+    assert ca.dim == 6 and not ca.a.check_axioms()
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert (failed.value.rule, str(failed.value)) == ("h*h", message)
+    # der(r2) has the basis D0 = E_10, D1 = E_11 with [D0, D1] = -D0; the
+    # pair (D0, x), (D1, x) gives -D0 (x) L_x L_x against -D0 (x) L_(x x),
+    # and L_x L_x maps y to y where L_y kills it
+    assert failed.value.lhs._nonzero_entries() == {(4, 1): -1, (5, 0): -1, (5, 2): -1}
+    assert failed.value.rhs._nonzero_entries() == {(4, 1): -1, (5, 0): -1}
+
+    ca = nonassociative_current(heisenberg(1))
+    assert ca.dim == 9
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert (failed.value.rule, str(failed.value)) == ("h*h", message)
+    lhs, rhs = failed.value.lhs, failed.value.rhs
+    # the rhs is [D1,D2] (x) L_(a1 a2), inside der(g) (x) L(A)
+    assert lhs.shape == rhs.shape == (9, 9) and lhs != rhs
+    assert summand_h(ca).contains(rhs)
+    # the seed fixes every draw and every pair, so the counterexample too
+    lhs, rhs = lhs._nonzero_entries(), rhs._nonzero_entries()
+    assert (len(lhs), lhs[1, 2], lhs[8, 7]) == (29, 144, -96)
+    assert (len(rhs), rhs[1, 4], rhs[8, 4]) == (20, -144, -90)
+
+
+def test_bracket_table_checks_the_component_spaces():
+    # wrong component spaces, put in the memo in place of the computed ones.
+    # The identity of A is no derivation, so the h*w rule breaks: on h_1 (x) A_1
+    # the first pair, (D0, 1) and (id, id) with D0 = E_00 + E_22, gives
+    # lhs 0 against rhs -(T D0) (x) L_(rho 1) = -D0 (x) id
+    ca = current_algebra(heisenberg(1), truncated_polynomial(1))
+    ca._memo["der_a"] = EndoSubspace.from_matrices([ExactMatrix.identity(2)], 2)
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert str(failed.value) == "bracket rule h*w: commutator does not match the twisted rule"
+    assert failed.value.lhs.is_zero()
+    assert failed.value.rhs._nonzero_entries() == {(i, i): -1 for i in (0, 1, 4, 5)}
+    # sampled: the rules draw in order, each its left family first, so the
+    # seed fixes the counterexample
+    ca = current_algebra(heisenberg(1), truncated_polynomial(2))
+    ca._memo["der_a"] = EndoSubspace.from_matrices([ExactMatrix.identity(3)], 3)
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert failed.value.rule == "h*w" and failed.value.lhs.is_zero()
+    rhs = failed.value.rhs._nonzero_entries()
+    assert (len(rhs), rhs[0, 0], rhs[0, 3], rhs[1, 0]) == (42, 27, -18, -9)
+    # a der(g) that is not closed under the commutator: [E_01, E_10] left it
+    e01 = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    ca = current_algebra(heisenberg(1), truncated_polynomial(1))
+    ca._memo["der_g"] = EndoSubspace.from_matrices([e01, e01.transpose()], 3)
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert str(failed.value) == "bracket rule h*h: [D1,D2] left der(g)"
+    assert failed.value.lhs is None and failed.value.rhs is None
 
 
 def test_radical_subspace_happy_path(h1a1):
