@@ -29,13 +29,13 @@ from currentlie.assoc import derivations as assoc_derivations
 from currentlie.heisenberg import heisenberg_der_blocks, truncated_heisenberg
 from currentlie.lie import (
     LieAlgebra,
+    _derivation_algebra,
     center,
     derived_series,
     heisenberg,
     is_nilpotent,
     is_semisimple,
     is_solvable,
-    lie_from_endo_span,
     lower_central_series,
     solvable_radical,
 )
@@ -155,9 +155,9 @@ def _levi_candidates(g: LieAlgebra):
         m = g.dim // 2
         if g.products == heisenberg(m).products:
             return heisenberg_der_blocks(m)
-    der_g = lie_derivations(g)
-    if is_semisimple(lie_from_endo_span(der_g)):
-        return der_g, EndoSubspace.from_matrices([], g.dim)
+    # the structure of der(g) built here is the one radical_subspace reads
+    if is_semisimple(_derivation_algebra(g)):
+        return lie_derivations(g), EndoSubspace.from_matrices([], g.dim)
     return None
 
 

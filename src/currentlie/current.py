@@ -23,23 +23,25 @@ from typing import NamedTuple, Optional, Sequence
 from currentlie.assoc import AssocAlgebra, jacobson_radical
 from currentlie.lie import (
     LieAlgebra,
+    _derivation_algebra,
     _memoized,
     center,
     centroid,
     derivations,
     derived_subalgebra,
     hom_quotient_to_center,
+    is_ideal,
     is_semisimple,
     is_solvable,
     lie_from_endo_span,
     solvable_radical,
+    subalgebra,
 )
 from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
     Q,
     Subspace,
-    _rref_sparse,
     commutator,
     kron,
     linear_combination,
@@ -82,16 +84,17 @@ class CurrentAlgebra:
     def unindex(self, flat: int) -> tuple[int, int]:
         return divmod(flat, self.a.dim)
 
-    # cached views of the component algebras
+    # views of the component algebras; the lie functions memoize on the
+    # algebra, assoc.derivations does not, so der_a is memoized here
 
     def der_g(self) -> EndoSubspace:
-        return _memoized(self, "der_g", lambda: derivations(self.g))
+        return derivations(self.g)
 
     def centroid_g(self) -> EndoSubspace:
-        return _memoized(self, "centroid_g", lambda: centroid(self.g))
+        return centroid(self.g)
 
     def hom0_g(self) -> EndoSubspace:
-        return _memoized(self, "hom0_g", lambda: hom_quotient_to_center(self.g))
+        return hom_quotient_to_center(self.g)
 
     def der_a(self) -> EndoSubspace:
         from currentlie.assoc import derivations as assoc_derivations
@@ -99,7 +102,7 @@ class CurrentAlgebra:
         return _memoized(self, "der_a", lambda: assoc_derivations(self.a))
 
     def derivations(self) -> EndoSubspace:
-        return _memoized(self, "der_full", lambda: derivations(self.product))
+        return derivations(self.product)
 
     def __repr__(self):
         return f"CurrentAlgebra(g={self.g.labels}, a={self.a.labels}, dim={self.dim})"
@@ -220,25 +223,28 @@ class DecompositionReport(NamedTuple):
         return all(self.flags.values())
 
 
+def _der_coordinates(der: EndoSubspace, part: EndoSubspace) -> Optional[Subspace]:
+    # part as the span of its basis's coordinates over der.basis_matrices(),
+    # which is a subspace of _derivation_algebra's; None if part leaves der
+    coords = [der.coordinates(m) for m in part.basis_matrices()]
+    if any(c is None for c in coords):
+        return None
+    return Subspace.from_vectors(coords, der.dim)
+
+
 def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:
     """Check that the three families span the full derivation algebra.
 
     The sum is generally not direct; only the span equality and the
-    ideal property of the k family are asserted here.
+    ideal property of the k family are asserted here, the latter in
+    the structure constants of der(g (x) A).
     """
     der = ca.derivations()
     h, w, k = summand_h(ca), summand_w(ca), summand_k(ca)
     total = subspace_sum(subspace_sum(h.space, w.space), k.space)
     span_ok = total == der.space
-
-    k_ideal = True
-    for d in der.basis_matrices():
-        for v in k.basis_matrices():
-            if not k.contains(commutator(d, v)):
-                k_ideal = False
-                break
-        if not k_ideal:
-            break
+    k_coords = _der_coordinates(der, k)
+    k_ideal = k_coords is not None and is_ideal(_derivation_algebra(ca.product), k_coords)
 
     return DecompositionReport(
         der_dim=der.dim,
@@ -392,16 +398,6 @@ def verify_bracket_table(
     return TableReport(mode, None if exhaustive else seed, checked, dot_ok, plain_ok)
 
 
-def _endo_from_coords(space: EndoSubspace, coords: Subspace) -> Subspace:
-    # the span of the matrices whose coordinates over space are the basis of coords
-    mats = space.basis_matrices()
-    rows = [
-        linear_combination(((c, mats[i]) for i, c in vec), space.n, space.n)._flat_nonzeros()
-        for vec in coords._nnz
-    ]
-    return Subspace._from_rref(space.n * space.n, _rref_sparse(rows))
-
-
 def radical_subspace(
     ca: CurrentAlgebra,
     s: EndoSubspace,
@@ -429,14 +425,13 @@ def radical_subspace(
     ):
         raise PreconditionError("s (+) r does not decompose der(g)")
 
-    lie_der = lie_from_endo_span(der_g)
-    rad_coords = solvable_radical(lie_der)
-    expected_r = _endo_from_coords(der_g, rad_coords)
-    if expected_r != r.space:
+    # s and r lie in der(g) now, so both have coordinates over it
+    lie_der_g = _derivation_algebra(g)
+    if _der_coordinates(der_g, r) != solvable_radical(lie_der_g):
         raise PreconditionError("r is not the solvable radical of der(g)")
 
     try:
-        s_lie = lie_from_endo_span(s)
+        s_lie = subalgebra(lie_der_g, _der_coordinates(der_g, s))
     except ValueError:
         raise PreconditionError("s is not a subalgebra of der(g)")
     if not is_semisimple(s_lie):
@@ -479,44 +474,36 @@ def verify_levi_decomposition(
 
     radical must be a solvable ideal of der(g (x) A), levi a semisimple
     subalgebra, and the two must be complementary.  Results come back as
-    flags; candidates lying outside der(g (x) A) raise ValueError.
+    flags; candidates lying outside der(g (x) A) raise ValueError.  The
+    checks run in the structure constants of der(g (x) A), on the
+    candidates' coordinates over its basis.
     """
     der = ca.derivations()
+    lie_der = _derivation_algebra(ca.product)
+    coords = {}
     for name, cand in (("radical", radical), ("levi", levi)):
-        for m in cand.basis_matrices():
-            if not der.contains(m):
-                raise ValueError(f"{name} candidate is not inside der(g (x) A)")
+        coords[name] = _der_coordinates(der, cand)
+        if coords[name] is None:
+            raise ValueError(f"{name} candidate is not inside der(g (x) A)")
+    rad, lev = coords["radical"], coords["levi"]
 
-    radical_is_ideal = all(
-        radical.contains(commutator(d, v))
-        for d in der.basis_matrices()
-        for v in radical.basis_matrices()
-    )
-
-    try:
-        radical_solvable = (
-            radical.dim == 0 or is_solvable(lie_from_endo_span(radical))
-        )
-    except ValueError:
-        radical_solvable = False
-
-    try:
-        levi_semisimple = is_semisimple(lie_from_endo_span(levi))
-    except ValueError:
-        levi_semisimple = False
-
-    direct_complement = (
-        subspace_sum(radical.space, levi.space) == der.space
-        and subspace_intersection(radical.space, levi.space).dim == 0
-    )
+    def induced(test, space):
+        # test on the subalgebra space spans; one not closed under the bracket fails
+        try:
+            return test(subalgebra(lie_der, space))
+        except ValueError:
+            return False
 
     return DecompositionReport(
         der_dim=der.dim,
         flags={
-            "radical_is_ideal": radical_is_ideal,
-            "radical_solvable": radical_solvable,
-            "levi_semisimple": levi_semisimple,
-            "direct_complement": direct_complement,
+            "radical_is_ideal": is_ideal(lie_der, rad),
+            "radical_solvable": induced(is_solvable, rad),
+            "levi_semisimple": induced(is_semisimple, lev),
+            "direct_complement": (
+                subspace_sum(rad, lev).dim == der.dim
+                and subspace_intersection(rad, lev).dim == 0
+            ),
         },
         der_full=der,
         radical_candidate=radical,

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from currentlie.assoc import (
@@ -16,12 +13,12 @@ from currentlie.current import (
     CurrentAlgebra,
     PreconditionError,
     TableIdentityError,
-    _endo_from_coords,
     certify_decomposition,
     current_algebra,
     embed_h,
     embed_k,
     embed_w,
+    levi_candidate_subspace,
     radical_subspace,
     summand_h,
     summand_k,
@@ -30,16 +27,26 @@ from currentlie.current import (
     verify_levi_decomposition,
     zusmanovich_span,
 )
-from currentlie.heisenberg import heisenberg_der_blocks
-from currentlie.lie import LieAlgebra, heisenberg, sp
+from currentlie.heisenberg import heisenberg_der_blocks, levi_report
+from currentlie.lie import (
+    LieAlgebra,
+    heisenberg,
+    is_semisimple,
+    is_solvable,
+    lie_from_endo_span,
+    solvable_radical,
+    sp,
+)
 from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
+    SpanSolver,
     Subspace,
+    commutator,
     subspace_intersection,
     subspace_sum,
 )
-from helpers import nonassociative_current, rand_matrix, rand_vector
+from helpers import nonassociative_current
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +257,7 @@ def test_bracket_table_checks_the_component_spaces():
     # a der(g) that is not closed under the commutator: [E_01, E_10] left it
     e01 = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     ca = current_algebra(heisenberg(1), truncated_polynomial(1))
-    ca._memo["der_g"] = EndoSubspace.from_matrices([e01, e01.transpose()], 3)
+    ca.g._memo["derivations"] = EndoSubspace.from_matrices([e01, e01.transpose()], 3)
     with pytest.raises(TableIdentityError) as failed:
         verify_bracket_table(ca)
     assert str(failed.value) == "bracket rule h*h: [D1,D2] left der(g)"
@@ -363,17 +370,116 @@ def test_certify_semisimple_coefficient_case(sp1a1):
     assert report.radical_candidate.dim == 4
 
 
-def test_endo_from_coords_matches_dense_combinations():
-    # the span of sum_k c_k * basis_matrices()[k] over the basis rows c of coords
-    rng = random.Random(61)
-    for _ in range(12):
-        n = rng.randint(1, 3)
-        space = EndoSubspace.from_matrices([rand_matrix(rng, n, n) for _ in range(3)], n)
-        mats = space.basis_matrices()
-        vectors = [rand_vector(rng, space.dim) for _ in range(rng.randint(1, space.dim))]
-        coords = Subspace.from_vectors(vectors, space.dim)
-        flats = [
-            [sum((c * m.flat()[t] for c, m in zip(row, mats)), Fraction(0)) for t in range(n * n)]
-            for row in coords.basis.rows
-        ]
-        assert _endo_from_coords(space, coords) == Subspace.from_vectors(flats, n * n)
+def _a_prime():
+    # A' = Q[t]/(t^2) (+) Q[t]/(t^2) in the basis given by the rows of p; it
+    # is not local, and its two idempotents are not basis vectors
+    a = direct_sum(truncated_polynomial(1), truncated_polynomial(1))
+    p = [[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 2]]
+    over_p = SpanSolver(p, 4).coefficients
+    table = [[over_p(a.multiply(u, v)) for v in p] for u in p]
+    return AssocAlgebra([f"b{i}" for i in range(4)], table, over_p(a.unit))
+
+
+def _semisimple_certificate():
+    # sp(1) (x) A_3: der(g) is semisimple, so s = der(g) and r = 0
+    g, a = sp(1), truncated_polynomial(3)
+    ca = current_algebra(g, a)
+    r = EndoSubspace(g.dim, Subspace.zero_space(g.dim * g.dim))
+    return certify_decomposition(ca, ca.der_g(), r, wedderburn_complement(a), jacobson_radical(a))
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: levi_report(1, 1),
+        lambda: levi_report(1, 3),
+        lambda: levi_report(2, 1),
+        lambda: levi_report(1, 1, ca=current_algebra(heisenberg(1), _a_prime())),
+        _semisimple_certificate,
+    ],
+    ids=["h_1(x)A_1", "h_1(x)A_3", "h_2(x)A_1", "h_1(x)A'", "sp(1)(x)A_3"],
+)
+def test_radical_candidate_is_the_cartan_radical(report):
+    # an oracle apart from the certificate: Cartan's criterion (the Killing
+    # form) on der(g (x) A), built here from its basis matrices, must give
+    # the radical candidate, and the Levi candidate must meet it only in 0
+    report = report()
+    assert report.all_flags_true
+    der = report.der_full
+
+    def coordinates(part):
+        return Subspace.from_vectors([der.coordinates(m) for m in part.basis_matrices()], der.dim)
+
+    radical = coordinates(report.radical_candidate)
+    assert radical == solvable_radical(lie_from_endo_span(der))
+    assert subspace_intersection(coordinates(report.levi_candidate), radical).dim == 0
+
+
+def _reference_flags(ca, radical, levi):
+    # the Levi flags from matrix commutators of the candidates, apart from
+    # the structure constants of der(g (x) A) that the certificate reads
+    der = ca.derivations()
+
+    def closed_and(test, space):
+        try:
+            return test(lie_from_endo_span(space))
+        except ValueError:  # not closed under the commutator
+            return False
+
+    return {
+        "radical_is_ideal": all(
+            radical.contains(commutator(d, v))
+            for d in der.basis_matrices()
+            for v in radical.basis_matrices()
+        ),
+        "radical_solvable": closed_and(is_solvable, radical),
+        "levi_semisimple": closed_and(is_semisimple, levi),
+        "direct_complement": (
+            subspace_sum(radical.space, levi.space) == der.space
+            and subspace_intersection(radical.space, levi.space).dim == 0
+        ),
+    }
+
+
+def test_levi_flags_match_matrix_commutators_on_bad_candidates(h1a1, monkeypatch):
+    ca = h1a1
+    s, r = heisenberg_der_blocks(1)
+    big_s, big_j = wedderburn_complement(ca.a), jacobson_radical(ca.a)
+    radical = radical_subspace(ca, s, r, big_s, big_j)
+    levi = levi_candidate_subspace(ca, s, big_s)
+    # the Levi candidate is sp_2 (x) 1 with basis h, e, f in this order:
+    # span{e} is no ideal, and span{e, f} is not closed ([e, f] = h)
+    _, e, f = levi.basis_matrices()
+    not_ideal = EndoSubspace.from_matrices([e], 6)
+    not_closed = EndoSubspace.from_matrices([e, f], 6)
+    cases = [
+        (radical, levi),
+        (not_ideal, levi),
+        (levi, radical),  # swapped
+        (radical, not_closed),
+        (not_closed, levi),
+    ]
+    false_flags = set()
+    for rad, lev in cases:
+        flags = verify_levi_decomposition(ca, rad, lev).flags
+        assert flags == _reference_flags(ca, rad, lev)
+        false_flags |= {name for name, held in flags.items() if not held}
+    assert false_flags == {"radical_is_ideal", "radical_solvable", "levi_semisimple",
+                           "direct_complement"}
+
+    # a k family that is no ideal of der(g (x) A), then one outside it
+    der = ca.derivations()
+    assert zusmanovich_span(ca).flags["k_is_ideal"]
+    monkeypatch.setattr("currentlie.current.summand_k", lambda ca: not_ideal)
+    k_reference = all(
+        not_ideal.contains(commutator(d, v))
+        for d in der.basis_matrices()
+        for v in not_ideal.basis_matrices()
+    )
+    assert not k_reference
+    assert zusmanovich_span(ca).flags["k_is_ideal"] == k_reference
+    # the identity commutes with every derivation but is none, so a k family
+    # outside der(g (x) A) is no ideal of it
+    identity = EndoSubspace.from_matrices([ExactMatrix.identity(6)], 6)
+    monkeypatch.setattr("currentlie.current.summand_k", lambda ca: identity)
+    assert not zusmanovich_span(ca).flags["k_is_ideal"]
