@@ -23,9 +23,10 @@ from currentlie.linalg import (
     _Algebra,
     _dense,
     _derivation_space,
+    _from_entries,
     _int_products,
     _left_mult,
-    nullspace,
+    _nullspace_from_system,
     rat,
 )
 
@@ -172,16 +173,16 @@ def jacobson_radical(a: AssocAlgebra) -> Subspace:
     Over Q this is the Dickson criterion, so the nullspace of the Gram
     matrix G[i][j] = tr(L_(e_i e_j)) is exactly the Jacobson radical.
     """
-    n = a.dim
-    tracevec = [_ZERO] * n  # tracevec[l] = tr(L_(e_l)) = sum_p c_lp^p
+    traces = {}  # traces[l] = tr(L_(e_l)) = sum_p c_lp^p
     for (l, p), terms in a.products.items():
         for k, c in terms:
             if k == p:
-                tracevec[l] += c
-    gram = [[_ZERO] * n for _ in range(n)]
+                traces[l] = traces.get(l, _ZERO) + c
+    gram = {}  # row i of G, as {j: G[i][j]}
     for (i, j), terms in a.products.items():
-        gram[i][j] = sum((c * tracevec[l] for l, c in terms), _ZERO)
-    return nullspace(ExactMatrix(gram))
+        if x := sum((c * traces.get(l, _ZERO) for l, c in terms), _ZERO):
+            gram.setdefault(i, {})[j] = x
+    return _nullspace_from_system(gram.values(), a.dim)
 
 
 def _complement_coords(a: AssocAlgebra, j: Subspace):
@@ -443,14 +444,8 @@ def rbar(a: AssocAlgebra, q: Sequence) -> ExactMatrix:
     qv = [rat(x) for x in q]
     if len(qv) != n:
         raise ValueError("coefficient vector length mismatch")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # i - j + 1 stays in 1..n-1 for 1 <= j <= i, so no bounds check
-            row.append(j * qv[i - j + 1] if 1 <= j <= i else _ZERO)
-        rows.append(row)
-    m = ExactMatrix(rows)
+    # i - j + 1 stays in 1..n-1 for 1 <= j <= i, so no bounds check
+    m = _from_entries(n, n, (((i, j), j * qv[i - j + 1]) for i in range(n) for j in range(1, i + 1)))
     if not derivations(a).contains(m):
         raise ValueError("rbar result is not a derivation of this algebra")
     return m

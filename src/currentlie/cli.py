@@ -40,7 +40,7 @@ from currentlie.lie import (
     solvable_radical,
 )
 from currentlie.lie import derivations as lie_derivations
-from currentlie.linalg import EndoSubspace, ExactMatrix, rat_str
+from currentlie.linalg import EndoSubspace, ExactMatrix, Q, rat_str
 from currentlie.serialize import (
     AxiomError,
     FormatError,
@@ -55,13 +55,14 @@ from currentlie.serialize import (
 
 
 def _matrix_doc(mat: ExactMatrix) -> list:
-    # entry strings, row by row, from the sparse view: only the nonzero
-    # entries go through rat_str and no dense row is built
+    # entry strings, row by row, from the integer store: only the nonzero
+    # entries are formatted, and a Fraction is built only over a den > 1
+    den, nz = mat._int_rows()
     doc = []
-    for items in mat._fraction_rows():
+    for i in range(mat.nrows):
         cells = ["0"] * mat.ncols
-        for c, x in items:
-            cells[c] = rat_str(x)
+        for c, v in nz.get(i, ()):
+            cells[c] = str(v) if den == 1 else rat_str(Q(v, den))
         doc.append(cells)
     return doc
 

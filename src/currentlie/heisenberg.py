@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heappush
-from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
 from currentlie.lie import heisenberg, sp
-from currentlie.linalg import EndoSubspace, ExactMatrix, Q, kron, rat
+from currentlie.linalg import EndoSubspace, ExactMatrix, Q, _from_entries, kron, rat
 
 # every `currentlie` command imports this module through the package, and
 # most never need currentlie.current, so the functions that do import it
@@ -29,7 +28,6 @@ if TYPE_CHECKING:
     from currentlie.current import CurrentAlgebra, DecompositionReport
 
 _ZERO = Q(0)
-_ONE = Q(1)
 
 
 def truncated_heisenberg(m: int, k: int) -> CurrentAlgebra:
@@ -172,19 +170,11 @@ class DerivationTemplate:
                 value = rat(value)
                 if value:
                     _expand(entries, layout[key], value)
-        return self._dense(entries)
-
-    def _dense(self, entries: dict) -> ExactMatrix:
-        n = self.dim
-        rows = [[_ZERO] * n for _ in range(n)]
-        for (r, c), x in entries.items():
-            rows[r][c] = x
-        return ExactMatrix._trusted(tuple(map(tuple, rows)), n, n)
+        return _from_entries(self.dim, self.dim, sorted(entries.items()))
 
     def basis(self) -> list:
         """(key, matrix) pairs, one independent generator per parameter."""
-        layout = dict(self._layout)
-        return [(key, self._dense(_expand({}, layout[key], _ONE))) for key in self.parameter_keys()]
+        return [(key, self.matrix({key: 1})) for key in self.parameter_keys()]
 
     def span(self) -> EndoSubspace:
         return EndoSubspace.from_matrices([mat for _, mat in self.basis()], self.dim)
@@ -205,12 +195,12 @@ class DerivationTemplate:
         if mat.shape != (n, n):
             return TemplateMismatch("shape", f"expected {n} x {n}")
         layout, defined_at = self._layout, self._defined_at
-        # integers over twice the common denominator of mat: the only defining
+        # integers over twice the denominator of mat's store: the only defining
         # coefficient other than 1 is the 2 of the p keys, at positions no
         # other key reaches, so the `//` below is exact
-        actual = mat._nonzero_entries()
-        den = 2 * lcm(*(x.denominator for x in actual.values()))
-        actual = {pos: x.numerator * (den // x.denominator) for pos, x in actual.items()}
+        den, nz = mat._int_rows()
+        den *= 2
+        actual = {(i, c): 2 * v for i, row in nz.items() for c, v in row}
         expected: dict = {}
         params = self._zeros.copy()
         # a key's entries reach only the defining positions of later keys,
@@ -306,28 +296,18 @@ _template = cache(DerivationTemplate)
 
 
 def _extend_to_heisenberg(d: ExactMatrix, m: int) -> ExactMatrix:
-    # pad a 2m x 2m block to act on h_m with zero z row and column
-    n = 2 * m + 1
-    rows = [[_ZERO] * n for _ in range(n)]
-    for r in range(2 * m):
-        for c in range(2 * m):
-            rows[r][c] = d[r, c]
-    return ExactMatrix(rows)
+    # pad a 2m x 2m block to act on h_m with zero z row and column: the
+    # same stored entries in a larger shape
+    return ExactMatrix._from_ints(2 * m + 1, 2 * m + 1, *d._int_rows())
 
 
 def heisenberg_der_blocks(m: int) -> tuple[EndoSubspace, EndoSubspace]:
     """Levi/radical split of der(h_m): symplectic block and aI + strip."""
     n = 2 * m + 1
     s_mats = [_extend_to_heisenberg(d, m) for d in sp(m).matrix_basis]
-    scaling = [[_ZERO] * n for _ in range(n)]
-    for i in range(2 * m):
-        scaling[i][i] = _ONE
-    scaling[2 * m][2 * m] = Q(2)
-    r_mats = [ExactMatrix(scaling)]
-    for c in range(2 * m):
-        strip = [[_ZERO] * n for _ in range(n)]
-        strip[2 * m][c] = _ONE
-        r_mats.append(ExactMatrix(strip))
+    # the scaling diag(1, ..., 1, 2), then the strip units E_(z, c)
+    r_mats = [ExactMatrix._from_ints(n, n, 1, {i: [(i, 1 + i // (2 * m))] for i in range(n)})]
+    r_mats += [ExactMatrix._from_ints(n, n, 1, {2 * m: [(c, 1)]}) for c in range(2 * m)]
     return (
         EndoSubspace.from_matrices(s_mats, n),
         EndoSubspace.from_matrices(r_mats, n),

@@ -20,6 +20,7 @@ from currentlie.linalg import (
     Subspace,
     _Algebra,
     _derivation_space,
+    _from_entries,
     _int_products,
     _left_mult,
     _nullspace_from_system,
@@ -278,12 +279,12 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
         for (j, p), terms in g.products.items():
             for k, w in terms:
                 ending.setdefault((p, k), []).append((j, w))
-        rows = [[_ZERO] * n for _ in range(n)]
+        acc = {}
         for (i, k), terms in g.products.items():
             for p, v in terms:
                 for j, w in ending.get((p, k), ()):
-                    rows[i][j] += v * w
-        return ExactMatrix(rows)
+                    acc[i, j] = acc.get((i, j), _ZERO) + v * w
+        return _from_entries(n, n, sorted(acc.items()))
 
     return _memoized(g, "killing", compute)
 

@@ -2,16 +2,14 @@
 
 Every entry is a fractions.Fraction, so ranks, nullspaces and subspace
 operations are exact certificates rather than floating-point estimates.
-An ExactMatrix exposes its entries as an immutable dense tuple of rows
-and has two sparse views of them: the nonzero (column, Fraction) pairs
-of each row, and an integer view, a common denominator and, per row,
-the (column, integer numerator) pairs.  It holds at least one of the
-three and builds the others on first use, so a matrix born sparse builds
-no dense rows unless a caller reads them.
-Products, commutators, Kronecker products, sums and scalar multiples
-work on the integer view: they accumulate integer numerators over the
-product of the operands' common denominators (1 for integer matrices)
-and keep the result in the same view.
+An ExactMatrix stores one form of its entries: a positive least common
+denominator and, for its nonempty rows only, the (column, integer
+numerator) pairs of their nonzero entries.  Dense rows and Fraction
+entries are computed from it when a caller reads them.  Products,
+commutators, Kronecker products, sums and scalar multiples walk the
+nonempty rows only: they accumulate integer numerators in dicts, over
+the product of the operands' denominators (1 for integer matrices), and
+store the result the same way.
 Linear systems are eliminated sparse and in integers: one fraction-free
 Gauss-Jordan routine takes rows held as {column: value} dicts of their
 nonzero entries and eliminates with integer cross-multiplication.  A
@@ -58,111 +56,96 @@ def rat_str(value) -> str:
 
 
 class ExactMatrix:
-    """Immutable matrix with Fraction entries.
+    """Immutable matrix with Fraction entries, stored sparse in integers.
 
-    A matrix holds at least one of three views and builds the others from
-    it on first use: `rows`, the dense tuple of rows; `_fraction_rows`,
-    the nonzero (column, Fraction) pairs of each row; and `_int_rows`, the
-    sparse integer view the arithmetic reads.  Kernel results hold only
-    the integer view and basis matrices only the Fraction pairs, so their
-    dense rows are built only if a caller reads them.
+    The one stored form is a positive least common denominator `_den`
+    and `_nz`, which maps each nonempty row, in increasing order, to the
+    list of (column, nonzero integer numerator) pairs of its entries, by
+    column: entry (i, c) is v / _den.  The store is canonical, so == and
+    hash read it as it is.  The dense `rows`, the Fraction pairs of
+    `_fraction_rows` and the dicts of `_flat_nonzeros` and
+    `_nonzero_entries` are computed from it when read.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_fracs", "_view")
+    __slots__ = ("nrows", "ncols", "_den", "_nz")
 
     def __init__(self, rows: Iterable[Sequence]):
-        rows = tuple(tuple(rat(x) for x in row) for row in rows)
+        rows = [[rat(x) for x in row] for row in rows]
         if not rows:
             raise ValueError("cannot infer width of an empty matrix; use ExactMatrix.zero")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
-        self._rows = rows
         self.nrows = len(rows)
         self.ncols = width
-        self._fracs = self._view = None
+        self._den, self._nz = _store(
+            ((i, c), x) for i, row in enumerate(rows) for c, x in enumerate(row)
+        )
 
     @classmethod
-    def _trusted(cls, rows, nrows: int, ncols: int, fracs=None, view=None) -> "ExactMatrix":
-        # internal: rows a tuple of width-ncols tuples of Fractions, or None
-        # when fracs or view is given (both as their readers return them)
-        m = object.__new__(cls)
-        m._rows, m.nrows, m.ncols, m._fracs, m._view = rows, nrows, ncols, fracs, view
-        return m
+    def _from_ints(cls, nrows: int, ncols: int, den: int, nz: dict) -> "ExactMatrix":
+        """The matrix whose entry (i, c) is v / den for (c, v) in nz[i].
 
-    @classmethod
-    def _from_ints(cls, nrows: int, ncols: int, den: int, int_rows: list) -> "ExactMatrix":
-        """The matrix whose entry (i, c) is v / den for (c, v) in int_rows[i].
-
-        Every v must be nonzero and each row listed by increasing column;
+        nz holds the nonempty rows only, in increasing order, each a list
+        of (column, nonzero int) pairs by increasing column; rows and
         columns not listed are zero.  den is first cut down to the least
         common denominator of the entries, so that denominators do not
         grow along chains of products.
         """
         if den != 1:
-            g = gcd(den, *(v for row in int_rows for _, v in row))
+            g = gcd(den, *(v for row in nz.values() for _, v in row))
             if g != 1:
                 den //= g
-                int_rows = [[(c, v // g) for c, v in row] for row in int_rows]
-        return cls._trusted(None, nrows, ncols, view=(den, int_rows))
+                nz = {i: [(c, v // g) for c, v in row] for i, row in nz.items()}
+        m = object.__new__(cls)
+        m.nrows, m.ncols, m._den, m._nz = nrows, ncols, den, nz
+        return m
 
     @property
     def rows(self) -> tuple:
-        """The dense tuple of rows, built on first read."""
-        if self._rows is None:
-            self._rows = tuple(_dense(row, self.ncols) for row in self._fraction_rows())
-        return self._rows
+        """The dense tuple of rows, computed on read."""
+        zero = (_ZERO,) * self.ncols
+        return tuple(_dense(row, self.ncols) if row else zero for row in self._fraction_rows())
 
     def _fraction_rows(self) -> list:
         """Per row, the (column, entry) pairs of its nonzero entries, by column."""
-        if self._fracs is None:
-            if self._rows is None:
-                den, rows = self._view
-                self._fracs = [[(c, Q(v) if den == 1 else Q(v, den)) for c, v in r] for r in rows]
-            else:
-                self._fracs = [[(c, x) for c, x in enumerate(row) if x] for row in self._rows]
-        return self._fracs
+        den, nz = self._den, self._nz
+        return [
+            [(c, Q(v) if den == 1 else Q(v, den)) for c, v in nz[i]] if i in nz else []
+            for i in range(self.nrows)
+        ]
 
     def _int_rows(self) -> tuple:
-        """(den, int_rows): entry (i, c) is v / den for (c, v) in int_rows[i].
-
-        den is the least common denominator of the entries; int_rows lists
-        the nonzero entries of each row only, by column.
-        """
-        if self._view is None:
-            nonzero = self._fraction_rows()
-            den = lcm(*(x.denominator for row in nonzero for _, x in row))
-            ints = [[(c, x.numerator * (den // x.denominator)) for c, x in r] for r in nonzero]
-            self._view = (den, ints)
-        return self._view
+        """The store as (den, nz): entry (i, c) is v / den for (c, v) in nz[i]."""
+        return self._den, self._nz
 
     def _flat_nonzeros(self) -> dict:
         """{row-major flat index: entry} over the nonzero entries."""
-        n = self.ncols
-        return {i * n + c: x for i, row in enumerate(self._fraction_rows()) for c, x in row}
+        n, den = self.ncols, self._den
+        return {
+            i * n + c: Q(v) if den == 1 else Q(v, den)
+            for i, row in self._nz.items()
+            for c, v in row
+        }
 
     def _nonzero_entries(self) -> dict:
         """{(row, col): entry} over the nonzero entries."""
-        return {(i, c): x for i, row in enumerate(self._fraction_rows()) if row for c, x in row}
+        return {divmod(j, self.ncols): x for j, x in self._flat_nonzeros().items()}
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls._trusted(None, nrows, ncols, [()] * nrows)
+        return cls._from_ints(nrows, ncols, 1, {})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls._trusted(None, n, n, [[(i, _ONE)] for i in range(n)])
+        return cls._from_ints(n, n, 1, {i: [(i, 1)] for i in range(n)})
 
     @classmethod
     def from_flat(cls, nrows: int, ncols: int, flat: Sequence) -> "ExactMatrix":
         """Rebuild a matrix from its row-major flattening."""
         if len(flat) != nrows * ncols:
             raise ValueError("flat length does not match shape")
-        rows = tuple(
-            tuple(rat(x) for x in flat[i * ncols : (i + 1) * ncols])
-            for i in range(nrows)
-        )
-        return cls._trusted(rows, nrows, ncols)
+        return _from_entries(nrows, ncols, ((divmod(j, ncols), rat(x)) for j, x in enumerate(flat)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,20 +159,23 @@ class ExactMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        i, j = range(self.nrows)[i], range(self.ncols)[j]
+        for c, v in self._nz.get(i, ()):
+            if c == j:
+                return Q(v, self._den)
+        return _ZERO
 
     def __eq__(self, other) -> bool:
-        # the sparse integer view is canonical (least common denominator,
-        # nonzero entries by column), so no dense rows are built
         return (
             isinstance(other, ExactMatrix)
             and self.shape == other.shape
-            and self._int_rows() == other._int_rows()
+            and self._den == other._den
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        den, rows = self._int_rows()
-        return hash((self.shape, den, tuple(map(tuple, rows))))
+        rows = tuple((i, tuple(row)) for i, row in self._nz.items())
+        return hash((self.shape, self._den, rows))
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
@@ -210,10 +196,9 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             return self.matmul(other)
         c = rat(other)
-        den, rows = self._int_rows()
         p = c.numerator
-        out = [[(j, v * p) for j, v in row] if p else [] for row in rows]
-        return ExactMatrix._from_ints(self.nrows, self.ncols, den * c.denominator, out)
+        nz = {i: [(j, v * p) for j, v in row] for i, row in self._nz.items()} if p else {}
+        return ExactMatrix._from_ints(self.nrows, self.ncols, self._den * c.denominator, nz)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -221,117 +206,135 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        da, arows = self._int_rows()
-        db, brows = other._int_rows()
-        width = other.ncols
-        out = []
-        for row in arows:
-            acc = [0] * width
-            _accumulate(acc, row, brows, 1)
-            out.append([(c, v) for c, v in enumerate(acc) if v])
-        return ExactMatrix._from_ints(self.nrows, width, da * db, out)
+        acc = {}
+        for i, row in self._nz.items():
+            _accumulate(acc.setdefault(i, {}), row, other._nz, 1)
+        return _from_accumulators(self.nrows, other.ncols, self._den * other._den, acc)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        w = [rat(x) for x in v]
-        dv = lcm(*(x.denominator for x in w))
-        iv = [x.numerator * (dv // x.denominator) for x in w]
-        den, rows = self._int_rows()
-        den *= dv
-        return tuple(Q(sum(x * iv[j] for j, x in row), den) for row in rows)
+        w, den, nz = [rat(x) for x in v], self._den, self._nz
+        return tuple(
+            sum((x * w[j] for j, x in nz[i]), _ZERO) / den if i in nz else _ZERO
+            for i in range(self.nrows)
+        )
 
     def transpose(self) -> "ExactMatrix":
-        rows = tuple(zip(*self.rows)) if self.nrows else ()
-        if not rows:
-            return ExactMatrix.zero(self.ncols, 0)
-        return ExactMatrix._trusted(rows, self.ncols, self.nrows)
+        entries = sorted(((c, i), x) for (i, c), x in self._nonzero_entries().items())
+        return _from_entries(self.ncols, self.nrows, entries)
 
     def trace(self) -> Q:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
+        return Q(sum(v for i, row in self._nz.items() for c, v in row if c == i), self._den)
 
     def is_zero(self) -> bool:
-        return not any(self._int_rows()[1])
+        return not self._nz
 
     def flat(self) -> tuple:
         """Row-major flattening; inverse of from_flat."""
-        return tuple(x for row in self.rows for x in row)
+        return _dense(self._flat_nonzeros().items(), self.nrows * self.ncols)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         """Submatrix with half-open row range [r0,r1) and column range [c0,c1)."""
-        rows = tuple(row[c0:c1] for row in self.rows[r0:r1])
-        return ExactMatrix._trusted(rows, r1 - r0, c1 - c0)
+        out = {}
+        for i in range(r0, r1):
+            if part := [(c - c0, v) for c, v in self._nz.get(i, ()) if c0 <= c < c1]:
+                out[i - r0] = part
+        return ExactMatrix._from_ints(r1 - r0, c1 - c0, self._den, out)
 
 
-def _accumulate(acc: list, row, rows, sign: int) -> None:
-    # acc += sign * (row times the matrix with int rows `rows`), in integers
+def _store(entries: Iterable) -> tuple:
+    """(den, nz) of ExactMatrix for ((row, column), int or Fraction) entries.
+
+    The entries come in row-major order, one per position; zeros are
+    dropped, and den is the least common denominator of the others.
+    """
+    ratios = [(pos, x.as_integer_ratio()) for pos, x in entries]
+    den = lcm(*[q for _, (_, q) in ratios])
+    nz = {}
+    for (i, c), (p, q) in ratios:
+        if p:
+            v = p if q == den else p * (den // q)
+            if i in nz:
+                nz[i].append((c, v))
+            else:
+                nz[i] = [(c, v)]
+    return den, nz
+
+
+def _from_entries(nrows: int, ncols: int, entries: Iterable) -> ExactMatrix:
+    """The nrows x ncols matrix of the entries, given as _store takes them."""
+    return ExactMatrix._from_ints(nrows, ncols, *_store(entries))
+
+
+def _from_accumulators(nrows: int, ncols: int, den: int, acc: dict) -> ExactMatrix:
+    """The matrix with entry (i, c) = acc[i][c] / den, for {row: {column: int}} acc."""
+    rows = ((i, [(c, v) for c, v in sorted(acc[i].items()) if v]) for i in sorted(acc))
+    return ExactMatrix._from_ints(nrows, ncols, den, {i: row for i, row in rows if row})
+
+
+def _accumulate(acc: dict, row, nz: dict, sign: int) -> None:
+    # acc += sign * (row times the matrix with nonempty rows nz), in integers
     for j, x in row:
-        x *= sign
-        for c, y in rows[j]:
-            acc[c] += x * y
+        other = nz.get(j)
+        if other:
+            x *= sign
+            for c, y in other:
+                acc[c] = acc.get(c, 0) + x * y
 
 
 def linear_combination(terms: Iterable, nrows: int, ncols: int) -> ExactMatrix:
-    """Sum of c * m over the (c, m) pairs, in one pass over the integer views."""
+    """Sum of c * m over the (c, m) pairs, in one pass over the nonempty rows."""
     views = []
     for c, m in terms:
         if m.shape != (nrows, ncols):
             raise ValueError("shape mismatch")
         if c:
-            views.append((rat(c), *m._int_rows()))
+            views.append((rat(c), m._den, m._nz))
     den = lcm(*(c.denominator * d for c, d, _ in views))
-    acc = [{} for _ in range(nrows)]
-    for c, d, rows in views:
+    acc = {}
+    for c, d, nz in views:
         f = c.numerator * (den // (c.denominator * d))
-        for out, row in zip(acc, rows):
+        for i, row in nz.items():
+            out = acc.setdefault(i, {})
             for j, v in row:
                 out[j] = out.get(j, 0) + f * v
-    out = [sorted((j, v) for j, v in row.items() if v) for row in acc]
-    return ExactMatrix._from_ints(nrows, ncols, den, out)
+    return _from_accumulators(nrows, ncols, den, acc)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """ab - ba, both products accumulated in one integer pass."""
+    """ab - ba, both products accumulated in one integer pass per nonempty row."""
     if a.shape != b.shape or a.nrows != a.ncols:
         raise ValueError("commutator needs two square matrices of one size")
-    da, arows = a._int_rows()
-    db, brows = b._int_rows()
-    n = a.nrows
-    out = []
-    for ra, rb in zip(arows, brows):
-        acc = [0] * n
-        _accumulate(acc, ra, brows, 1)
-        _accumulate(acc, rb, arows, -1)
-        out.append([(c, v) for c, v in enumerate(acc) if v])
-    return ExactMatrix._from_ints(n, n, da * db, out)
+    arows, brows = a._nz, b._nz
+    acc = {}
+    for i, row in arows.items():
+        _accumulate(acc.setdefault(i, {}), row, brows, 1)
+    for i, row in brows.items():
+        _accumulate(acc.setdefault(i, {}), row, arows, -1)
+    return _from_accumulators(a.nrows, a.ncols, a._den * b._den, acc)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; (i1*p+i2, j1*q+j2) entry is a[i1,j1]*b[i2,j2]."""
-    da, arows = a._int_rows()
-    db, brows = b._int_rows()
-    q = b.ncols
-    out = [
-        [(j1 * q + j2, x * y) for j1, x in ra for j2, y in rb]
-        for ra in arows
-        for rb in brows
-    ]
-    return ExactMatrix._from_ints(a.nrows * b.nrows, a.ncols * q, da * db, out)
+    p, q = b.nrows, b.ncols
+    out = {
+        i1 * p + i2: [(j1 * q + j2, x * y) for j1, x in ra for j2, y in rb]
+        for i1, ra in a._nz.items()
+        for i2, rb in b._nz.items()
+    }
+    return ExactMatrix._from_ints(a.nrows * p, a.ncols * q, a._den * b._den, out)
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     if not mats:
         raise ValueError("hstack of nothing")
-    n = mats[0].nrows
-    if any(m.nrows != n for m in mats):
+    if any(m.nrows != mats[0].nrows for m in mats):
         raise ValueError("row count mismatch")
-    rows = tuple(
-        tuple(x for m in mats for x in m.rows[i]) for i in range(n)
-    )
-    return ExactMatrix._trusted(rows, n, sum(m.ncols for m in mats))
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -340,8 +343,7 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     w = mats[0].ncols
     if any(m.ncols != w for m in mats):
         raise ValueError("column count mismatch")
-    rows = tuple(row for m in mats for row in m.rows)
-    return ExactMatrix._trusted(rows, len(rows), w)
+    return ExactMatrix.from_flat(sum(m.nrows for m in mats), w, [x for m in mats for x in m.flat()])
 
 
 def _sparse(v: Sequence) -> dict:
@@ -442,13 +444,13 @@ def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form, same shape as the input, plus pivot columns."""
-    reduced = _rref_sparse(map(dict, m._fraction_rows()))
-    fracs = [sorted(row.items()) for _, row in reduced] + [()] * (m.nrows - len(reduced))
-    return ExactMatrix._trusted(None, m.nrows, m.ncols, fracs), tuple(p for p, _ in reduced)
+    reduced = _rref_sparse(map(dict, m._nz.values()))
+    entries = (((r, c), x) for r, (_, row) in enumerate(reduced) for c, x in sorted(row.items()))
+    return _from_entries(m.nrows, m.ncols, entries), tuple(p for p, _ in reduced)
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_rref_ints(map(dict, m._fraction_rows())))
+    return len(_rref_ints(map(dict, m._nz.values())))
 
 
 def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
@@ -481,7 +483,8 @@ def _nullspace_reversed(rows: Iterable[dict], ncols: int) -> "Subspace":
 
 def nullspace(m: ExactMatrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace of Q^ncols."""
-    return _nullspace_from_system(map(dict, m._fraction_rows()), m.ncols)
+    # the integer rows span the same row space as the entries
+    return _nullspace_from_system(map(dict, m._nz.values()), m.ncols)
 
 
 class _Algebra:
@@ -585,13 +588,13 @@ def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
     if len(x) != alg.dim:
         raise ValueError("vector length does not match the algebra dimension")
     xs = _sparse(x)
-    rows = [[_ZERO] * alg.dim for _ in range(alg.dim)]
+    acc = {}
     for (i, j), terms in alg.products.items():
         xi = xs.get(i)
         if xi:
             for k, c in terms:
-                rows[k][j] += xi * c
-    return ExactMatrix(rows)
+                acc[k, j] = acc.get((k, j), _ZERO) + xi * c
+    return _from_entries(alg.dim, alg.dim, sorted(acc.items()))
 
 
 def _int_products(alg: _Algebra) -> tuple[int, dict]:
@@ -695,7 +698,8 @@ class Subspace:
     def basis(self) -> ExactMatrix:
         """The RREF basis rows as a matrix (its dense rows are built lazily too)."""
         if self._basis is None:
-            self._basis = ExactMatrix._trusted(None, len(self._nnz), self.ambient, self._nnz)
+            entries = (((r, c), x) for r, nz in enumerate(self._nnz) for c, x in nz)
+            self._basis = _from_entries(len(self._nnz), self.ambient, entries)
         return self._basis
 
     @property
@@ -835,20 +839,12 @@ class EndoSubspace:
         return self.space._coordinates(m._flat_nonzeros())
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
-        """The basis rows as n x n matrices, held as their nonzero Fractions."""
+        """The basis rows as n x n matrices, built once."""
         if self._mats is None:
             n = self.n
-            mats = []
-            for nz in self.space._nnz:
-                fracs = [()] * n
-                for j, x in nz:
-                    i, c = divmod(j, n)
-                    if fracs[i]:
-                        fracs[i].append((c, x))
-                    else:
-                        fracs[i] = [(c, x)]
-                mats.append(ExactMatrix._trusted(None, n, n, fracs))
-            self._mats = tuple(mats)
+            self._mats = tuple(
+                _from_entries(n, n, [(divmod(j, n), x) for j, x in nz]) for nz in self.space._nnz
+            )
         return self._mats
 
     def __eq__(self, other) -> bool:

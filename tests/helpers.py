@@ -19,6 +19,25 @@ def rand_matrix(rng: random.Random, nrows: int, ncols: int) -> ExactMatrix:
     )
 
 
+def store_is_canonical(m: ExactMatrix) -> bool:
+    """Whether m holds its one stored form: a positive int den and, for the
+    nonempty rows only, in increasing order, lists of (column, nonzero int)
+    pairs by increasing column, with no factor common to den and them all."""
+    den, nz = m._int_rows()
+    values = [v for row in nz.values() for _, v in row]
+    return (
+        type(den) is int and den > 0 and math.gcd(den, *values) == 1
+        and list(nz) == sorted(nz) and all(type(i) is int and 0 <= i < m.nrows for i in nz)
+        and all(type(row) is list and row for row in nz.values())
+        and all(type(v) is int and v for v in values)
+        and all(
+            [c for c, _ in row] == sorted({c for c, _ in row})
+            and all(type(c) is int and 0 <= c < m.ncols for c, _ in row)
+            for row in nz.values()
+        )
+    )
+
+
 def rand_vector(rng: random.Random, n: int) -> list[Fraction]:
     return [rand_frac(rng) for _ in range(n)]
 
@@ -138,7 +157,7 @@ def reference_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         [sum((a[i, t] * b[t, j] for t in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
         for i in range(a.nrows)
     ]
-    return ExactMatrix._trusted(tuple(map(tuple, rows)), a.nrows, b.ncols)
+    return ExactMatrix(rows) if rows else ExactMatrix.zero(0, b.ncols)
 
 
 def reference_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -148,7 +167,7 @@ def reference_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         [a[i // p, j // q] * b[i % p, j % q] for j in range(a.ncols * q)]
         for i in range(a.nrows * p)
     ]
-    return ExactMatrix._trusted(tuple(map(tuple, rows)), a.nrows * p, a.ncols * q)
+    return ExactMatrix(rows) if rows else ExactMatrix.zero(0, a.ncols * q)
 
 
 def reference_rational_roots(poly: list) -> tuple[list, int]:

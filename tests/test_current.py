@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from currentlie.assoc import (
@@ -43,6 +45,7 @@ from currentlie.linalg import (
     SpanSolver,
     Subspace,
     commutator,
+    kron,
     subspace_intersection,
     subspace_sum,
 )
@@ -231,6 +234,44 @@ def test_bracket_table_failure_carries_the_counterexample():
     lhs, rhs = lhs._nonzero_entries(), rhs._nonzero_entries()
     assert (len(lhs), lhs[1, 2], lhs[8, 7]) == (29, 144, -96)
     assert (len(rhs), rhs[1, 4], rhs[8, 4]) == (20, -144, -90)
+
+
+def test_sampled_one_family_rules_test_every_draw():
+    # h*h, w*w and k*k pair draw i with draw i + 1, cyclically.  Paired as
+    # the first draw with each draw, a harmless first draw tested nothing,
+    # and these five runs passed all six rules: h_1 seeds 0 and 23, h_2
+    # seeds 7 and 8, sp(1) seed 4
+    for g in (heisenberg(1), heisenberg(2), sp(1)):
+        ca = nonassociative_current(g)
+        for seed in range(30):
+            with pytest.raises(TableIdentityError):
+                verify_bracket_table(ca, sample_count=20, seed=seed)
+
+
+def test_h_k_readings_match_their_two_kron_formulas():
+    # verify_bracket_table sets the two h*k readings without building them:
+    # the dot-action reading is the rule's right side, and the plain one
+    # holds iff TD = 0 or L_a f = 0.  Both against the kron formulas
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(200):
+        n, p = rng.randint(1, 3), rng.randint(1, 3)
+        d, t = (_sparse_matrix(rng, n, rng.choice([0.2, 0.6])) for _ in range(2))
+        la, f = (_sparse_matrix(rng, p, rng.choice([0.2, 0.6])) for _ in range(2))
+        td, laf = t * d, la * f
+        rhs = kron(d * t, laf) - kron(td, f * la)
+        both = kron(commutator(d, t), laf)
+        assert both - kron(td, f * la - laf) == rhs
+        plain = both - kron(td, f * la) == rhs
+        assert plain == (td.is_zero() or laf.is_zero())
+        outcomes.add((plain, td.is_zero(), laf.is_zero()))
+    assert outcomes == {(False, False, False), (True, True, False), (True, False, True),
+                        (True, True, True)}
+
+
+def _sparse_matrix(rng, n, density):
+    return ExactMatrix([[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)])
 
 
 def test_bracket_table_checks_the_component_spaces():

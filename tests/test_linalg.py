@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from currentlie.linalg import (
     commutator,
     hstack,
     kron,
+    linear_combination,
     nullspace,
     rank,
     rat,
@@ -32,6 +34,7 @@ from helpers import (
     reference_kron,
     reference_matmul,
     reference_rref,
+    store_is_canonical,
 )
 
 
@@ -559,36 +562,36 @@ def test_lazy_dense_views_match_reference():
 
         space = Subspace.from_vectors(m.rows, ncols)
         assert space._basis is None  # nothing dense until a caller asks
-        assert space.basis._rows is None
+        assert store_is_canonical(space.basis)
         assert list(space.basis.rows) == ref and _all_fractions(space.basis)
         assert space.basis.shape == (len(ref), ncols)
 
-        # kernel results hold only their integer view until rows are read
+        # kernel results hold only the integer store; rows are computed on read
         b = _sparse_random_matrix(rng, ncols, rng.randint(1, 6), 0.5)
         c = _sparse_random_matrix(rng, nrows, ncols, 0.5)
         diff = ExactMatrix([[x - y for x, y in zip(u, v)] for u, v in zip(m.rows, c.rows)])
         for got, want in ((m * b, reference_matmul(m, b)), (kron(m, b), reference_kron(m, b)),
                           (m - c, diff), (-m, m * -1)):
-            assert got._rows is None
+            assert store_is_canonical(got)
             rebuilt = ExactMatrix(got.rows)
             assert got == want == rebuilt and _all_fractions(got)
             assert got._fraction_rows() == rebuilt._fraction_rows()
             assert got._int_rows() == rebuilt._int_rows()
 
-        # basis matrices hold only their nonzero Fractions
+        # basis matrices hold the same store
         k = rng.randint(1, 4)
         mats = [_sparse_random_matrix(rng, k, k, 0.5) for _ in range(3)]
         endo = EndoSubspace.from_matrices(mats, k)
         for mat, row in zip(endo.basis_matrices(), endo.space.basis.rows, strict=True):
-            assert mat._rows is None and mat._view is None
+            assert store_is_canonical(mat)
             assert mat._flat_nonzeros() == {j: x for j, x in enumerate(row) if x}
             assert mat.flat() == row and mat == ExactMatrix.from_flat(k, k, row)
 
 
 def test_matrix_equality_and_hash_across_views():
-    # == and hash read the canonical sparse integer view, so a matrix held
-    # as dense rows, as Fraction pairs or as a kernel result compares and
-    # hashes alike, and no dense rows are built
+    # == and hash read the canonical integer store, so a matrix built from
+    # dense rows, from a scaled store or as a kernel result compares and
+    # hashes alike
     rng = random.Random(59)
     for trial in range(40):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
@@ -596,7 +599,10 @@ def test_matrix_equality_and_hash_across_views():
         zero = ExactMatrix.zero(nrows, ncols)
         same = [
             ExactMatrix(m.rows),
-            ExactMatrix._trusted(None, nrows, ncols, m._fraction_rows()),
+            # the store scaled by 6, which _from_ints cuts back down
+            ExactMatrix._from_ints(nrows, ncols, 6 * m._int_rows()[0],
+                                   {i: [(c, 6 * v) for c, v in row]
+                                    for i, row in m._int_rows()[1].items()}),
             m * ExactMatrix.identity(ncols),
             ExactMatrix.identity(nrows) * m,
             m + zero,
@@ -606,7 +612,7 @@ def test_matrix_equality_and_hash_across_views():
         for x in same:
             assert x == m and m == x and not x != m
             assert hash(x) == hash(m)
-        assert all(x._rows is None for x in same[2:])  # compared without dense rows
+        assert all(store_is_canonical(x) for x in same)  # compared on the store
         assert len(set(same + [m])) == 1
 
         # sums that cancel to zero equal the zero matrix of their shape
@@ -633,7 +639,7 @@ def test_matrix_equality_and_hash_across_views():
         for other in (m.rows, list(m.rows), flat, 0, None, "m"):
             assert m != other and not m == other
 
-        # identity and basis matrices, held as Fraction pairs
+        # identity and basis matrices
         n = rng.randint(1, 4)
         dense_identity = ExactMatrix([[int(r == c) for c in range(n)] for r in range(n)])
         for x in (ExactMatrix.identity(n), kron(ExactMatrix.identity(1), ExactMatrix.identity(n))):
@@ -644,4 +650,138 @@ def test_matrix_equality_and_hash_across_views():
             for mat, row in zip(endo.basis_matrices(), endo.space.basis.rows, strict=True):
                 dense = ExactMatrix.from_flat(n, n, row)
                 assert mat == dense and hash(mat) == hash(dense)
-                assert mat == mat * ExactMatrix.identity(n) and mat._rows is None
+                assert mat == mat * ExactMatrix.identity(n) and store_is_canonical(mat)
+
+
+def _store_matrix(rng, nrows, ncols):
+    """A random matrix with empty rows, and entries of mixed denominators,
+    some past 2^64; now and then all zero."""
+    density = rng.choice([0.0, 0.15, 0.4, 1.0])
+    empty = set(rng.sample(range(nrows), rng.randint(0, nrows)))
+    return ExactMatrix([[_wide_entry(rng) if i not in empty and rng.random() < density else 0
+                         for _ in range(ncols)] for i in range(nrows)])
+
+
+def _dense_product(x, y):
+    return [[sum((p * q for p, q in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
+
+
+def _dense_kron(x, y):
+    return [[p * q for p in rx for q in ry] for rx in x for ry in y]
+
+
+def _as_dense(m):
+    return [list(row) for row in m.rows]
+
+
+def _check_readers(m, dense):
+    # every view computed from the store against the dense reference rows
+    nrows, ncols = len(dense), len(dense[0]) if dense else m.ncols
+    assert m.shape == (nrows, ncols) and store_is_canonical(m)
+    assert m.rows == tuple(map(tuple, dense)) and _all_fractions(m)
+    nonzero = {(i, c): x for i, row in enumerate(dense) for c, x in enumerate(row) if x}
+    assert m._nonzero_entries() == nonzero
+    assert m._flat_nonzeros() == {i * ncols + c: x for (i, c), x in nonzero.items()}
+    assert m._fraction_rows() == [[(c, x) for c, x in enumerate(row) if x] for row in dense]
+    den, nz = m._int_rows()
+    assert den == math.lcm(*(x.denominator for x in nonzero.values()))
+    assert {(i, c): Fraction(v, den) for i, row in nz.items() for c, v in row} == nonzero
+    assert m.flat() == tuple(x for row in dense for x in row)
+    assert m.is_zero() == (not nonzero)
+    for i in range(nrows):
+        assert m.row(i) == tuple(dense[i])
+        for j in range(ncols):
+            assert m[i, j] == dense[i][j] and type(m[i, j]) is Fraction
+    if nrows:
+        assert m[-1, -ncols] == dense[-1][-ncols] and m.row(-1) == tuple(dense[-1])
+    for j in range(ncols):
+        assert m.column(j) == tuple(row[j] for row in dense)
+    with pytest.raises(IndexError):
+        m[nrows, 0]
+    assert str(m) == "\n".join("[" + ", ".join(map(str, row)) + "]" for row in dense)
+
+
+def test_sparse_store_kernels_and_readers_match_dense_oracles():
+    # every kernel and reader of the one integer store, against dense Fraction
+    # references computed here from .rows
+    rng = random.Random(2026)
+    shapes = [(1, 1), (1, 5), (5, 1), (1, 7), (6, 1), (2, 3), (4, 4), (3, 6), (6, 6)]
+    for _ in range(80):
+        nrows, ncols = rng.choice(shapes)
+        other = rng.randint(1, 5)
+        a = _store_matrix(rng, nrows, ncols)
+        a2 = _store_matrix(rng, nrows, ncols)
+        b = _store_matrix(rng, ncols, other)
+        s, t = _store_matrix(rng, nrows, nrows), _store_matrix(rng, nrows, nrows)
+        da, da2, db, ds, dt = map(_as_dense, (a, a2, b, s, t))
+        c = rng.choice([Fraction(0), Fraction(-1), Fraction(5, 12), Fraction(-(2**65) - 3, 7)])
+        d = rng.choice([2, Fraction(-3, 4), Fraction(2**64 + 1, 3)])
+        v = [_wide_entry(rng) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+        r0, r1 = sorted(rng.sample(range(nrows + 1), 2)) if nrows > 1 else (0, 1)
+        c0, c1 = sorted(rng.sample(range(ncols + 1), 2)) if ncols > 1 else (0, 1)
+        ds_dt, dt_ds = _dense_product(ds, dt), _dense_product(dt, ds)
+        combination = [[c * x + d * y - z for x, y, z in zip(*rows)] for rows in zip(da, da2, da)]
+        checks = [
+            (a.matmul(b), _dense_product(da, db)),
+            (a * b, _dense_product(da, db)),
+            (commutator(s, t), [[x - y for x, y in zip(*rows)] for rows in zip(ds_dt, dt_ds)]),
+            (kron(a, b), _dense_kron(da, db)),
+            (kron(b, s), _dense_kron(db, ds)),
+            (linear_combination([(c, a), (d, a2), (-1, a)], nrows, ncols), combination),
+            (a + a2, [[x + y for x, y in zip(*rows)] for rows in zip(da, da2)]),
+            (a - a2, [[x - y for x, y in zip(*rows)] for rows in zip(da, da2)]),
+            (a - a, [[0] * ncols for _ in range(nrows)]),
+            (a * c, [[x * c for x in row] for row in da]),
+            (d * a, [[d * x for x in row] for row in da]),
+            (-a, [[-x for x in row] for row in da]),
+            (a.transpose(), [list(col) for col in zip(*da)]),
+            (a.block(r0, r1, c0, c1), [row[c0:c1] for row in da[r0:r1]]),
+            (hstack([a, a2]), [x + y for x, y in zip(da, da2)]),
+            (vstack([a, a2]), da + da2),
+            (ExactMatrix.zero(nrows, ncols), [[0] * ncols for _ in range(nrows)]),
+            (ExactMatrix.identity(nrows), [[int(i == j) for j in range(nrows)] for i in range(nrows)]),
+        ]
+        for got, want in checks:
+            want = [[Fraction(x) for x in row] for row in want]
+            _check_readers(got, want)
+            assert got == ExactMatrix(want) and hash(got) == hash(ExactMatrix(want))
+        _check_readers(a, da)
+        assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in da)
+        assert all(type(x) is Fraction for x in a.apply(v))
+        assert s.trace() == sum((ds[i][i] for i in range(nrows)), Fraction(0))
+        # 0-row shapes pass through the kernels
+        empty = ExactMatrix.zero(0, nrows)
+        assert (empty * a).shape == (0, ncols) and (empty * a).is_zero()
+        assert kron(empty, b).shape == (0, nrows * other) and kron(b, empty).rows == ()
+
+        # == and hash agree however the same matrix is built
+        den, nz = a._int_rows()
+        k = rng.choice([1, 6, 2**64 + 13])
+        same = [
+            ExactMatrix(da),
+            ExactMatrix(tuple(map(tuple, da))),
+            ExactMatrix._from_ints(nrows, ncols, k * den,
+                                   {i: [(j, k * x) for j, x in row] for i, row in nz.items()}),
+            ExactMatrix.from_flat(nrows, ncols, a.flat()),
+            ExactMatrix.from_flat(nrows, ncols, [rat_str(x) for x in a.flat()]),
+            a * ExactMatrix.identity(ncols),
+            ExactMatrix.identity(nrows) * a,
+            a + ExactMatrix.zero(nrows, ncols),
+            linear_combination([(1, a)], nrows, ncols),
+            (a * 6) * Fraction(1, 6),
+            -(-a),
+            kron(ExactMatrix.identity(1), a),
+            a.transpose().transpose(),
+            vstack([a]),
+            hstack([a]),
+            a.block(0, nrows, 0, ncols),
+        ]
+        for x in same:
+            assert x == a and a == x and hash(x) == hash(a) and store_is_canonical(x)
+        assert len(set(same)) == 1
+        # a basis matrix is its span's RREF row: a over its leading entry
+        if nrows == ncols and not a.is_zero():
+            (mat,) = EndoSubspace.from_matrices([a, 2 * a], nrows).basis_matrices()
+            lead = next(x for x in a.flat() if x)
+            assert mat == a * (1 / lead) and hash(mat) == hash(a * (1 / lead))
+            _check_readers(mat, [[x / lead for x in row] for row in da])
