@@ -54,7 +54,6 @@ from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
     Q,
-    SpanSolver,
     Subspace,
     commutator,
     hstack,

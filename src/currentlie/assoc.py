@@ -18,7 +18,6 @@ from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
     Q,
-    SpanSolver,
     Subspace,
     _Algebra,
     _dense,
@@ -27,6 +26,7 @@ from currentlie.linalg import (
     _int_products,
     _left_mult,
     _nullspace_from_system,
+    nullspace,
     rat,
 )
 
@@ -195,7 +195,9 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
     def project(terms) -> dict:
         # a vector, given by its nonzero (index, Fraction) pairs, modulo J;
         # the reduced vector is zero on the pivots
-        return {pos[col]: x for col, x in j._reduce(dict(terms)).items()}
+        w = dict(terms)
+        j._reduce(w)
+        return {pos[col]: x for col, x in w.items()}
 
     products = {}
     for (ci, cj), terms in a.products.items():
@@ -220,18 +222,18 @@ def _minimal_polynomial(alg: AssocAlgebra, unit, x) -> list:
     """Monic minimal polynomial of x over the subalgebra with unit `unit`.
 
     Returns the coefficient list [c_0, ..., c_(s-1), 1] of smallest degree
-    with sum(c_i x^i) + x^s = 0, powers taken relative to `unit`.
+    with sum(c_i x^i) + x^s = 0, powers taken relative to `unit`.  The
+    powers are independent up to the first dependency, which dim + 1 of
+    them must have, so that one is the null space of the matrix whose
+    columns are the powers, scaled to end in 1.
     """
     powers = [tuple(unit)]
     while True:
-        nxt = alg.multiply(powers[-1], x)
-        solver = SpanSolver(powers, alg.dim)
-        coeffs = solver.coefficients(nxt)
-        if coeffs is not None:
-            return [-c for c in coeffs] + [_ONE]
-        powers.append(nxt)
-        if len(powers) > alg.dim + 1:
-            raise RuntimeError("minimal polynomial search failed to terminate")
+        powers.append(alg.multiply(powers[-1], x))
+        kernel = nullspace(ExactMatrix(powers).transpose())
+        if kernel.dim:
+            c = kernel.basis.rows[0]
+            return [v / c[-1] for v in c]
 
 
 def _rational_roots(poly: list) -> tuple[list, int]:

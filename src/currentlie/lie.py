@@ -16,7 +16,6 @@ from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
     Q,
-    SpanSolver,
     Subspace,
     _Algebra,
     _derivation_space,
@@ -306,7 +305,7 @@ def is_semisimple(g: LieAlgebra) -> bool:
 def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
     basis = space._nnz
     return all(
-        not space._reduce(g._times(u, v))
+        space._coordinates(g._times(u, v)) is not None
         for i, u in enumerate(basis)
         for v in basis[i + 1 :]
     )
@@ -314,7 +313,7 @@ def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
 
 def is_ideal(g: LieAlgebra, space: Subspace) -> bool:
     return all(
-        not space._reduce(g._times([(i, _ONE)], v))
+        space._coordinates(g._times([(i, _ONE)], v)) is not None
         for i in range(g.dim)
         for v in space._nnz
     )
@@ -336,7 +335,7 @@ def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
     if labels is None:
         labels = [f"m{i}" for i in range(len(mats))]
     return _lie_from_brackets(
-        labels, lambda i, j: endo.coordinates(commutator(mats[i], mats[j])), mats
+        labels, lambda i, j: endo._coordinates(commutator(mats[i], mats[j])), mats
     )
 
 
@@ -353,8 +352,8 @@ def _derivation_algebra(g: LieAlgebra) -> LieAlgebra:
 def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
     """The Lie algebra on a bracket-closed basis b_0, ..., b_(d-1), d = len(labels).
 
-    coordinates(i, j) gives the coordinates of [b_i, b_j] over the basis,
-    or None if the bracket lies outside its span.
+    coordinates(i, j) gives the nonzero coordinates of [b_i, b_j] over the
+    basis as (k, c) pairs, or None if the bracket lies outside its span.
     """
     d = len(labels)
     entries = []
@@ -363,9 +362,8 @@ def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
             coords = coordinates(i, j)
             if coords is None:
                 raise ValueError("basis is not closed under the bracket")
-            for k, c in enumerate(coords):
-                if c:
-                    entries += ((i, j, k, c), (j, i, k, -c))
+            for k, c in coords:
+                entries += ((i, j, k, c), (j, i, k, -c))
     return LieAlgebra._from_products(labels, _products(entries), matrix_basis)
 
 
@@ -421,9 +419,14 @@ def sp(m: int) -> LieAlgebra:
                 rows[m + j][i] += _ONE
             add(rows, f"c{i + 1}{j + 1}")
 
-    solver = SpanSolver([mat.flat() for mat in mats], n * n)
-    return _lie_from_brackets(
-        labels,
-        lambda i, j: solver.coefficients((mats[i] * mats[j] - mats[j] * mats[i]).flat()),
-        mats,
-    )
+    # each basis matrix is 1 at its first entry, where the others are 0, so
+    # the basis matrices are the RREF rows of their span in another order
+    endo = EndoSubspace.from_matrices(mats, n)
+    label_at = {min(m._flat_nonzeros()): k for k, m in enumerate(mats)}
+    label_of_row = [label_at[p] for p in endo.space.pivots]
+
+    def coordinates(i, j):
+        coords = endo._coordinates(mats[i] * mats[j] - mats[j] * mats[i])
+        return None if coords is None else [(label_of_row[r], c) for r, c in coords]
+
+    return _lie_from_brackets(labels, coordinates, mats)

@@ -650,20 +650,22 @@ class Subspace:
     """A subspace of Q^n held as its unique RREF basis (zero rows dropped).
 
     The basis is stored sparse: its pivots, and per row the nonzero
-    (index, Fraction) pairs by index (`_nnz`).  `basis`, the same rows as
-    an ExactMatrix, is built on first read.  Because the RREF basis is
-    unique, equality of Subspace objects is equality of subspaces.
+    (index, Fraction) pairs by index (`_nnz`), with the row of each pivot
+    (`_row_at`).  `basis`, the same rows as an ExactMatrix, is built on
+    first read.  Because the RREF basis is unique, equality of Subspace
+    objects is equality of subspaces.
     """
 
-    __slots__ = ("ambient", "pivots", "_nnz", "_basis")
+    __slots__ = ("ambient", "pivots", "_nnz", "_row_at", "_basis")
 
     def __init__(self, ambient: int, basis: ExactMatrix, pivots: tuple[int, ...]):
         # trusted constructor; use from_vectors for arbitrary spanning sets.
         # Rows become lists, as everywhere else, so that == compares like types
-        self.ambient = ambient
-        self.pivots = pivots
-        self._nnz = list(map(list, basis._fraction_rows()))
-        self._basis = basis
+        self._init(ambient, pivots, list(map(list, basis._fraction_rows())), basis)
+
+    def _init(self, ambient: int, pivots: tuple, nnz: list, basis) -> None:
+        self.ambient, self.pivots, self._nnz, self._basis = ambient, pivots, nnz, basis
+        self._row_at = {p: r for r, p in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
@@ -683,7 +685,7 @@ class Subspace:
     @classmethod
     def _from_rows(cls, ambient: int, pivots: tuple, nnz: list) -> "Subspace":
         space = object.__new__(cls)
-        space.ambient, space.pivots, space._nnz, space._basis = ambient, pivots, nnz, None
+        space._init(ambient, pivots, nnz, None)
         return space
 
     @classmethod
@@ -710,46 +712,59 @@ class Subspace:
         """Canonical representative of v modulo this subspace."""
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return list(_dense(self._reduce(_sparse(v)).items(), self.ambient))
+        w = _sparse(v)
+        self._reduce(w)
+        return list(_dense(w.items(), self.ambient))
 
-    def _reduce(self, w: dict, coeffs: list | None = None) -> dict:
+    def _reduce(self, w: dict) -> list:
         """Reduce the sparse vector w {index: nonzero Fraction} in place.
 
         What is left of w is its canonical representative modulo this
-        subspace; the coefficient taken at each pivot is appended to
-        coeffs when it is given.
+        subspace.  Returns the (row, coefficient) pairs, by row, of the
+        combination of basis rows taken off.  An RREF row is 1 at its own
+        pivot and 0 at every other pivot, so the coefficient on row r is
+        w's own entry at r's pivot, and only the pivots w holds are
+        visited, found from w's support or from the pivots, whichever is
+        smaller.
         """
-        for nz, p in zip(self._nnz, self.pivots):
-            f = w.get(p)
-            if coeffs is not None:
-                coeffs.append(_ZERO if f is None else f)
-            if f is not None:
-                for j, x in nz:
-                    v = w.get(j, _ZERO) - f * x
-                    if v:
-                        w[j] = v
-                    else:
-                        del w[j]
-        return w
+        row_at = self._row_at
+        if len(w) < len(row_at):
+            hits = sorted(row_at[j] for j in w if j in row_at)
+        else:
+            hits = [r for p, r in row_at.items() if p in w]
+        coeffs = []
+        for r in hits:
+            f = w[self.pivots[r]]
+            coeffs.append((r, f))
+            for j, x in self._nnz[r]:
+                v = w.get(j, _ZERO) - f * x
+                if v:
+                    w[j] = v
+                else:
+                    del w[j]
+        return coeffs
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return not self._reduce(_sparse(v))
+        return self._coordinates(_sparse(v)) is not None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(not other._reduce(dict(nz)) for nz in self._nnz)
+        return all(other._coordinates(dict(nz)) is not None for nz in self._nnz)
 
     def coordinates(self, v: Sequence):
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        return self._coordinates(_sparse(v))
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        coeffs = self._coordinates(_sparse(v))
+        return None if coeffs is None else _dense(coeffs, self.dim)
 
     def _coordinates(self, w: dict):
-        # w as in _reduce
-        coeffs = []
-        return None if self._reduce(w, coeffs) else tuple(coeffs)
+        """The (row, coefficient) pairs, by row, of w (as in _reduce), or None if w is outside."""
+        coeffs = self._reduce(w)
+        return None if w else coeffs
 
     def __eq__(self, other) -> bool:
         return (
@@ -773,29 +788,31 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the left kernel of the stacked bases.
+    """The kernel of a's rows reduced modulo b, carried back into a.
 
-    A row (alpha, beta) with alpha*A + beta*B = 0 corresponds to the common
-    vector alpha*A = -beta*B, and every common vector arises that way.
+    sum alpha_i a_i lies in b exactly when sum alpha_i (a_i mod b) = 0,
+    and a's rows are independent, so those alpha are the intersection's
+    coordinates over a.  For an RREF kernel basis the vectors sum
+    alpha_i a_i are themselves RREF rows: each equals alpha at a's
+    pivots, and leads at the pivot of a's row where alpha leads.
     """
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero_space(a.ambient)
-    system = {}  # column j of the stacked bases: {row: entry}
-    for i, nz in enumerate(a._nnz + b._nnz):
-        for j, x in nz:
+    system = {}  # column j of the reduced rows: {row: entry}
+    for i, nz in enumerate(a._nnz):
+        w = dict(nz)
+        b._reduce(w)
+        for j, x in w.items():
             system.setdefault(j, {})[i] = x
-    left_kernel = _nullspace_from_system(system.values(), a.dim + b.dim)
-    vectors = []
-    for nz in left_kernel._nnz:
+    kernel = _nullspace_from_system(system.values(), a.dim)
+    rows = []
+    for alphas in kernel._nnz:
         vec = {}
-        for i, coeff in nz:
-            if i < a.dim:
-                for j, x in a._nnz[i]:
-                    vec[j] = vec.get(j, _ZERO) + coeff * x
-        vectors.append({j: x for j, x in vec.items() if x})
-    return Subspace._from_rref(a.ambient, _rref_sparse(vectors))
+        for i, alpha in alphas:
+            for j, x in a._nnz[i]:
+                vec[j] = vec.get(j, _ZERO) + alpha * x
+        rows.append(sorted((j, x) for j, x in vec.items() if x))
+    return Subspace._from_rows(a.ambient, tuple(a.pivots[f] for f in kernel.pivots), rows)
 
 
 class EndoSubspace:
@@ -828,12 +845,15 @@ class EndoSubspace:
         return self.space.dim
 
     def contains(self, m: ExactMatrix) -> bool:
-        if m.shape != (self.n, self.n):
-            raise ValueError("matrix shape mismatch")
-        return not self.space._reduce(m._flat_nonzeros())
+        return self._coordinates(m) is not None
 
     def coordinates(self, m: ExactMatrix):
         """Coefficients of m over basis_matrices(), or None if m is outside."""
+        coeffs = self._coordinates(m)
+        return None if coeffs is None else _dense(coeffs, self.dim)
+
+    def _coordinates(self, m: ExactMatrix):
+        """The (index, coefficient) pairs of m over basis_matrices(), or None if m is outside."""
         if m.shape != (self.n, self.n):
             raise ValueError("matrix shape mismatch")
         return self.space._coordinates(m._flat_nonzeros())
@@ -859,47 +879,3 @@ class EndoSubspace:
 
     def __repr__(self):
         return f"EndoSubspace(n={self.n}, dim={self.dim})"
-
-
-class SpanSolver:
-    """Writes vectors as combinations of a fixed, possibly dependent, list.
-
-    Row-reducing [V | I] yields [R | T] with T*V = R, so coefficients read
-    off R translate back through T to coefficients over the original list.
-    """
-
-    def __init__(self, vectors: Sequence[Sequence], ambient: int):
-        rows = []
-        for i, v in enumerate(vectors):
-            row = _sparse(v)
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-            row[ambient + i] = _ONE
-            rows.append(row)
-        self.ambient = ambient
-        self.count = len(rows)
-        # pivots past `ambient` lead dependency rows; no use for solving
-        self._rows = [(p, row) for p, row in _rref_sparse(rows) if p < ambient]
-
-    def coefficients(self, v: Sequence):
-        """Coefficients c with sum(c_i * vectors_i) = v, or None if unsolvable."""
-        w = [rat(x) for x in v]
-        if len(w) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        alphas = []
-        for p, row in self._rows:
-            f = w[p]
-            alphas.append(f)
-            if f:
-                for j, x in row.items():
-                    if j < self.ambient:
-                        w[j] -= f * x
-        if any(w):
-            return None
-        coeffs = [_ZERO] * self.count
-        for f, (_, row) in zip(alphas, self._rows):
-            if f:
-                for j, x in row.items():
-                    if j >= self.ambient:
-                        coeffs[j - self.ambient] += f * x
-        return tuple(coeffs)

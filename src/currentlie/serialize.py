@@ -19,6 +19,7 @@ so identical algebras produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from currentlie.assoc import AssocAlgebra, first_assoc_violation
@@ -35,6 +36,9 @@ MAX_DIM = 200
 # of each family are built as full lists before the first check, and the
 # time grows with the count: 200 is ten times the default of 20.
 MAX_SAMPLES = 200
+
+# A coefficient string: what rat_str writes, an integer or a fraction.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class FormatError(ValueError):
@@ -129,9 +133,13 @@ def _coeff_out(value) -> str:
 
 
 def _coeff_in(value, where: str):
-    # rationals travel as strings; bare ints are tolerated, floats are not
+    # rationals travel as strings in the form _RATIONAL; bare ints are
+    # tolerated, floats are not.  Fraction would also read decimals and
+    # exponents, and expanding "1e50000000" takes it over a minute
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"{where}: coefficient must be a rational string")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise FormatError(f"{where}: bad rational {value!r}")
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -250,7 +258,7 @@ def load_algebra(path, check: bool = True):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     alg = algebra_from_dict(doc)
     if check:

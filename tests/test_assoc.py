@@ -7,6 +7,7 @@ import pytest
 
 from currentlie.assoc import (
     AssocAlgebra,
+    _minimal_polynomial,
     _rational_roots,
     NonSplitError,
     derivations,
@@ -29,6 +30,7 @@ from helpers import (
     assert_is_largest_nilpotent_ideal,
     rand_frac,
     reference_rational_roots,
+    reference_rref,
 )
 
 
@@ -282,6 +284,48 @@ def test_wedderburn_complement_three_blocks():
     assert subspace_sum(s, j).dim == a.dim
     for u in s.basis.rows:
         assert s.contains(a.multiply(u, u))
+
+
+def _rebased(a, rng):
+    # a on the rows of a seeded unimodular integer matrix p: row operations
+    # build p and, by the inverse column operations, its inverse q, and a
+    # vector's coordinates over the rows of p are the vector times q
+    n = a.dim
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+
+    def over_p(v):
+        return [sum(v[t] * q[t][s] for t in range(n)) for s in range(n)]
+
+    table = [[over_p(a.multiply(u, v)) for v in p] for u in p]
+    return AssocAlgebra([f"b{i}" for i in range(n)], table, over_p(a.unit))
+
+
+def test_minimal_polynomial_is_monic_annihilating_and_least():
+    rng = random.Random(61)
+    for _ in range(15):
+        a = truncated_polynomial(rng.randint(0, 3))
+        for _ in range(rng.randint(0, 2)):
+            a = direct_sum(a, truncated_polynomial(rng.randint(0, 3)))
+        a = _rebased(a, rng)
+        assert a.check_axioms()
+        x = tuple(rand_frac(rng, 3, 2) for _ in range(a.dim))
+        poly = _minimal_polynomial(a, a.unit, x)
+        assert poly[-1] == 1
+        powers = [tuple(a.unit)]
+        for _ in range(len(poly) - 1):
+            powers.append(a.multiply(powers[-1], x))
+        killed = [sum(c * power[t] for c, power in zip(poly, powers)) for t in range(a.dim)]
+        assert killed == [0] * a.dim
+        # the powers below the degree are independent: no lower polynomial kills x
+        lower = ExactMatrix(powers[:-1])
+        assert sum(1 for row in reference_rref(lower).rows if any(row)) == lower.nrows
 
 
 def test_wedderburn_complement_refuses_nonsplit_quotient():

@@ -446,6 +446,16 @@ def test_assoc_file_roundtrip(tmp_path):
         (lambda d: d["products"].append([0, 1, 2, "1"]), "duplicate"),
         (lambda d: d["products"].append([0, 2, 0, "1/0"]), "bad rational"),
         (lambda d: d["products"].append([0, 2, 0, 2.5]), "rational string"),
+        # only the "p" and "p/q" forms that rat_str writes
+        (lambda d: d["products"].append([0, 2, 0, "1e400"]), r"products\[1\]: bad rational"),
+        (lambda d: d["products"].append([0, 2, 0, "1.5"]), r"products\[1\]: bad rational"),
+        (lambda d: d["products"].append([0, 2, 0, " 1"]), r"products\[1\]: bad rational"),
+        (lambda d: d.update(algebra_to_dict(truncated_polynomial(1)), unit=["1e400", "0"]),
+         r"unit\[0\]: bad rational"),
+        (lambda d: d.update(algebra_to_dict(truncated_polynomial(1)), unit=["1", "1.5"]),
+         r"unit\[1\]: bad rational"),
+        (lambda d: d.update(algebra_to_dict(truncated_polynomial(1)), unit=[" 1", "0"]),
+         r"unit\[0\]: bad rational"),
         (lambda d: d.update(unit=["1", "0", "0"]), "unknown keys"),
         (lambda d: d.pop("products"), "missing keys"),
     ],
@@ -457,6 +467,24 @@ def test_format_violations(tmp_path, mutate, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=message):
         load_algebra(path)
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    # Fraction would read "1e50000000" and spend minutes expanding it; the
+    # JSON reader refuses an int of more than 4300 digits with a ValueError
+    [('"1e50000000"', "products[0]: bad rational"), ("9" * 5000, "invalid JSON")],
+    ids=["decimal exponent", "5000-digit int"],
+)
+def test_oversized_coefficient_exits_2_at_once(tmp_path, capsys, coeff, message):
+    path = tmp_path / "coeff.json"
+    path.write_text('{"kind":"lie","dim":2,"basis":["x","y"],"products":[[0,1,1,%s]]}' % coeff)
+    start = time.perf_counter()
+    code, stdout, stderr = run(["derive", str(path), "--dim"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert message in stderr
 
 
 def test_assoc_requires_unit(tmp_path):

@@ -261,7 +261,7 @@ def test_affine_series():
 
 
 def test_sp_matrix_realization():
-    for m in (1, 2):
+    for m in (1, 2, 3):
         g = sp(m)
         assert g.dim == m * (2 * m + 1)
         assert g.check_lie_axioms()

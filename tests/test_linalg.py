@@ -12,7 +12,6 @@ from currentlie.linalg import (
     ExactMatrix,
     _nullspace_from_system,
     _rref_sparse,
-    SpanSolver,
     Subspace,
     commutator,
     hstack,
@@ -245,6 +244,10 @@ def test_subspace_membership():
     assert s.coordinates([1, 1, 2]) == (1, 1)
     assert s.coordinates([0, 0, 1]) is None
     assert s.reduce([1, 1, 2]) == [0, 0, 0]
+    for short in ([1, 1], [1, 1, 2, 0]):
+        for read in (s.contains, s.coordinates, s.reduce):
+            with pytest.raises(ValueError, match="vector length"):
+                read(short)
 
 
 def test_subspace_sum_and_intersection_fixed():
@@ -271,30 +274,6 @@ def test_subspace_modular_dimension_law():
         assert a.dim + b.dim == s.dim + i.dim
         assert a.is_subspace_of(s) and b.is_subspace_of(s)
         assert i.is_subspace_of(a) and i.is_subspace_of(b)
-
-
-def test_span_solver_roundtrip():
-    rng = random.Random(29)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        vecs = [rand_vector(rng, n) for _ in range(rng.randint(1, n + 2))]
-        solver = SpanSolver(vecs, n)
-        coeffs = [rand_vector(rng, len(vecs))[0] for _ in vecs]
-        target = [
-            sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(n)
-        ]
-        got = solver.coefficients(target)
-        assert got is not None
-        rebuilt = [
-            sum(c * v[j] for c, v in zip(got, vecs)) for j in range(n)
-        ]
-        assert rebuilt == [rat(x) for x in target]
-
-
-def test_span_solver_rejects_outside_vectors():
-    solver = SpanSolver([[1, 0, 0], [0, 1, 0]], 3)
-    assert solver.coefficients([0, 0, 1]) is None
-    assert solver.coefficients([2, -3, 0]) == (2, -3)
 
 
 def test_commutator():
@@ -420,7 +399,7 @@ def _leading(row):
 
 def test_fraction_free_elimination_matches_reference():
     rng = random.Random(41)
-    for trial in range(40):
+    for _ in range(40):
         ncols = rng.randint(1, 60)
         rows = _wide_system(rng, ncols)
         dense = ExactMatrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
@@ -455,27 +434,100 @@ def test_fraction_free_elimination_matches_reference():
         assert list(ns.basis.rows) == want and _all_fractions(ns.basis)
         assert _nullspace_from_system(rows, ncols) == ns
 
-        # SpanSolver: the RREF [R | T] of [V | I] gives, for v in the row
-        # space, the coefficients sum over pivots p of v[p] * T_p
-        if trial % 4 == 0:
-            count = dense.nrows
-            augmented = reference_rref(hstack([dense, ExactMatrix.identity(count)]))
-            solver = SpanSolver(dense.rows, ncols)
-            weights = [rand_frac(rng) for _ in range(count)]
-            target = [sum((w * row[c] for w, row in zip(weights, dense.rows)), Fraction(0))
-                      for c in range(ncols)]
-            expected = [Fraction(0)] * count
-            for row in _nonzero_rows(augmented):
-                p = _leading(row)
-                if p < ncols:
-                    expected = [e + target[p] * t for e, t in zip(expected, row[ncols:])]
-            coeffs = solver.coefficients(target)
-            assert coeffs == tuple(expected)
-            assert all(type(x) is Fraction for x in coeffs)
-            for f in range(ncols):
-                if f not in ref_pivots:
-                    assert solver.coefficients([int(c == f) for c in range(ncols)]) is None
-                    break
+
+def _reference_rows(rows) -> list:
+    # the nonzero rows of the reference RREF of the rows
+    return _nonzero_rows(reference_rref(ExactMatrix(rows))) if rows else []
+
+
+def _oracle_space(rng, n):
+    # the zero space, the full space, or the span of sparse rows, with the
+    # reference RREF rows of each (the vectors tested carry the wide entries)
+    kind = rng.random()
+    if kind < 0.15:
+        rows = []
+    elif kind < 0.3:
+        rows = [[rng.randint(1, 3) if c == i else rand_frac(rng) if c > i and rng.random() < 0.2
+                 else 0 for c in range(n)] for i in range(n)]
+    else:
+        density = rng.choice([0.05, 0.15, 0.4])
+        rows = [[rand_frac(rng) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(rng.randint(1, n))]
+    return Subspace.from_vectors(rows, n), _reference_rows(rows)
+
+
+def _check_reduction(space, v, coeffs, rest):
+    # coeffs: v's coefficients over the RREF rows, or None if v is outside;
+    # rest: v's canonical representative modulo the space.  The sparse
+    # input lists its entries by decreasing index, so the pairs of
+    # _coordinates are sorted by the routine, not by the input
+    w = {j: Fraction(x) for j, x in reversed(list(enumerate(v))) if x}
+    pairs = space._coordinates(w)
+    if coeffs is None:
+        assert pairs is None and space.coordinates(v) is None and not space.contains(v)
+    else:
+        assert pairs == [(r, c) for r, c in enumerate(coeffs) if c]
+        assert space.coordinates(v) == tuple(coeffs) and space.contains(v)
+    assert space.reduce(v) == rest
+
+
+def test_reduction_kernel_matches_dense_arithmetic():
+    rng = random.Random(59)
+    for _ in range(24):
+        n = rng.choice([1, 2, 5, 12, 25, 40])
+        space, ref = _oracle_space(rng, n)
+        pivots = [_leading(row) for row in ref]
+        assert space.pivots == tuple(pivots)
+        free = [c for c in range(n) if c not in pivots]
+        zero = [Fraction(0)] * n
+
+        def combo(coeffs):
+            return [sum((c * row[j] for c, row in zip(coeffs, ref)), Fraction(0)) for j in range(n)]
+
+        for _ in range(4):
+            # inside: a known combination of the rows, a third of its coefficients zero
+            coeffs = [_wide_entry(rng) if rng.random() < 0.7 else Fraction(0) for _ in ref]
+            inside = combo(coeffs)
+            _check_reduction(space, inside, coeffs, zero)
+            if free:
+                # outside: one non-pivot entry more, which stays as the remainder
+                f, t = rng.choice(free), _wide_entry(rng)
+                rest = [t if j == f else Fraction(0) for j in range(n)]
+                _check_reduction(space, [x + y for x, y in zip(inside, rest)], None, rest)
+                # only non-pivot entries: already canonical
+                only_free = [_wide_entry(rng) if j in free and rng.random() < 0.5 else Fraction(0)
+                             for j in range(n)]
+                _check_reduction(space, only_free, None if any(only_free) else [0] * len(ref),
+                                 only_free)
+            if pivots:
+                # only a few pivot entries: the coefficient on row r is the entry at its pivot
+                hit = set(rng.sample(pivots, rng.randint(1, min(3, len(pivots)))))
+                only_pivots = [_wide_entry(rng) if j in hit else Fraction(0) for j in range(n)]
+                coeffs = [only_pivots[p] for p in pivots]
+                rest = [x - y for x, y in zip(only_pivots, combo(coeffs))]
+                assert all(rest[p] == 0 for p in pivots)
+                _check_reduction(space, only_pivots, None if any(rest) else coeffs, rest)
+
+        # a second space sharing part of the first: containment and intersection
+        shared = [combo([_wide_entry(rng) if rng.random() < 0.5 else 0 for _ in ref])
+                  for _ in range(rng.randint(0, len(ref)))]
+        other, _ = _oracle_space(rng, n)
+        rows_b = shared + [list(row) for row in other.basis.rows]
+        b = Subspace.from_vectors(rows_b, n)
+        ref_b = _reference_rows(rows_b)
+        joint = len(_reference_rows(ref + ref_b))
+        assert space.is_subspace_of(b) == (joint == len(ref_b))
+        assert b.is_subspace_of(space) == (joint == len(ref))
+        assert space.is_subspace_of(space) and Subspace.zero_space(n).is_subspace_of(space)
+        assert space.is_subspace_of(Subspace.full_space(n))
+        inter = subspace_intersection(space, b)
+        inter_rows = list(inter.basis.rows)
+        assert inter.dim == len(ref) + len(ref_b) - joint
+        assert inter_rows == _reference_rows(inter_rows)
+        assert inter.pivots == tuple(_leading(row) for row in inter_rows)
+        assert len(_reference_rows(ref + inter_rows)) == len(ref)
+        assert len(_reference_rows(ref_b + inter_rows)) == len(ref_b)
+        assert subspace_intersection(b, space) == inter
 
 
 def _dense_nonzeros(m):

@@ -35,7 +35,7 @@ EXPORTS = {
         "lie_from_endo_span", "lower_central_series", "solvable_radical", "sp", "subalgebra",
     ],
     "currentlie.linalg": [
-        "EndoSubspace", "ExactMatrix", "Q", "SpanSolver", "Subspace", "commutator", "hstack",
+        "EndoSubspace", "ExactMatrix", "Q", "Subspace", "commutator", "hstack",
         "kron", "nullspace", "rank", "rat", "rat_str", "rref", "subspace_intersection",
         "subspace_sum", "vstack",
     ],
