@@ -11,6 +11,7 @@ multiplication operators).
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
@@ -21,11 +22,11 @@ from currentlie.linalg import (
     Subspace,
     _Algebra,
     _dense,
-    _derivation_space,
     _from_entries,
-    _int_products,
     _left_mult,
+    _leibniz_space,
     _nullspace_from_system,
+    _products,
     nullspace,
     rat,
 )
@@ -41,16 +42,17 @@ class NonSplitError(ValueError):
 class AssocAlgebra(_Algebra):
     """Structure-constant presentation of a commutative unital algebra.
 
-    products[(i, j)] lists the nonzero coordinates of e_i e_j, for both
-    orders of each pair; unit is the coordinate vector of 1.
+    products[(i, j)] lists the nonzero coordinates of e_i e_j, as
+    numerators over den, for both orders of each pair; unit is the
+    coordinate vector of 1.
     AssocAlgebra(labels, table, unit) takes the dense table, table[i][j]
     the coordinate vector of e_i e_j.
     """
 
     multiply = _Algebra._product
 
-    def _init(self, labels: tuple, products: dict, unit: Sequence) -> None:
-        super()._init(labels, products)
+    def _init(self, labels: tuple, den: int, products: dict, unit: Sequence) -> None:
+        super()._init(labels, den, products)
         self.unit = tuple(rat(x) for x in unit)
         if len(self.unit) != self.dim:
             raise ValueError("unit length mismatch")
@@ -110,26 +112,25 @@ def first_assoc_violation(a: AssocAlgebra):
         if prod.get((i, j)) != prod.get((j, i)):
             return f"commutativity fails on ({a.labels[i]}, {a.labels[j]})"
     skip = {unit[0][0]} if len(unit) == 1 and unit[0][1] == 1 else set()
-    _, nz = _int_products(a)
     right = [[] for _ in range(n)]  # right[m]: the k outside skip with e_m e_k != 0
-    for m, k in nz:
+    for m, k in prod:
         if k not in skip:
             right[m].append(k)
     for i in range(n):
         for j in range(n):
-            ij = nz.get((i, j), ())
+            ij = prod.get((i, j), ())
             if i in skip or j in skip or not (ij or right[j]):
                 continue
             ks = set(right[j])
             for m, _ in ij:
                 ks.update(right[m])
             for k in sorted(ks):
-                diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), scaled to integers
+                diff = {}  # (e_i e_j) e_k - e_i (e_j e_k), in numerators over den^2
                 for m, c in ij:
-                    for p, w in nz.get((m, k), ()):
+                    for p, w in prod.get((m, k), ()):
                         diff[p] = diff.get(p, 0) + c * w
-                for m, c in nz.get((j, k), ()):
-                    for p, w in nz.get((i, m), ()):
+                for m, c in prod.get((j, k), ()):
+                    for p, w in prod.get((i, m), ()):
                         diff[p] = diff.get(p, 0) - c * w
                 if any(diff.values()):
                     labels = (a.labels[i], a.labels[j], a.labels[k])
@@ -142,20 +143,21 @@ def truncated_polynomial(k: int) -> AssocAlgebra:
     if k < 0:
         raise ValueError("k must be >= 0")
     n = k + 1
-    products = {(i, j): ((i + j, _ONE),) for i in range(n) for j in range(n - i)}
+    products = {(i, j): ((i + j, 1),) for i in range(n) for j in range(n - i)}
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     unit = tuple(_ONE if p == 0 else _ZERO for p in range(n))
-    return AssocAlgebra._from_products(labels, products, unit)
+    return AssocAlgebra._from_products(labels, 1, products, unit)
 
 
 def direct_sum(a: AssocAlgebra, b: AssocAlgebra) -> AssocAlgebra:
     """Componentwise product algebra a (+) b; the unit is (1_a, 1_b)."""
-    n = a.dim
-    products = dict(a.products)
+    n, den = a.dim, lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    products = {key: tuple((k, fa * v) for k, v in terms) for key, terms in a.products.items()}
     for (i, j), terms in b.products.items():
-        products[n + i, n + j] = tuple((n + k, c) for k, c in terms)
+        products[n + i, n + j] = tuple((n + k, fb * v) for k, v in terms)
     labels = [f"{lab}.L" for lab in a.labels] + [f"{lab}.R" for lab in b.labels]
-    return AssocAlgebra._from_products(labels, products, a.unit + b.unit)
+    return AssocAlgebra._from_products(labels, den, products, a.unit + b.unit)
 
 
 def derivations(a: AssocAlgebra) -> EndoSubspace:
@@ -164,7 +166,7 @@ def derivations(a: AssocAlgebra) -> EndoSubspace:
     Solved as the exact nullspace of the Leibniz conditions over basis
     pairs; D(1) = 0 follows automatically.
     """
-    return _derivation_space(a, diagonal=True)
+    return _leibniz_space(a, combinations_with_replacement(range(a.dim), 2), derivation=True)
 
 
 def jacobson_radical(a: AssocAlgebra) -> Subspace:
@@ -173,14 +175,15 @@ def jacobson_radical(a: AssocAlgebra) -> Subspace:
     Over Q this is the Dickson criterion, so the nullspace of the Gram
     matrix G[i][j] = tr(L_(e_i e_j)) is exactly the Jacobson radical.
     """
-    traces = {}  # traces[l] = tr(L_(e_l)) = sum_p c_lp^p
+    # G is read in numerators over den^2, which leaves its null space alone
+    traces = {}  # traces[l] = den tr(L_(e_l)) = sum_p den c_lp^p
     for (l, p), terms in a.products.items():
         for k, c in terms:
             if k == p:
-                traces[l] = traces.get(l, _ZERO) + c
-    gram = {}  # row i of G, as {j: G[i][j]}
+                traces[l] = traces.get(l, 0) + c
+    gram = {}  # row i of den^2 G, as {j: den^2 G[i][j]}
     for (i, j), terms in a.products.items():
-        if x := sum((c * traces.get(l, _ZERO) for l, c in terms), _ZERO):
+        if x := sum(c * traces.get(l, 0) for l, c in terms):
             gram.setdefault(i, {})[j] = x
     return _nullspace_from_system(gram.values(), a.dim)
 
@@ -193,21 +196,24 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
     pos = {col: idx for idx, col in enumerate(cols)}
 
     def project(terms) -> dict:
-        # a vector, given by its nonzero (index, Fraction) pairs, modulo J;
+        # a vector, given by its nonzero (index, value) pairs, modulo J;
         # the reduced vector is zero on the pivots
         w = dict(terms)
         j._reduce(w)
         return {pos[col]: x for col, x in w.items()}
 
-    products = {}
-    for (ci, cj), terms in a.products.items():
-        if ci in pos and cj in pos:
-            w = project(terms)
-            if w:
-                products[pos[ci], pos[cj]] = tuple(sorted(w.items()))
+    # reduction is linear, so the numerators reduce to den times the
+    # reduced constants
+    entries = [
+        (pos[ci], pos[cj], k, x)
+        for (ci, cj), terms in a.products.items()
+        if ci in pos and cj in pos
+        for k, x in project(terms).items()
+    ]
+    den, products = _products(entries)
     unit = _dense(project((p, u) for p, u in enumerate(a.unit) if u).items(), len(cols))
     labels = [a.labels[col] for col in cols]
-    quotient = AssocAlgebra._from_products(labels, products, unit)
+    quotient = AssocAlgebra._from_products(labels, den * a.den, products, unit)
 
     def embed(v):
         out = [_ZERO] * n

@@ -154,7 +154,8 @@ def _levi_candidates(g: LieAlgebra):
     """
     if g.dim % 2 == 1 and g.dim >= 3:
         m = g.dim // 2
-        if g.products == heisenberg(m).products:
+        h = heisenberg(m)
+        if (g.den, g.products) == (h.den, h.products):
             return heisenberg_der_blocks(m)
     # the structure of der(g) built here is the one radical_subspace reads
     if is_semisimple(_derivation_algebra(g)):

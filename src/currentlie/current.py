@@ -117,15 +117,16 @@ def current_algebra(g: LieAlgebra, a: AssocAlgebra) -> CurrentAlgebra:
         raise ValueError("A is not a commutative unital associative algebra")
     na = a.dim
     labels = [f"{gl}*{al}" for gl in g.labels for al in a.labels]
-    # [x_i1 (x) a_j1, x_i2 (x) a_j2] = sum c_(i1 i2)^k d_(j1 j2)^l x_k (x) a_l;
-    # each target k*na + l arises once, in increasing order
+    # [x_i1 (x) a_j1, x_i2 (x) a_j2] = sum c_(i1 i2)^k d_(j1 j2)^l x_k (x) a_l,
+    # in numerators over g.den * a.den; each target k*na + l arises once,
+    # in increasing order
     products = {}
     for (i1, i2), gterms in g.products.items():
         for (j1, j2), aterms in a.products.items():
             products[i1 * na + j1, i2 * na + j2] = tuple(
                 (k * na + l, ck * cl) for k, ck in gterms for l, cl in aterms
             )
-    product = LieAlgebra._from_products(labels, dict(sorted(products.items())))
+    product = LieAlgebra._from_products(labels, g.den * a.den, dict(sorted(products.items())))
     if not product.check_lie_axioms():
         raise ValueError("product bracket violates the Lie axioms")
     return CurrentAlgebra(g, a, product)

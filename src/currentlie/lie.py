@@ -10,6 +10,7 @@ symplectic algebras with their matrix realization).
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import Sequence
 
 from currentlie.linalg import (
@@ -18,10 +19,9 @@ from currentlie.linalg import (
     Q,
     Subspace,
     _Algebra,
-    _derivation_space,
-    _from_entries,
-    _int_products,
+    _from_accumulators,
     _left_mult,
+    _leibniz_space,
     _nullspace_from_system,
     _products,
     _rref_sparse,
@@ -40,17 +40,17 @@ _ONE = Q(1)
 class LieAlgebra(_Algebra):
     """Structure-constant presentation of a Lie algebra.
 
-    products[(i, j)] lists the nonzero coordinates of [e_i, e_j], for both
-    orders of each pair.  LieAlgebra(labels, table) takes the dense table,
-    table[i][j] the coordinate vector of [e_i, e_j].  matrix_basis
-    optionally records a faithful matrix realization (used by the
-    symplectic constructor).
+    products[(i, j)] lists the nonzero coordinates of [e_i, e_j], as
+    numerators over den, for both orders of each pair.
+    LieAlgebra(labels, table) takes the dense table, table[i][j] the
+    coordinate vector of [e_i, e_j].  matrix_basis optionally records a
+    faithful matrix realization (used by the symplectic constructor).
     """
 
     bracket = _Algebra._product
 
-    def _init(self, labels: tuple, products: dict, matrix_basis=None) -> None:
-        super()._init(labels, products)
+    def _init(self, labels: tuple, den: int, products: dict, matrix_basis=None) -> None:
+        super()._init(labels, den, products)
         self.matrix_basis = tuple(matrix_basis) if matrix_basis is not None else None
         self._memo: dict = {}
 
@@ -70,7 +70,7 @@ class LieAlgebra(_Algebra):
                 raise ValueError("bracket target index out of range")
             v = rat(coeff)
             both += ((i, j, k, v), (j, i, k, -v))
-        return cls._from_products(labels, _products(both), matrix_basis)
+        return cls._from_products(labels, *_products(both), matrix_basis)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(_ONE if t == i else _ZERO for t in range(self.dim))
@@ -97,21 +97,20 @@ def first_lie_violation(g: LieAlgebra):
     so only the triples reached that way from a nonzero bracket are
     evaluated; all others are zero.
     """
-    prod = g.products
-    # the checks run on the integer constants v = den * c_ij^k; a cyclic
-    # sum of products of two constants is then scaled by den^2
-    den, nz = _int_products(g)
+    # the checks run on the numerators v = den * c_ij^k; a cyclic sum of
+    # products of two constants is then scaled by den^2
+    prod, den = g.products, g.den
     for i, j in sorted({(min(key), max(key)) for key in prod}):
         if i == j:
-            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, prod[i, i])} != 0"
-        ij, ji = nz.get((i, j), ()), nz.get((j, i), ())
-        if ij != [(k, -v) for k, v in ji]:
-            bad = dict(prod.get((i, j), ()))
-            for k, v in prod.get((j, i), ()):
-                bad[k] = bad.get(k, _ZERO) + v
+            return f"[{g.labels[i]},{g.labels[i]}] = {_combo(g, prod[i, i], den)} != 0"
+        ij, ji = prod.get((i, j), ()), prod.get((j, i), ())
+        if ij != tuple((k, -v) for k, v in ji):
+            bad = dict(ij)
+            for k, v in ji:
+                bad[k] = bad.get(k, 0) + v
             return (
                 f"antisymmetry fails: [{g.labels[i]},{g.labels[j]}]"
-                f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, sorted(bad.items()))}"
+                f" + [{g.labels[j]},{g.labels[i]}] = {_combo(g, sorted(bad.items()), den)}"
             )
     # partners[m]: the x with [e_x, e_m] != 0
     partners = [[] for _ in range(g.dim)]
@@ -127,19 +126,19 @@ def first_lie_violation(g: LieAlgebra):
     for i, j, k in sorted(triples):
         total = {}
         for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in nz.get((b, cc), ()):
-                for p, w in nz.get((a, m), ()):
+            for m, v in prod.get((b, cc), ()):
+                for p, w in prod.get((a, m), ()):
                     total[p] = total.get(p, 0) + v * w
         if any(total.values()):
             labels = (g.labels[i], g.labels[j], g.labels[k])
-            terms = sorted((p, Q(v, den * den)) for p, v in total.items())
-            return f"Jacobi fails on ({', '.join(labels)}): cyclic sum = {_combo(g, terms)}"
+            cyclic = _combo(g, sorted(total.items()), den * den)
+            return f"Jacobi fails on ({', '.join(labels)}): cyclic sum = {cyclic}"
     return None
 
 
-def _combo(g: LieAlgebra, terms) -> str:
-    # terms: (index, coefficient) pairs in increasing index
-    out = [f"{rat_str(c)}*{g.labels[p]}" for p, c in terms if c]
+def _combo(g: LieAlgebra, terms, den: int) -> str:
+    # terms: (index, integer numerator over den) pairs in increasing index
+    out = [f"{rat_str(Q(v, den))}*{g.labels[p]}" for p, v in terms if v]
     return " + ".join(out) if out else "0"
 
 
@@ -212,39 +211,14 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
 def derivations(g: LieAlgebra) -> EndoSubspace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as the exact Leibniz nullspace."""
-
-    def compute():
-        return _derivation_space(g, diagonal=False)
-
-    return _memoized(g, "derivations", compute)
+    pairs = combinations(range(g.dim), 2)
+    return _memoized(g, "derivations", lambda: _leibniz_space(g, pairs, derivation=True))
 
 
 def centroid(g: LieAlgebra) -> EndoSubspace:
-    """All T commuting with every adjoint operator: T[x,y] = [Tx,y]."""
-
-    def compute():
-        n = g.dim
-        ad_terms = [[] for _ in range(n)]  # ad_terms[i]: (q, [e_i, e_q]) when nonzero
-        for (i, q), terms in g.products.items():
-            ad_terms[i].append((q, terms))
-        rows = []
-        for i in range(n):
-            # T * ad_i - ad_i * T = 0, entry (p, q); (ad_i)_{k q} = c_iq^k
-            by_pq = {}
-            for q, terms in ad_terms[i]:
-                for k, v in terms:
-                    for p in range(n):
-                        row = by_pq.setdefault((p, q), {})
-                        row[p * n + k] = row.get(p * n + k, _ZERO) + v
-            for k, terms in ad_terms[i]:
-                for p, w in terms:
-                    for q in range(n):
-                        row = by_pq.setdefault((p, q), {})
-                        row[k * n + q] = row.get(k * n + q, _ZERO) - w
-            rows.extend({col: x for col, x in row.items() if x} for row in by_pq.values())
-        return EndoSubspace(n, _nullspace_from_system(rows, n * n))
-
-    return _memoized(g, "centroid", compute)
+    """All T commuting with every adjoint operator: T[x,y] = [x,Ty]."""
+    pairs = product(range(g.dim), repeat=2)
+    return _memoized(g, "centroid", lambda: _leibniz_space(g, pairs, derivation=False))
 
 
 def hom_quotient_to_center(g: LieAlgebra) -> EndoSubspace:
@@ -272,18 +246,19 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
     """Gram matrix K[i][j] = tr(ad_i ad_j)."""
 
     def compute():
-        n = g.dim
-        # tr(ad_i ad_j) = sum_{p,k} c_ik^p c_jp^k; ending[p, k]: the (j, c_jp^k)
+        # tr(ad_i ad_j) = sum_{p,k} c_ik^p c_jp^k, a sum of numerators over
+        # den^2; ending[p, k]: the (j, v) with c_jp^k = v / den
         ending = {}
         for (j, p), terms in g.products.items():
             for k, w in terms:
                 ending.setdefault((p, k), []).append((j, w))
-        acc = {}
+        acc = {}  # acc[i][j]: den^2 K[i][j]
         for (i, k), terms in g.products.items():
+            row = acc.setdefault(i, {})
             for p, v in terms:
                 for j, w in ending.get((p, k), ()):
-                    acc[i, j] = acc.get((i, j), _ZERO) + v * w
-        return _from_entries(n, n, sorted(acc.items()))
+                    row[j] = row.get(j, 0) + v * w
+        return _from_accumulators(g.dim, g.dim, g.den**2, acc)
 
     return _memoized(g, "killing", compute)
 
@@ -364,7 +339,7 @@ def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
                 raise ValueError("basis is not closed under the bracket")
             for k, c in coords:
                 entries += ((i, j, k, c), (j, i, k, -c))
-    return LieAlgebra._from_products(labels, _products(entries), matrix_basis)
+    return LieAlgebra._from_products(labels, *_products(entries), matrix_basis)
 
 
 def heisenberg(m: int) -> LieAlgebra:

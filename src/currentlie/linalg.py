@@ -18,9 +18,11 @@ reverse, and reads its canonical RREF basis straight off the integer
 rows, building a Fraction only for each returned entry.  A Subspace
 stores only that basis, as sparse rows.
 Lie and associative algebras share one sparse store of structure
-constants (_Algebra): per ordered pair of basis elements with a nonzero
-product, the nonzero coordinates of that product.  Their axiom checks,
-their derivations (one Leibniz assembler) and every other reader use it.
+constants (_Algebra), in the same integer form: a least common
+denominator and, per ordered pair of basis elements with a nonzero
+product, the integer numerators of that product's nonzero coordinates.
+Their axiom checks, one assembler for derivations and the centroid, and
+every other reader use it.
 """
 
 from __future__ import annotations
@@ -490,29 +492,48 @@ def nullspace(m: ExactMatrix) -> "Subspace":
 class _Algebra:
     """Labels and the nonzero structure constants of a bilinear product on Q^dim.
 
-    `products` maps each ordered pair (i, j) with e_i e_j != 0 to the
-    (k, c_ij^k) with c_ij^k != 0, in increasing k, as Fractions; its keys
-    come in increasing order.  It is the only stored form of the
-    constants.  `structure` is a dense dim^3 view built on first use, for
-    independent checks in tests.  The public constructor takes that
-    dense table, checks its shape and keeps its nonzero entries;
-    `_from_products` takes the stored form as it is.
+    The one stored form, as in ExactMatrix, is a positive least common
+    denominator `den` and `products`, which maps each ordered pair (i, j)
+    with e_i e_j != 0 to the (k, v) pairs, in increasing k, of the nonzero
+    c_ij^k = v / den, v an int; its keys come in increasing order.  The
+    store is canonical, so == and hash read it as it is.  `structure` is a
+    dense dim^3 view of Fractions built on first use, for independent
+    checks in tests.  The public constructor takes that dense table,
+    checks its shape and keeps its nonzero entries; `_from_products` takes
+    the stored form, with den cut down to the least common denominator.
     """
 
     def __init__(self, labels: Sequence[str], table, *args, **kwargs):
         labels = tuple(labels)
-        self._init(labels, _table_products(table, len(labels)), *args, **kwargs)
+        n = len(labels)
+        if len(table) != n or any(len(row) != n or any(len(v) != n for v in row) for row in table):
+            raise ValueError(f"structure table is not {n} x {n} x {n}")
+        entries = (
+            (i, j, k, c)
+            for i, row in enumerate(table)
+            for j, vec in enumerate(row)
+            for k, c in enumerate(map(rat, vec))
+            if c
+        )
+        self._init(labels, *_products(entries), *args, **kwargs)
 
     @classmethod
-    def _from_products(cls, labels: Sequence[str], products: dict, *args, **kwargs):
-        # internal: products already in the stored form
+    def _from_products(cls, labels: Sequence[str], den: int, products: dict, *args, **kwargs):
+        if den != 1:
+            g = gcd(den, *(v for terms in products.values() for _, v in terms))
+            if g != 1:
+                den //= g
+                products = {
+                    key: tuple((k, v // g) for k, v in terms) for key, terms in products.items()
+                }
         alg = object.__new__(cls)
-        alg._init(tuple(labels), products, *args, **kwargs)
+        alg._init(tuple(labels), den, products, *args, **kwargs)
         return alg
 
-    def _init(self, labels: tuple, products: dict) -> None:
+    def _init(self, labels: tuple, den: int, products: dict) -> None:
         self.labels = labels
         self.dim = len(labels)
+        self.den = den
         self.products = products
         self._structure = None
 
@@ -525,9 +546,10 @@ class _Algebra:
                 terms = products.get((i, j))
                 if terms:
                     xy = x * y
-                    for k, c in terms:
-                        out[k] = out[k] + xy * c if k in out else xy * c
-        return {k: c for k, c in out.items() if c}
+                    for k, v in terms:
+                        out[k] = out[k] + xy * v if k in out else xy * v
+        den = self.den
+        return {k: c if den == 1 else c / den for k, c in out.items() if c}
 
     def _product(self, x: Sequence, y: Sequence) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
@@ -538,9 +560,12 @@ class _Algebra:
     def structure(self) -> tuple:
         """structure[i][j]: the coordinate vector of e_i e_j (dense, built once)."""
         if self._structure is None:
-            n = self.dim
+            n, den = self.dim, self.den
             self._structure = tuple(
-                tuple(_dense(self.products.get((i, j), ()), n) for j in range(n))
+                tuple(
+                    _dense(((k, Q(v, den)) for k, v in self.products.get((i, j), ())), n)
+                    for j in range(n)
+                )
                 for i in range(n)
             )
         return self._structure
@@ -549,38 +574,21 @@ class _Algebra:
         return (
             type(other) is type(self)
             and self.labels == other.labels
+            and self.den == other.den
             and self.products == other.products
         )
 
     def __hash__(self):
-        return hash((self.labels, frozenset(self.products.items())))
+        return hash((self.labels, self.den, frozenset(self.products.items())))
 
 
-def _table_products(table, n: int) -> dict:
-    """The stored form of a dense n x n x n table; a wrong shape raises ValueError."""
-    if len(table) != n or any(
-        len(row) != n or any(len(vec) != n for vec in row) for row in table
-    ):
-        raise ValueError(f"structure table is not {n} x {n} x {n}")
-    return _products(
-        (i, j, k, c)
-        for i, row in enumerate(table)
-        for j, vec in enumerate(row)
-        for k, c in enumerate(map(rat, vec))
-        if c
-    )
-
-
-def _products(entries: Iterable) -> dict:
-    """The stored form of (i, j, k, c) entries, summed over repeats."""
+def _products(entries: Iterable) -> tuple[int, dict]:
+    """(den, products) of _Algebra for (i, j, k, int or Fraction) entries, summed over repeats."""
     acc = {}
     for i, j, k, c in entries:
-        acc[i, j, k] = acc.get((i, j, k), _ZERO) + c
-    products = {}
-    for (i, j, k), c in sorted(acc.items()):
-        if c:
-            products.setdefault((i, j), []).append((k, c))
-    return {key: tuple(terms) for key, terms in products.items()}
+        acc[i, j, k] = acc.get((i, j, k), 0) + c
+    den, nz = _store((((i, j), k), c) for (i, j, k), c in sorted(acc.items()))
+    return den, {key: tuple(terms) for key, terms in nz.items()}
 
 
 def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
@@ -592,57 +600,46 @@ def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
     for (i, j), terms in alg.products.items():
         xi = xs.get(i)
         if xi:
-            for k, c in terms:
-                acc[k, j] = acc.get((k, j), _ZERO) + xi * c
-    return _from_entries(alg.dim, alg.dim, sorted(acc.items()))
+            for k, v in terms:
+                acc[k, j] = acc.get((k, j), _ZERO) + xi * v
+    return _from_entries(alg.dim, alg.dim, sorted(acc.items())) * Q(1, alg.den)
 
 
-def _int_products(alg: _Algebra) -> tuple[int, dict]:
-    """(den, {(i, j): [(k, v)]}), c_ij^k = v / den for the common denominator den.
+def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSubspace":
+    """The T in End(alg) with T(e_i e_j) = T(e_i) e_j + e_i T(e_j) for (i, j) in pairs.
 
-    Equations homogeneous in the constants (Leibniz, associativity, Jacobi)
-    keep their solutions under that scaling and then hold in integers.
-    """
-    den = lcm(*(c.denominator for terms in alg.products.values() for _, c in terms))
-    return den, {
-        key: [(k, c.numerator * (den // c.denominator)) for k, c in terms]
-        for key, terms in alg.products.items()
-    }
-
-
-def _derivation_space(alg: _Algebra, diagonal: bool) -> "EndoSubspace":
-    """Derivations of the bilinear product of `alg`.
-
-    D(e_i e_j) = D(e_i) e_j + e_i D(e_j) is imposed for i < j, and for
-    i == j as well when `diagonal` is set; with D flattened row-major
-    (D[p][k] is unknown p*n + k), coordinate p of one such equation reads
-        sum_k c_ij^k D[p][k] - sum_q c_qj^p D[q][i] - sum_q c_iq^p D[q][j] = 0.
+    With `derivation` unset the T(e_i) e_j term is left out: over all
+    pairs, T(e_i e_j) = e_i T(e_j) cuts out the centroid.  With T
+    flattened row-major (T[p][k] is unknown p*n + k), coordinate p of one
+    equation reads
+        sum_k c_ij^k T[p][k] - sum_q c_qj^p T[q][i] - sum_q c_iq^p T[q][j] = 0,
+    homogeneous in the constants, so it is imposed on their numerators.
     The rows are emitted with unknown u at column n*n - 1 - u, the
     numbering _nullspace_reversed solves in.
     """
     n = alg.dim
     last = n * n - 1
-    _, nz = _int_products(alg)
-    left = [[] for _ in range(n)]  # left[i]: (q, p, c_iq^p)
-    right = [[] for _ in range(n)]  # right[j]: (q, p, c_qj^p)
-    for (i, j), terms in nz.items():
+    products = alg.products
+    left = [[] for _ in range(n)]  # left[i]: (q, p, v) for c_iq^p = v / den
+    right = [[] for _ in range(n)]  # right[j]: (q, p, v) for c_qj^p = v / den
+    for (i, j), terms in products.items():
         for p, v in terms:
             left[i].append((j, p, v))
             right[j].append((i, p, v))
     rows = []
-    for i in range(n):
-        for j in range(i if diagonal else i + 1, n):
-            by_p = {}
-            if (i, j) in nz:
-                for p in range(n):
-                    by_p[p] = {last - p * n - k: v for k, v in nz[i, j]}
-            for terms, unknown in ((right[j], i), (left[i], j)):
-                for q, p, v in terms:
-                    row = by_p.setdefault(p, {})
-                    col = last - q * n - unknown
-                    if x := row.pop(col, 0) - v:
-                        row[col] = x
-            rows.extend(by_p.values())
+    for i, j in pairs:
+        by_p = {}
+        if (i, j) in products:
+            for p in range(n):
+                by_p[p] = {last - p * n - k: v for k, v in products[i, j]}
+        sides = ((right[j], i), (left[i], j)) if derivation else ((left[i], j),)
+        for terms, unknown in sides:
+            for q, p, v in terms:
+                row = by_p.setdefault(p, {})
+                col = last - q * n - unknown
+                if x := row.pop(col, 0) - v:
+                    row[col] = x
+        rows.extend(by_p.values())
     return EndoSubspace(n, _nullspace_reversed(rows, n * n))
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from currentlie.assoc import AssocAlgebra, first_assoc_violation
 from currentlie.lie import LieAlgebra, first_lie_violation
-from currentlie.linalg import _products, rat, rat_str
+from currentlie.linalg import Q, _products, rat, rat_str
 
 # The largest dim a file may declare.  Loading keeps only the listed
 # products and subspaces are stored sparse, but derivations of the algebra
@@ -139,11 +139,17 @@ def _coeff_in(value, where: str):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"{where}: coefficient must be a rational string")
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise FormatError(f"{where}: bad rational {value!r}")
+        raise FormatError(f"{where}: bad rational {_excerpt(value)}")
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: bad rational {value!r}") from exc
+        raise FormatError(f"{where}: bad rational {_excerpt(value)}") from exc
+
+
+def _excerpt(text: str) -> str:
+    # a refused string is echoed whole only while it is short, so that a
+    # huge coefficient cannot make a huge error line
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def algebra_to_dict(alg) -> dict:
@@ -157,10 +163,10 @@ def algebra_to_dict(alg) -> dict:
     # the stored pairs come in increasing order, so the entries are
     # ordered by (i, j, k)
     products = [
-        [i, j, k, _coeff_out(coeff)]
+        [i, j, k, _coeff_out(Q(v, alg.den))]
         for (i, j), terms in alg.products.items()
         if i < j or (i == j and kind == "assoc")
-        for k, coeff in terms
+        for k, v in terms
     ]
     doc = {
         "kind": kind,
@@ -231,14 +237,14 @@ def algebra_from_dict(doc):
             entries.append((j, i, k, -c if kind == "lie" else c))
 
     if kind == "lie":
-        return LieAlgebra._from_products(basis, _products(entries))
+        return LieAlgebra._from_products(basis, *_products(entries))
     unit = doc["unit"]
     _require(
         isinstance(unit, list) and len(unit) == dim,
         "unit must be a list of dim coefficients",
     )
     unit_vec = [_coeff_in(v, f"unit[{p}]") for p, v in enumerate(unit)]
-    return AssocAlgebra._from_products(basis, _products(entries), unit_vec)
+    return AssocAlgebra._from_products(basis, *_products(entries), unit_vec)
 
 
 def save_algebra(alg, path) -> None:

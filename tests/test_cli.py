@@ -274,13 +274,21 @@ def test_levi_semisimple_g(files, capsys):
 
 
 def test_levi_without_candidate_exits_2(tmp_path, capsys):
-    path = tmp_path / "affine.json"
-    save_algebra(LieAlgebra.from_bracket_entries(["x", "y"], [(0, 1, 1, 1)]), path)
     a1 = tmp_path / "a1.json"
     save_algebra(truncated_polynomial(1), a1)
-    code, _, stderr = run(["levi", str(path), str(a1)], capsys)
-    assert code == 2
-    assert "no constructive Levi candidate" in stderr
+    # the affine algebra, and h_1 with [e,f] = 2z or (1/2)z: the last has
+    # h_1's numerators over den 2, so only the whole store tells them apart
+    for name, labels, coeff in (
+        ("affine", ["x", "y"], 1),
+        ("h1_2z", ["e", "f", "z"], 2),
+        ("h1_half_z", ["e", "f", "z"], rat("1/2")),
+    ):
+        path = tmp_path / f"{name}.json"
+        target = len(labels) - 1
+        save_algebra(LieAlgebra.from_bracket_entries(labels, [(0, 1, target, coeff)]), path)
+        code, _, stderr = run(["levi", str(path), str(a1)], capsys)
+        assert code == 2, name
+        assert "no constructive Levi candidate" in stderr
 
 
 def test_levi_missing_file_exits_2(files, capsys):
@@ -472,19 +480,28 @@ def test_format_violations(tmp_path, mutate, message):
 @pytest.mark.parametrize(
     "coeff, message",
     # Fraction would read "1e50000000" and spend minutes expanding it; the
-    # JSON reader refuses an int of more than 4300 digits with a ValueError
-    [('"1e50000000"', "products[0]: bad rational"), ("9" * 5000, "invalid JSON")],
-    ids=["decimal exponent", "5000-digit int"],
+    # JSON reader refuses an int of more than 4300 digits with a ValueError,
+    # and so does Fraction a string of them.  A refused string is echoed
+    # only in part, so the error line stays short
+    [
+        ('"1e50000000"', "products[0]: bad rational"),
+        ("9" * 5000, "invalid JSON"),
+        ('"%s"' % ("9" * 5000), "products[0]: bad rational '99999"),
+        ('"1.5%s"' % ("0" * 5000), "products[0]: bad rational '1.500"),
+    ],
+    ids=["decimal exponent", "5000-digit int", "5000-digit string", "long decimal string"],
 )
-def test_oversized_coefficient_exits_2_at_once(tmp_path, capsys, coeff, message):
-    path = tmp_path / "coeff.json"
-    path.write_text('{"kind":"lie","dim":2,"basis":["x","y"],"products":[[0,1,1,%s]]}' % coeff)
+def test_oversized_coefficient_exits_2_at_once(tmp_path, capsys, monkeypatch, coeff, message):
+    monkeypatch.chdir(tmp_path)
+    Path("coeff.json").write_text(
+        '{"kind":"lie","dim":2,"basis":["x","y"],"products":[[0,1,1,%s]]}' % coeff
+    )
     start = time.perf_counter()
-    code, stdout, stderr = run(["derive", str(path), "--dim"], capsys)
+    code, stdout, stderr = run(["derive", "coeff.json", "--dim"], capsys)
     assert time.perf_counter() - start < 2.0
     assert code == 2 and not stdout
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
-    assert message in stderr
+    assert message in stderr and len(stderr) < 200
 
 
 def test_assoc_requires_unit(tmp_path):

@@ -16,10 +16,19 @@ from math import gcd
 import pytest
 from helpers import rand_frac, rand_matrix, reference_match
 
-from currentlie.assoc import truncated_polynomial
+from currentlie.assoc import AssocAlgebra, truncated_polynomial
 from currentlie.current import current_algebra
 from currentlie.heisenberg import DerivationTemplate, match_template, truncated_heisenberg
-from currentlie.lie import LieAlgebra, first_lie_violation
+from currentlie.lie import (
+    LieAlgebra,
+    center,
+    centroid,
+    derivations,
+    first_lie_violation,
+    heisenberg,
+    killing_form,
+    sp,
+)
 from currentlie.linalg import (
     ExactMatrix,
     Subspace,
@@ -30,6 +39,7 @@ from currentlie.linalg import (
     nullspace,
     rat_str,
 )
+from currentlie.serialize import algebra_from_dict, algebra_to_dict, load_algebra, save_algebra
 
 ZERO = Fraction(0)
 
@@ -240,6 +250,60 @@ def _fractional_algebras() -> list:
         [(0, 1, 1, Fraction(4, 3)), (0, 2, 2, Fraction(-4, 3)), (1, 2, 0, Fraction(45, 56))],
     )
     return [h1, sp1, current_algebra(sp1, truncated_polynomial(1)).product]
+
+
+def rescaled_truncated_polynomial(scales) -> AssocAlgebra:
+    """Q[t]/(t^n), n = len(scales), in the basis b_i = scales[i] t^i (scales[0] = 1)."""
+    n = len(scales)
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i):
+            # b_i b_j = s_i s_j t^(i+j) = (s_i s_j / s_(i+j)) b_(i+j)
+            table[i][j][i + j] = Fraction(scales[i]) * scales[j] / scales[i + j]
+    return AssocAlgebra([f"b{i}" for i in range(n)], table, [1] + [0] * (n - 1))
+
+
+def test_store_is_canonical_across_constructors(tmp_path):
+    # the dense table, sparse entries, the loader and a store over 6 den all
+    # give one algebra: equal, with equal hashes, den and numerators
+    algebras = _fractional_algebras() + [rescaled_truncated_polynomial((1, Fraction(1, 2), 3))]
+    assert [x.den for x in algebras] == [3, 168, 168, 12]
+    for t, alg in enumerate(algebras):
+        path = tmp_path / f"alg{t}.json"
+        save_algebra(alg, path)
+        tripled = {key: tuple((k, 6 * v) for k, v in terms) for key, terms in alg.products.items()}
+        extra = [alg.unit] if isinstance(alg, AssocAlgebra) else []
+        copies = [
+            type(alg)(alg.labels, alg.structure, *extra),
+            type(alg)._from_products(alg.labels, 6 * alg.den, tripled, *extra),
+            algebra_from_dict(algebra_to_dict(alg)),
+            load_algebra(path),
+        ]
+        if isinstance(alg, LieAlgebra):
+            c = alg.structure
+            entries = [
+                (i, j, k, c[i][j][k])
+                for i in range(alg.dim)
+                for j in range(i + 1, alg.dim)
+                for k in range(alg.dim)
+            ]
+            copies.append(LieAlgebra.from_bracket_entries(alg.labels, entries))
+        for copy in copies:
+            assert copy == alg and hash(copy) == hash(alg)
+            assert (copy.den, copy.products) == (alg.den, alg.products)
+            assert algebra_to_dict(copy) == algebra_to_dict(alg)
+
+
+@pytest.mark.parametrize("g", [heisenberg(2), sp(1)], ids=["h_2", "sp(1)"])
+def test_constants_scaled_by_a_seventh(g):
+    # the Leibniz, centroid and centre equations are homogeneous in the
+    # constants, and the Killing form is quadratic in them
+    scaled = LieAlgebra(g.labels, [[[x / 7 for x in v] for v in row] for row in g.structure])
+    assert scaled.den == 7 * g.den
+    assert derivations(scaled) == derivations(g)
+    assert centroid(scaled) == centroid(g)
+    assert center(scaled) == center(g)
+    assert killing_form(scaled) == killing_form(g) * Fraction(1, 49)
 
 
 def test_lie_violations_with_fractional_constants_match_dense_loop():

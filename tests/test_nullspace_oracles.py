@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import rand_frac
+from test_integer_paths import _fractional_algebras, rescaled_truncated_polynomial
 
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.assoc import truncated_polynomial
@@ -210,13 +211,17 @@ def dense_leibniz_rows(alg, diagonal: bool) -> list:
     return rows
 
 
+FRACTIONAL_IDS = ["h_1 [e,f]=2/3z", "sp(1) rescaled", "sp(1) rescaled (x) A_1"]
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda: current_algebra(heisenberg(1), truncated_polynomial(2)).product,
         lambda: current_algebra(sp(1), truncated_polynomial(2)).product,
+        *[lambda t=t: _fractional_algebras()[t] for t in range(3)],
     ],
-    ids=["h_1,2", "sp(1)(x)A_2"],
+    ids=["h_1,2", "sp(1)(x)A_2", *FRACTIONAL_IDS],
 )
 def test_derivations_match_dense_leibniz_nullspace(build):
     g = build()
@@ -225,8 +230,12 @@ def test_derivations_match_dense_leibniz_nullspace(build):
 
 
 def test_assoc_derivations_match_dense_leibniz_nullspace():
-    for k in (1, 3):
-        a = truncated_polynomial(k)
+    # Q[t]/(t^3) in the bases (1, 2t, t^2/3) and (1, t/2, 3t^2): (2t)^2 = 12 t^2/3,
+    # and (t/2)^2 = 3t^2 / 12 puts a denominator in the store
+    scaled = [(1, 2, Fraction(1, 3)), (1, Fraction(1, 2), 3)]
+    for a in [truncated_polynomial(k) for k in (1, 3)] + [
+        rescaled_truncated_polynomial(s) for s in scaled
+    ]:
         n = a.dim
         assert assoc_derivations(a).space == dense_nullspace(dense_leibniz_rows(a, True), n * n)
 
@@ -264,7 +273,9 @@ def dense_hom0_rows(g) -> list:
     return [row for row in rows if any(row)]
 
 
-@pytest.mark.parametrize("g", [heisenberg(2), sp(1)], ids=["h_2", "sp(1)"])
+@pytest.mark.parametrize(
+    "g", [heisenberg(2), sp(1), *_fractional_algebras()], ids=["h_2", "sp(1)", *FRACTIONAL_IDS]
+)
 def test_centroid_and_hom_quotient_to_center_match_dense_solve(g):
     n = g.dim
     assert centroid(g).space == dense_nullspace(dense_centroid_rows(g), n * n)
