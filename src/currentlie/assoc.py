@@ -23,6 +23,7 @@ from currentlie.linalg import (
     _Algebra,
     _dense,
     _from_entries,
+    _int_vector,
     _left_mult,
     _leibniz_space,
     _nullspace_from_system,
@@ -104,9 +105,9 @@ def first_assoc_violation(a: AssocAlgebra):
     unit = [(p, u) for p, u in enumerate(a.unit) if u]
     for i in range(n):
         e_i = ((i, _ONE),)
-        if a._times(unit, e_i) != {i: _ONE}:
+        if a._times(unit, e_i) != {i: a.den}:
             return f"unit is not a left identity on {a.labels[i]}"
-        if a._times(e_i, unit) != {i: _ONE}:
+        if a._times(e_i, unit) != {i: a.den}:
             return f"unit is not a right identity on {a.labels[i]}"
     for i, j in sorted({(min(key), max(key)) for key in prod}):
         if prod.get((i, j)) != prod.get((j, i)):
@@ -195,12 +196,11 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
     cols = [col for col in range(n) if col not in pivot_set]
     pos = {col: idx for idx, col in enumerate(cols)}
 
-    def project(terms) -> dict:
-        # a vector, given by its nonzero (index, value) pairs, modulo J;
-        # the reduced vector is zero on the pivots
-        w = dict(terms)
-        j._reduce(w)
-        return {pos[col]: x for col, x in w.items()}
+    def project(den: int, w: dict) -> dict:
+        # the vector w / den, w {index: nonzero int}, modulo J; the reduced
+        # vector is zero on the pivots
+        den *= j._reduce(w)[0]
+        return {pos[col]: Q(x, den) for col, x in w.items()}
 
     # reduction is linear, so the numerators reduce to den times the
     # reduced constants
@@ -208,10 +208,10 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
         (pos[ci], pos[cj], k, x)
         for (ci, cj), terms in a.products.items()
         if ci in pos and cj in pos
-        for k, x in project(terms).items()
+        for k, x in project(1, dict(terms)).items()
     ]
     den, products = _products(entries)
-    unit = _dense(project((p, u) for p, u in enumerate(a.unit) if u).items(), len(cols))
+    unit = _dense(project(*_int_vector(a.unit, n)).items(), len(cols))
     labels = [a.labels[col] for col in cols]
     quotient = AssocAlgebra._from_products(labels, den * a.den, products, unit)
 

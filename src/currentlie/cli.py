@@ -164,9 +164,10 @@ def _levi_candidates(g: LieAlgebra):
 
 
 def _load_pair(g_path, a_path) -> tuple:
-    """Load the lie and assoc files of g (x) A; a product past MAX_DIM, the
-    bound a file of it would meet, is refused before anything is built."""
-    g, a = load_algebra(g_path), load_algebra(a_path)
+    """Load the lie and assoc files of g (x) A.  Both are parsed, and their kinds
+    and product dim (at most MAX_DIM, the bound a file of it would meet)
+    checked, before either axiom check: an input error exits 2."""
+    g, a = load_algebra(g_path, check=False), load_algebra(a_path, check=False)
     if not isinstance(g, LieAlgebra):
         raise FormatError(f"{g_path}: expected a lie file")
     if not isinstance(a, AssocAlgebra):
@@ -174,6 +175,9 @@ def _load_pair(g_path, a_path) -> tuple:
     if g.dim * a.dim > MAX_DIM:
         dims = f"{g.dim} * {a.dim} = {g.dim * a.dim}"
         raise FormatError(f"product dim {dims} exceeds the supported maximum {MAX_DIM}")
+    for path, alg in ((g_path, g), (a_path, a)):
+        if violation := first_axiom_violation(alg):
+            raise AxiomError(f"{path}: {violation}")
     return g, a
 
 
@@ -296,7 +300,7 @@ def _check_radical(args) -> int:
         flags={},
         radical_basis=_matrix_doc(rad.basis),
     )
-    combos = ", ".join(_combo(alg.labels, row) for row in rad._nnz)
+    combos = ", ".join(_combo(alg.labels, row) for row in rad.basis._fraction_rows())
     lines = [
         f"{label} dimension: {rad.dim}",
         f"basis: {combos}" if rad.dim else "basis: (zero)",

@@ -42,7 +42,7 @@ from currentlie.linalg import (
     ExactMatrix,
     Q,
     Subspace,
-    _rref_sparse,
+    _rref_ints,
     commutator,
     kron,
     linear_combination,
@@ -231,7 +231,7 @@ def _der_coordinates(der: EndoSubspace, part: EndoSubspace) -> Optional[Subspace
     coords = [der._coordinates(m) for m in part.basis_matrices()]
     if any(c is None for c in coords):
         return None
-    return Subspace._from_rref(der.dim, _rref_sparse(map(dict, coords)))
+    return Subspace._from_rref(der.dim, _rref_ints(map(dict, coords)))
 
 
 def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:

@@ -24,7 +24,7 @@ from currentlie.linalg import (
     _leibniz_space,
     _nullspace_from_system,
     _products,
-    _rref_sparse,
+    _rref_ints,
     _sparse,
     commutator,
     nullspace,
@@ -165,11 +165,11 @@ def center(g: LieAlgebra) -> Subspace:
 def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of the brackets of the basis rows of a with those of b.
 
-    The brackets are taken on the sparse rows through the nonzero
-    structure constants.
+    The brackets are taken on the integer rows through the nonzero
+    structure constants; scaling a row leaves the span alone.
     """
-    rows = [g._times(u, v) for u in a._nnz for v in b._nnz]
-    return Subspace._from_rref(g.dim, _rref_sparse(rows))
+    rows = [g._times(u, v) for _, u in a._rows for _, v in b._rows]
+    return Subspace._from_rref(g.dim, _rref_ints(rows))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -234,9 +234,9 @@ def hom_quotient_to_center(g: LieAlgebra) -> EndoSubspace:
         derived = derived_subalgebra(g)
         # rows of N vanish exactly on z: over Q the dot form is anisotropic,
         # so the double orthogonal complement recovers the span exactly
-        normal_rows = nullspace(z.basis)._nnz
-        rows = [{p * n + k: x for k, x in d} for d in derived._nnz for p in range(n)]
-        rows += [{p * n + j: x for p, x in nu} for nu in normal_rows for j in range(n)]
+        normal_rows = nullspace(z.basis)._rows
+        rows = [{p * n + k: x for k, x in d} for _, d in derived._rows for p in range(n)]
+        rows += [{p * n + j: x for p, x in nu} for _, nu in normal_rows for j in range(n)]
         return EndoSubspace(n, _nullspace_from_system(rows, n * n))
 
     return _memoized(g, "hom0", compute)
@@ -278,7 +278,7 @@ def is_semisimple(g: LieAlgebra) -> bool:
 
 
 def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
-    basis = space._nnz
+    basis = [row for _, row in space._rows]
     return all(
         space._coordinates(g._times(u, v)) is not None
         for i, u in enumerate(basis)
@@ -288,20 +288,19 @@ def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
 
 def is_ideal(g: LieAlgebra, space: Subspace) -> bool:
     return all(
-        space._coordinates(g._times([(i, _ONE)], v)) is not None
+        space._coordinates(g._times([(i, 1)], v)) is not None
         for i in range(g.dim)
-        for v in space._nnz
+        for _, v in space._rows
     )
 
 
 def subalgebra(g: LieAlgebra, space: Subspace, labels=None) -> LieAlgebra:
     """Induced Lie algebra on the RREF basis of a bracket-closed subspace."""
-    basis = space._nnz
+    rows = space._rows
     if labels is None:
-        labels = [f"u{i}" for i in range(len(basis))]
-    return _lie_from_brackets(
-        labels, lambda i, j: space._coordinates(g._times(basis[i], basis[j]))
-    )
+        labels = [f"u{i}" for i in range(len(rows))]
+    return _lie_from_brackets(labels, lambda i, j: space._coordinates(
+        g._times(rows[i][1], rows[j][1]), g.den * rows[i][0] * rows[j][0]))
 
 
 def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:

@@ -15,8 +15,8 @@ Gauss-Jordan routine takes rows held as {column: value} dicts of their
 nonzero entries and eliminates with integer cross-multiplication.  A
 null space takes that one elimination, with the unknowns numbered in
 reverse, and reads its canonical RREF basis straight off the integer
-rows, building a Fraction only for each returned entry.  A Subspace
-stores only that basis, as sparse rows.
+rows.  A Subspace stores only that basis, as primitive integer rows, and
+reduces integer vectors against it; a Fraction is built only on read.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra), in the same integer form: a least common
 denominator and, per ordered pair of basis elements with a nonzero
@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 _ZERO = Q(0)
-_ONE = Q(1)
 
 
 def rat(value) -> Q:
@@ -121,14 +120,14 @@ class ExactMatrix:
         """The store as (den, nz): entry (i, c) is v / den for (c, v) in nz[i]."""
         return self._den, self._nz
 
+    def _flat_ints(self) -> dict:
+        """{row-major flat index: integer numerator over _den} over the nonzero entries."""
+        n = self.ncols
+        return {i * n + c: v for i, row in self._nz.items() for c, v in row}
+
     def _flat_nonzeros(self) -> dict:
         """{row-major flat index: entry} over the nonzero entries."""
-        n, den = self.ncols, self._den
-        return {
-            i * n + c: Q(v) if den == 1 else Q(v, den)
-            for i, row in self._nz.items()
-            for c, v in row
-        }
+        return {j: Q(v, self._den) for j, v in self._flat_ints().items()}
 
     def _nonzero_entries(self) -> dict:
         """{(row, col): entry} over the nonzero entries."""
@@ -353,6 +352,14 @@ def _sparse(v: Sequence) -> dict:
     return {j: q for j, q in enumerate(map(rat, v)) if q}
 
 
+def _int_vector(v: Sequence, n: int) -> tuple[int, dict]:
+    """(den, w) with v[j] = w[j] / den on v's support: ints over their lcd, for len(v) = n."""
+    if len(v) != n:
+        raise ValueError("vector length does not match ambient dimension")
+    den, nz = _store(((0, j), rat(x)) for j, x in enumerate(v))
+    return den, dict(nz.get(0, ()))
+
+
 def _dense(items: Iterable, n: int) -> tuple:
     # the length-n vector with the given (index, value) pairs, zero elsewhere
     v = [_ZERO] * n
@@ -361,30 +368,28 @@ def _dense(items: Iterable, n: int) -> tuple:
     return tuple(v)
 
 
-def _rref_ints(rows: Iterable[dict]) -> list[tuple[int, int, dict]]:
+def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int, int, dict]]:
     """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
-    Rows are {column: nonzero int or Fraction} dicts and are not modified.
-    A one-entry row e_j becomes a pivot row, and column j is dropped from
-    every other row before anything is eliminated (most Leibniz rows have
-    one entry).  Each other row is copied, scaled to integers only if it
-    holds a Fraction, and eliminated forward on its leading entry only, by
-    gcd-reduced integer cross-multiplication; a repeated row just reduces
-    to nothing.  This is fraction-free elimination in the style of Bareiss
-    (Math. Comp. 22, 1968), except that a row is made primitive after each
-    step instead of being divided by the previous pivot, and once more,
-    with a positive pivot entry, when it becomes a pivot row.  One
-    back-substitution, last pivot first, then clears every pivot column.
-    Returned as (pivot column, d, {column: int}) triples sorted by pivot:
-    each row is primitive, d > 0 is its pivot entry, and row / d is the
-    row of the unique RREF basis.
+    Rows are {column: nonzero int or Fraction} dicts and are not modified;
+    the unit rows e_j, j in `zero`, join them.  Each such e_j and each
+    one-entry row becomes a pivot row, and column j is dropped from every
+    other row before anything is eliminated.  Each other row is copied,
+    scaled to integers only if it holds a Fraction, and eliminated forward
+    on its leading entry only, by gcd-reduced integer cross-multiplication;
+    a repeated row just reduces to nothing.  This is fraction-free
+    elimination in the style of Bareiss (Math. Comp. 22, 1968), except
+    that a row is made primitive after each step instead of being divided
+    by the previous pivot, and once more, with a positive pivot entry, when
+    it becomes a pivot row.  One back-substitution, last pivot first, then
+    clears every pivot column.  Returned as the (pivot column, d, {column:
+    int}) triples a Subspace stores, by pivot: each row is primitive, d > 0
+    is its pivot entry, and row / d is the RREF row.
     """
-    rows = [row for row in rows if row]
-    zero = {j for row in rows if len(row) == 1 for j in row}
+    rows = list(rows)
+    zero = {*zero, *(j for row in rows if len(row) == 1 for j in row)}
     pivot_rows: dict[int, dict] = {j: {j: 1} for j in zero}
     for row in rows:
-        if len(row) == 1:
-            continue
         work = {j: x for j, x in row.items() if j not in zero}
         if not work:
             continue
@@ -413,14 +418,6 @@ def _rref_ints(rows: Iterable[dict]) -> list[tuple[int, int, dict]]:
     return reduced
 
 
-def _rref_sparse(rows: Iterable[dict]) -> list[tuple[int, dict]]:
-    """_rref_ints with each row / d as (pivot, {column: Fraction}) pairs."""
-    return [
-        (p, {j: Q(x) if d == 1 else Q(x, d) for j, x in row.items()})
-        for p, d, row in _rref_ints(rows)
-    ]
-
-
 def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
     # work := a * work - b * pivot_row off column c, where a * work[c] =
     # b * pivot_row[c] with a > 0 and a, b coprime (pivot_row leads at c
@@ -446,9 +443,9 @@ def _eliminate(work: dict, c: int, pivot_row: dict) -> None:
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form, same shape as the input, plus pivot columns."""
-    reduced = _rref_sparse(map(dict, m._nz.values()))
-    entries = (((r, c), x) for r, (_, row) in enumerate(reduced) for c, x in sorted(row.items()))
-    return _from_entries(m.nrows, m.ncols, entries), tuple(p for p, _ in reduced)
+    space = Subspace._from_rref(m.ncols, _rref_ints(map(dict, m._nz.values())))
+    basis = space.basis
+    return ExactMatrix._from_ints(m.nrows, m.ncols, basis._den, basis._nz), space.pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -461,26 +458,35 @@ def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
     return _nullspace_reversed(({last - j: x for j, x in row.items()} for row in rows), ncols)
 
 
-def _nullspace_reversed(rows: Iterable[dict], ncols: int) -> "Subspace":
+def _nullspace_reversed(rows: Iterable[dict], ncols: int, zero: Iterable[int] = ()) -> "Subspace":
     """Solution space of a system whose rows hold unknown j at column ncols - 1 - j.
 
-    With the unknowns numbered in reverse, each RREF row of the system
-    pivots on its largest unknown p and is nonzero elsewhere only on free
-    unknowns below p.  So the solution of free unknown f, x_f = 1 and
-    x_p = -row_p[f] / d_p on the pivots, is zero on the other free unknowns
-    and below f: it already is the null space's RREF row with pivot f.
+    The unknowns at the columns in `zero` vanish.  With the unknowns
+    numbered in reverse, each RREF row of the system pivots on its largest
+    unknown p and is nonzero elsewhere only on free unknowns below p.  So
+    the solution of free unknown f, x_f = 1 and x_p = -row_p[f] / d_p on
+    the pivots, is zero on the other free unknowns and below f: it already
+    is the null space's RREF row with pivot f, built in integers over the
+    lcm of its denominators (1 if every d_p is).
     """
-    reduced = _rref_ints(rows)
+    reduced = _rref_ints(rows, zero)
     last = ncols - 1
     pivots = {p for p, _, _ in reduced}
-    free = {f: [(f, _ONE)] for f in range(ncols) if last - f not in pivots}
+    free = {f: [(f, 1)] for f in range(ncols) if last - f not in pivots}
     # pivots by increasing unknown, so that each solution row comes out sorted
     for p, d, row in reversed(reduced):
         unknown = last - p
         for j, x in row.items():
             if j != p:
-                free[last - j].append((unknown, Q(-x) if d == 1 else Q(-x, d)))
-    return Subspace._from_rows(ncols, tuple(free), list(free.values()))
+                sol = free[last - j]
+                if d != 1 or sol[0][1] != 1:  # -x / d over sol's denominator, scaled up if need be
+                    x *= sol[0][1]
+                    if (scale := d // gcd(x, d)) != 1:
+                        sol[:] = [(u, v * scale) for u, v in sol]
+                        x *= scale
+                    x //= d
+                sol.append((unknown, -x))
+    return Subspace._from_rows(ncols, tuple(free), [(sol[0][1], sol) for sol in free.values()])
 
 
 def nullspace(m: ExactMatrix) -> "Subspace":
@@ -538,7 +544,7 @@ class _Algebra:
         self._structure = None
 
     def _times(self, xs, ys) -> dict:
-        """{k: nonzero Fraction}: the product of two (index, Fraction) pair lists."""
+        """{k: nonzero value}: den times the product of two (index, value) pair lists."""
         products = self.products
         out = {}
         for i, x in xs:
@@ -548,13 +554,13 @@ class _Algebra:
                     xy = x * y
                     for k, v in terms:
                         out[k] = out[k] + xy * v if k in out else xy * v
-        den = self.den
-        return {k: c if den == 1 else c / den for k, c in out.items() if c}
+        return {k: c for k, c in out.items() if c}
 
     def _product(self, x: Sequence, y: Sequence) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        return _dense(self._times(_sparse(x).items(), _sparse(y).items()).items(), self.dim)
+        xy = self._times(_sparse(x).items(), _sparse(y).items())
+        return _dense(((k, c / self.den) for k, c in xy.items()), self.dim)
 
     @property
     def structure(self) -> tuple:
@@ -615,7 +621,8 @@ def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSub
         sum_k c_ij^k T[p][k] - sum_q c_qj^p T[q][i] - sum_q c_iq^p T[q][j] = 0,
     homogeneous in the constants, so it is imposed on their numerators.
     The rows are emitted with unknown u at column n*n - 1 - u, the
-    numbering _nullspace_reversed solves in.
+    numbering _nullspace_reversed solves in; one-entry rows (most are) go
+    to its zero set instead, and the bracket term alone never builds one.
     """
     n = alg.dim
     last = n * n - 1
@@ -626,12 +633,9 @@ def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSub
         for p, v in terms:
             left[i].append((j, p, v))
             right[j].append((i, p, v))
-    rows = []
+    rows, zero = [], set()
     for i, j in pairs:
         by_p = {}
-        if (i, j) in products:
-            for p in range(n):
-                by_p[p] = {last - p * n - k: v for k, v in products[i, j]}
         sides = ((right[j], i), (left[i], j)) if derivation else ((left[i], j),)
         for terms, unknown in sides:
             for q, p, v in terms:
@@ -639,50 +643,60 @@ def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSub
                 col = last - q * n - unknown
                 if x := row.pop(col, 0) - v:
                     row[col] = x
-        rows.extend(by_p.values())
-    return EndoSubspace(n, _nullspace_reversed(rows, n * n))
+        bracket = products.get((i, j), ())
+        for p in range(n) if bracket else ():
+            if p not in by_p and len(bracket) == 1:
+                zero.add(last - p * n - bracket[0][0])
+                continue
+            row = by_p.setdefault(p, {})
+            for k, v in bracket:
+                col = last - p * n - k
+                if x := row.pop(col, 0) + v:
+                    row[col] = x
+        for row in by_p.values():
+            if len(row) == 1:
+                zero.update(row)
+            elif row:
+                rows.append(row)
+    return EndoSubspace(n, _nullspace_reversed(rows, n * n, zero))
 
 
 class Subspace:
     """A subspace of Q^n held as its unique RREF basis (zero rows dropped).
 
-    The basis is stored sparse: its pivots, and per row the nonzero
-    (index, Fraction) pairs by index (`_nnz`), with the row of each pivot
-    (`_row_at`).  `basis`, the same rows as an ExactMatrix, is built on
-    first read.  Because the RREF basis is unique, equality of Subspace
-    objects is equality of subspaces.
+    The one stored form is the pivots and `_rows`, per basis row the pair
+    (d, row) of _rref_ints: row lists the (index, nonzero int) pairs, by
+    index, of a primitive integer row whose pivot entry is d > 0, and the
+    RREF row is row / d.  `_row_at` indexes the rows by pivot; `basis` and
+    every Fraction are computed when read.  Because the RREF basis is
+    unique, equality of Subspace objects is equality of subspaces.
     """
 
-    __slots__ = ("ambient", "pivots", "_nnz", "_row_at", "_basis")
+    __slots__ = ("ambient", "pivots", "_rows", "_row_at")
 
     def __init__(self, ambient: int, basis: ExactMatrix, pivots: tuple[int, ...]):
-        # trusted constructor; use from_vectors for arbitrary spanning sets.
-        # Rows become lists, as everywhere else, so that == compares like types
-        self._init(ambient, pivots, list(map(list, basis._fraction_rows())), basis)
+        # trusted: an RREF basis, which _rref_ints only rescales; else use from_vectors
+        reduced = _rref_ints(map(dict, basis._nz.values()))
+        self._init(ambient, pivots, [(d, sorted(row.items())) for _, d, row in reduced])
 
-    def _init(self, ambient: int, pivots: tuple, nnz: list, basis) -> None:
-        self.ambient, self.pivots, self._nnz, self._basis = ambient, pivots, nnz, basis
+    def _init(self, ambient: int, pivots: tuple, rows: list) -> None:
+        self.ambient, self.pivots, self._rows = ambient, pivots, rows
         self._row_at = {p: r for r, p in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        rows = []
-        for v in vectors:
-            rows.append(_sparse(v))
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-        return cls._from_rref(ambient, _rref_sparse(rows))
+        return cls._from_rref(ambient, _rref_ints([_int_vector(v, ambient)[1] for v in vectors]))
 
     @classmethod
     def _from_rref(cls, ambient: int, reduced: list) -> "Subspace":
-        # reduced: (pivot, sparse row) pairs as returned by _rref_sparse
-        nnz = [sorted(row.items()) for _, row in reduced]
-        return cls._from_rows(ambient, tuple(p for p, _ in reduced), nnz)
+        # reduced: (pivot, d, row) triples as returned by _rref_ints
+        rows = [(d, sorted(row.items())) for _, d, row in reduced]
+        return cls._from_rows(ambient, tuple(p for p, _, _ in reduced), rows)
 
     @classmethod
-    def _from_rows(cls, ambient: int, pivots: tuple, nnz: list) -> "Subspace":
+    def _from_rows(cls, ambient: int, pivots: tuple, rows: list) -> "Subspace":
         space = object.__new__(cls)
-        space._init(ambient, pivots, nnz, None)
+        space._init(ambient, pivots, rows)
         return space
 
     @classmethod
@@ -691,15 +705,14 @@ class Subspace:
 
     @classmethod
     def full_space(cls, ambient: int) -> "Subspace":
-        return cls._from_rows(ambient, tuple(range(ambient)), [[(i, _ONE)] for i in range(ambient)])
+        return cls._from_rows(ambient, tuple(range(ambient)), [(1, [(i, 1)]) for i in range(ambient)])
 
     @property
     def basis(self) -> ExactMatrix:
-        """The RREF basis rows as a matrix (its dense rows are built lazily too)."""
-        if self._basis is None:
-            entries = (((r, c), x) for r, nz in enumerate(self._nnz) for c, x in nz)
-            self._basis = _from_entries(len(self._nnz), self.ambient, entries)
-        return self._basis
+        """The RREF basis rows as a matrix, over the lcm of their d, computed on read."""
+        den = lcm(*(d for d, _ in self._rows))
+        nz = {r: [(j, v * (den // d)) for j, v in row] for r, (d, row) in enumerate(self._rows)}
+        return ExactMatrix._from_ints(self.dim, self.ambient, den, nz)
 
     @property
     def dim(self) -> int:
@@ -707,72 +720,73 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> list:
         """Canonical representative of v modulo this subspace."""
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        w = _sparse(v)
-        self._reduce(w)
-        return list(_dense(w.items(), self.ambient))
+        den, w = _int_vector(v, self.ambient)
+        den *= self._reduce(w)[0]
+        return list(_dense(((j, Q(x, den)) for j, x in w.items()), self.ambient))
 
-    def _reduce(self, w: dict) -> list:
-        """Reduce the sparse vector w {index: nonzero Fraction} in place.
+    def _reduce(self, w: dict) -> tuple[int, list]:
+        """Reduce w {index: nonzero int} in place, to s > 0 times its canonical representative.
 
-        What is left of w is its canonical representative modulo this
-        subspace.  Returns the (row, coefficient) pairs, by row, of the
-        combination of basis rows taken off.  An RREF row is 1 at its own
-        pivot and 0 at every other pivot, so the coefficient on row r is
-        w's own entry at r's pivot, and only the pivots w holds are
-        visited, found from w's support or from the pivots, whichever is
-        smaller.
+        Returns (s, coeffs).  An RREF row is 1 at its own pivot and 0 at the
+        others, so coeffs, the (row, coefficient) pairs by row, holds the
+        input's entries at the pivots, found from w's support or from the
+        pivots, whichever is smaller.  Row r = row / d comes off as
+        w := (d / g) w - (w_p / g) row, g = gcd(d, w_p): s gains d / g.
         """
-        row_at = self._row_at
+        row_at, pivots, rows = self._row_at, self.pivots, self._rows
         if len(w) < len(row_at):
             hits = sorted(row_at[j] for j in w if j in row_at)
         else:
             hits = [r for p, r in row_at.items() if p in w]
-        coeffs = []
+        coeffs = [(r, w[pivots[r]]) for r in hits]
+        s = 1
         for r in hits:
-            f = w[self.pivots[r]]
-            coeffs.append((r, f))
-            for j, x in self._nnz[r]:
-                v = w.get(j, _ZERO) - f * x
+            d, row = rows[r]
+            f = w[pivots[r]]
+            if d != 1:
+                g = gcd(d, f)
+                if (a := d // g) != 1:
+                    s *= a
+                    for j in w:
+                        w[j] *= a
+                f //= g
+            for j, x in row:
+                v = w.get(j, 0) - f * x
                 if v:
                     w[j] = v
                 else:
                     del w[j]
-        return coeffs
+        return s, coeffs
 
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        return self._coordinates(_sparse(v)) is not None
+        return self._coordinates(_int_vector(v, self.ambient)[1]) is not None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(other._coordinates(dict(nz)) is not None for nz in self._nnz)
+        return all(other._coordinates(dict(row)) is not None for _, row in self._rows)
 
     def coordinates(self, v: Sequence):
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        coeffs = self._coordinates(_sparse(v))
+        den, w = _int_vector(v, self.ambient)
+        coeffs = self._coordinates(w, den)
         return None if coeffs is None else _dense(coeffs, self.dim)
 
-    def _coordinates(self, w: dict):
-        """The (row, coefficient) pairs, by row, of w (as in _reduce), or None if w is outside."""
-        coeffs = self._reduce(w)
-        return None if w else coeffs
+    def _coordinates(self, w: dict, den: int = 1):
+        """The (row, coefficient) pairs, by row, of w / den (reduced in place), or None if outside."""
+        _, coeffs = self._reduce(w)
+        return None if w else [(r, Q(x, den)) for r, x in coeffs]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
             and self.pivots == other.pivots
-            and self._nnz == other._nnz
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.pivots, tuple(map(tuple, self._nnz))))
+        return hash((self.ambient, self.pivots, tuple((d, tuple(row)) for d, row in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -781,35 +795,34 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
-    return Subspace._from_rref(a.ambient, _rref_sparse(map(dict, a._nnz + b._nnz)))
+    return Subspace._from_rref(a.ambient, _rref_ints(dict(row) for _, row in a._rows + b._rows))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """The kernel of a's rows reduced modulo b, carried back into a.
 
-    sum alpha_i a_i lies in b exactly when sum alpha_i (a_i mod b) = 0,
-    and a's rows are independent, so those alpha are the intersection's
-    coordinates over a.  For an RREF kernel basis the vectors sum
-    alpha_i a_i are themselves RREF rows: each equals alpha at a's
-    pivots, and leads at the pivot of a's row where alpha leads.
+    a's integer rows R_i are independent and _reduce leaves s_i R_i mod b,
+    so the kernel's betas, sum beta_i (s_i R_i mod b) = 0, give a basis
+    sum beta_i s_i R_i of the intersection.
     """
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
     system = {}  # column j of the reduced rows: {row: entry}
-    for i, nz in enumerate(a._nnz):
-        w = dict(nz)
-        b._reduce(w)
+    scales = []
+    for i, (_, row) in enumerate(a._rows):
+        w = dict(row)
+        scales.append(b._reduce(w)[0])
         for j, x in w.items():
             system.setdefault(j, {})[i] = x
     kernel = _nullspace_from_system(system.values(), a.dim)
-    rows = []
-    for alphas in kernel._nnz:
+    vecs = []
+    for _, betas in kernel._rows:
         vec = {}
-        for i, alpha in alphas:
-            for j, x in a._nnz[i]:
-                vec[j] = vec.get(j, _ZERO) + alpha * x
-        rows.append(sorted((j, x) for j, x in vec.items() if x))
-    return Subspace._from_rows(a.ambient, tuple(a.pivots[f] for f in kernel.pivots), rows)
+        for i, beta in betas:
+            for j, x in a._rows[i][1]:
+                vec[j] = vec.get(j, 0) + beta * scales[i] * x
+        vecs.append({j: x for j, x in vec.items() if x})
+    return Subspace._from_rref(a.ambient, _rref_ints(vecs))
 
 
 class EndoSubspace:
@@ -834,8 +847,8 @@ class EndoSubspace:
         for m in mats:
             if m.shape != (n, n):
                 raise ValueError("matrix shape mismatch")
-            rows.append(m._flat_nonzeros())
-        return cls(n, Subspace._from_rref(n * n, _rref_sparse(rows)))
+            rows.append(m._flat_ints())
+        return cls(n, Subspace._from_rref(n * n, _rref_ints(rows)))
 
     @property
     def dim(self) -> int:
@@ -853,15 +866,18 @@ class EndoSubspace:
         """The (index, coefficient) pairs of m over basis_matrices(), or None if m is outside."""
         if m.shape != (self.n, self.n):
             raise ValueError("matrix shape mismatch")
-        return self.space._coordinates(m._flat_nonzeros())
+        return self.space._coordinates(m._flat_ints(), m._den)
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
-        """The basis rows as n x n matrices, built once."""
+        """The basis rows as n x n matrices, built once from the integer rows."""
         if self._mats is None:
-            n = self.n
-            self._mats = tuple(
-                _from_entries(n, n, [(divmod(j, n), x) for j, x in nz]) for nz in self.space._nnz
-            )
+            mats = []
+            for d, row in self.space._rows:
+                nz = {}
+                for j, v in row:
+                    nz.setdefault(j // self.n, []).append((j % self.n, v))
+                mats.append(ExactMatrix._from_ints(self.n, self.n, d, nz))
+            self._mats = tuple(mats)
         return self._mats
 
     def __eq__(self, other) -> bool:

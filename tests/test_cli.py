@@ -138,6 +138,33 @@ def test_two_file_verbs_refuse_products_over_the_cap(verb, tmp_path, capsys, mon
         main([*verb, paths["ab100"], paths["t2"]])
 
 
+@pytest.mark.parametrize("verb", [["levi"], ["check", "table1"]], ids=["levi", "check-table1"])
+def test_two_file_verbs_report_a_malformed_a_before_a_broken_g(verb, tmp_path, capsys):
+    # [e,f] = z and [f,z] = f break the Jacobi identity on (e, f, z), which
+    # alone exits 1; an A file holding "1e3" is an input error, exit 2, and
+    # both files are parsed before either axiom check
+    lie = {"kind": "lie", "dim": 3, "basis": ["e", "f", "z"],
+           "products": [[0, 1, 2, "1"], [1, 2, 1, "1"]]}
+    assoc = {"kind": "assoc", "dim": 2, "basis": ["1", "t"], "unit": ["1", "0"],
+             "products": [[0, 0, 0, "1"], [0, 1, 1, "1"]]}
+    paths = {}
+    for name, doc in (("g", lie), ("a", assoc)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        bad = json.loads(json.dumps(doc))
+        bad["products"][-1][3] = "1e3"
+        paths[name + "_bad"] = tmp_path / f"{name}_bad.json"
+        paths[name + "_bad"].write_text(json.dumps(bad), encoding="utf-8")
+
+    code, stdout, stderr = run([*verb, str(paths["g"]), str(paths["a"])], capsys)
+    assert code == 1 and not stdout and "Jacobi fails" in stderr
+    for g, a in (("g", "a_bad"), ("g_bad", "a"), ("g_bad", "a_bad")):
+        code, stdout, stderr = run([*verb, str(paths[g]), str(paths[a])], capsys)
+        assert code == 2 and not stdout, (g, a, stderr)
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "bad rational '1e3'" in stderr
+
+
 def test_max_dim_files_load_and_check_in_little_memory(tmp_path):
     # only the listed products are stored: no dim^3 table on the way in,
     # and the axiom checks visit only what those products reach

@@ -15,6 +15,7 @@ from math import gcd
 
 import pytest
 from helpers import rand_frac, rand_matrix, reference_match
+from test_startup import fresh
 
 from currentlie.assoc import AssocAlgebra, truncated_polynomial
 from currentlie.current import current_algebra
@@ -34,7 +35,6 @@ from currentlie.linalg import (
     Subspace,
     _nullspace_from_system,
     _rref_ints,
-    _rref_sparse,
     linear_combination,
     nullspace,
     rat_str,
@@ -129,14 +129,71 @@ def test_integer_rref_hand_off_and_nullspace_match_dense_oracle():
             assert all(type(x) is int and x for x in row.values())
             assert d == row[p] > 0 and gcd(*row.values()) == 1
             assert [Fraction(row.get(c, 0), d) for c in range(ncols)] == want
-        assert [(p, dict(r)) for p, r in _rref_sparse(rows)] == [
-            (p, {c: x for c, x in enumerate(want) if x}) for p, want in zip(pivots, reduced)
-        ]
+        # the Subspace store holds those integer rows; its Fraction reads
+        # (basis, reduce, coordinates) match the dense oracle
+        span = Subspace.from_vectors(dense, ncols)
+        assert span.pivots == tuple(pivots)
+        assert span._rows == [(d, sorted(row.items())) for _, d, row in triples]
+        assert list(span.basis.rows) == [tuple(r) for r in reduced]
+        _check_reads(span, reduced, random.Random(len(rows)))
 
         expected = _dense_nullspace(dense, ncols)
-        assert _nullspace_from_system(rows, ncols) == expected
+        got = _nullspace_from_system(rows, ncols)
+        assert got == expected and got.pivots == expected.pivots
+        assert got._rows == expected._rows and got.basis == expected.basis
         assert nullspace(ExactMatrix(dense)) == expected
-        assert all(type(x) is Fraction for row in expected._nnz for _, x in row)
+        assert all(type(v) is int for _, row in got._rows for _, v in row)
+        ns_rows = [list(r) for r in got.basis.rows]
+        assert _dense_gauss_jordan(ns_rows, ncols) == (list(got.pivots), ns_rows)
+        _check_reads(got, ns_rows, random.Random(ncols))
+
+
+def _check_reads(space: Subspace, reduced: list, rng: random.Random) -> None:
+    """reduce, coordinates and contains of space against its dense RREF rows."""
+    ncols = space.ambient
+    for _ in range(4):
+        coeffs = [rand_frac(rng) if rng.random() < 0.7 else ZERO for _ in reduced]
+        inside = [sum((c * r[j] for c, r in zip(coeffs, reduced)), ZERO) for j in range(ncols)]
+        outside = [x + rand_frac(rng) for x in inside]
+        # the dense remainder: take off the entry at each pivot times its row
+        rest = list(outside)
+        for p, r in zip(space.pivots, reduced):
+            f = rest[p]
+            rest = [x - f * y for x, y in zip(rest, r)]
+        assert space.coordinates(inside) == tuple(coeffs) and space.contains(inside)
+        assert space.reduce(inside) == [ZERO] * ncols
+        assert space.reduce(outside) == rest
+        assert all(type(x) is Fraction for x in space.reduce(outside))
+        assert (space.coordinates(outside) is None) == any(rest) == (not space.contains(outside))
+
+
+def test_derive_path_builds_no_fraction():
+    # Fraction.__new__ is counted in a fresh interpreter, around derivations
+    # and basis_matrices only; the dense view of one matrix shows the count
+    # works (on Python 3.12+ Fraction arithmetic bypasses __new__, so there
+    # only constructor calls are counted)
+    out = fresh("""
+        from fractions import Fraction
+        from currentlie.assoc import truncated_polynomial
+        from currentlie.current import current_algebra
+        from currentlie.lie import derivations, heisenberg
+
+        product = current_algebra(heisenberg(2), truncated_polynomial(4)).product
+        made = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made[0] += 1
+            return new(cls, *args, **kwargs)
+
+        Fraction.__new__ = counting
+        mats = derivations(product).basis_matrices()
+        during = made[0]
+        mats[0].rows
+        Fraction.__new__ = new
+        print(during, len(mats), made[0] > 0)
+    """)
+    assert out.split() == ["0", "159", "True"]
 
 
 def test_nullspace_of_leibniz_like_integer_systems():

@@ -11,7 +11,7 @@ from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
     _nullspace_from_system,
-    _rref_sparse,
+    _rref_ints,
     Subspace,
     commutator,
     hstack,
@@ -407,11 +407,11 @@ def test_fraction_free_elimination_matches_reference():
         ref_rows = _nonzero_rows(ref)
         ref_pivots = [_leading(row) for row in ref_rows]
 
-        reduced = _rref_sparse(rows)
-        assert [p for p, _ in reduced] == ref_pivots
-        for (p, row), want in zip(reduced, ref_rows):
-            assert all(type(x) is Fraction and x for x in row.values())
-            assert tuple(row.get(c, Fraction(0)) for c in range(ncols)) == want
+        reduced = _rref_ints(rows)
+        assert [p for p, _, _ in reduced] == ref_pivots
+        for (p, d, row), want in zip(reduced, ref_rows):
+            assert all(type(x) is int and x for x in row.values()) and d == row[p] > 0
+            assert tuple(Fraction(row.get(c, 0), d) for c in range(ncols)) == want
 
         assert rank(dense) == len(ref_rows)
         got, pivots = rref(dense)
@@ -461,8 +461,9 @@ def _check_reduction(space, v, coeffs, rest):
     # rest: v's canonical representative modulo the space.  The sparse
     # input lists its entries by decreasing index, so the pairs of
     # _coordinates are sorted by the routine, not by the input
-    w = {j: Fraction(x) for j, x in reversed(list(enumerate(v))) if x}
-    pairs = space._coordinates(w)
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    w = {j: int(x * den) for j, x in reversed(list(enumerate(v))) if x}
+    pairs = space._coordinates(w, den)
     if coeffs is None:
         assert pairs is None and space.coordinates(v) is None and not space.contains(v)
     else:
@@ -570,7 +571,7 @@ def test_subspace_equality_and_hash_across_constructors():
         twice = nullspace(annihilator.basis) if annihilator.dim else Subspace.full_space(n)
         equal = [
             Subspace.from_vectors(m.rows, n),
-            Subspace._from_rref(n, _rref_sparse(rows)),
+            Subspace._from_rref(n, _rref_ints(rows)),
             dense,
             twice,
         ]
@@ -613,7 +614,9 @@ def test_lazy_dense_views_match_reference():
         ref = _nonzero_rows(reference_rref(m))
 
         space = Subspace.from_vectors(m.rows, ncols)
-        assert space._basis is None  # nothing dense until a caller asks
+        # the one store is integer rows; the basis is built on each read
+        assert all(type(v) is int for _, row in space._rows for _, v in row)
+        assert space.basis == space.basis and space.basis is not space.basis
         assert store_is_canonical(space.basis)
         assert list(space.basis.rows) == ref and _all_fractions(space.basis)
         assert space.basis.shape == (len(ref), ncols)

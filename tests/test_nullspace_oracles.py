@@ -10,12 +10,13 @@ RREF invariants are asserted directly.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import rand_frac
-from test_integer_paths import _fractional_algebras, rescaled_truncated_polynomial
+from test_integer_paths import _check_reads, _fractional_algebras, rescaled_truncated_polynomial
 
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.assoc import truncated_polynomial
@@ -55,6 +56,13 @@ def _echelon(rows: list, ncols: int) -> dict:
 
 def dense_nullspace(rows: list, ncols: int) -> Subspace:
     """{x : rows x = 0} for dense Fraction rows, as a canonical Subspace."""
+    basis = dense_nullspace_rows(rows, ncols)
+    mat = ExactMatrix(list(basis.values())) if basis else ExactMatrix.zero(0, ncols)
+    return Subspace(ncols, mat, tuple(basis))
+
+
+def dense_nullspace_rows(rows: list, ncols: int) -> dict:
+    """{pivot: dense RREF row} of {x : rows x = 0}, for dense Fraction rows."""
     reduced = _echelon(rows, ncols)
     solutions = []
     for f in range(ncols):
@@ -64,22 +72,27 @@ def dense_nullspace(rows: list, ncols: int) -> Subspace:
             for p, row in reduced.items():
                 v[p] = -row[f]
             solutions.append(v)
-    basis = _echelon(solutions, ncols)
-    mat = ExactMatrix(list(basis.values())) if basis else ExactMatrix.zero(0, ncols)
-    return Subspace(ncols, mat, tuple(basis))
+    return _echelon(solutions, ncols)
 
 
 def assert_canonical_rref(space: Subspace) -> None:
-    """Pivots increase, each row leads with 1 at its pivot, other rows are 0 there."""
+    """Pivots increase, each row leads at its pivot, other rows are 0 there.
+
+    The store holds each row as (d, row): primitive ints by index, leading
+    with d > 0 at the pivot, so that the RREF row, row / d, leads with 1.
+    """
     assert list(space.pivots) == sorted(set(space.pivots))
-    assert len(space._nnz) == len(space.pivots)
-    for p, row in zip(space.pivots, space._nnz):
-        assert row[0] == (p, 1)
+    assert len(space._rows) == len(space.pivots)
+    for p, (d, row) in zip(space.pivots, space._rows):
+        assert row[0] == (p, d) and d > 0
         assert [j for j, _ in row] == sorted({j for j, _ in row})
-        assert all(type(x) is Fraction and x for _, x in row)
-    for i, row in enumerate(space._nnz):
+        assert all(type(x) is int and x for _, x in row)
+        assert math.gcd(*(x for _, x in row)) == 1
+    for i, (_, row) in enumerate(space._rows):
         entries = dict(row)
         assert all(q not in entries for k, q in enumerate(space.pivots) if k != i)
+    dense = space.basis.rows
+    assert all(r[p] == 1 for p, r in zip(space.pivots, dense))
 
 
 def _dense(rows: list, ncols: int) -> list:
@@ -145,13 +158,19 @@ def test_reversed_order_nullspace_matches_dense_oracle():
         got = _nullspace_from_system(rows, ncols)
         assert got == expected, (trial, rows)
         assert_canonical_rref(got)
+        # the store's reads: pivots, basis, coordinates and reduce
+        want = dense_nullspace_rows(_dense(rows, ncols), ncols)
+        dense_rows = list(want.values())
+        assert got.pivots == tuple(want) and [list(r) for r in got.basis.rows] == dense_rows
+        if trial % 4 == 0:
+            _check_reads(got, dense_rows, random.Random(trial))
         if kind == "zero":
             assert got == Subspace.full_space(ncols)
         if kind == "full":
             assert got.dim == 0
         kinds["nonzero"] += 0 < got.dim < ncols
         # every basis row solves the system exactly
-        for nz in got._nnz:
+        for _, nz in got._rows:
             assert all(sum(x * row.get(j, 0) for j, x in nz) == 0 for row in rows)
     assert kinds["zero"] == kinds["full"] == 8 and kinds["nonzero"] > 100
 
