@@ -25,6 +25,7 @@ from currentlie.heisenberg import (
     heisenberg_der_blocks,
     levi_factor,
     levi_report,
+    levi_split,
     match_template,
     sp_block_embedding,
     truncated_heisenberg,
@@ -56,7 +57,6 @@ from currentlie.linalg import (
     Q,
     Subspace,
     commutator,
-    hstack,
     kron,
     nullspace,
     rank,
@@ -65,7 +65,6 @@ from currentlie.linalg import (
     rref,
     subspace_intersection,
     subspace_sum,
-    vstack,
 )
 from currentlie.serialize import (
     AxiomError,

@@ -26,9 +26,11 @@ from currentlie.linalg import (
     _int_vector,
     _left_mult,
     _leibniz_space,
+    _memoized,
     _nullspace_from_system,
     _products,
     nullspace,
+    rank,
     rat,
 )
 
@@ -167,7 +169,8 @@ def derivations(a: AssocAlgebra) -> EndoSubspace:
     Solved as the exact nullspace of the Leibniz conditions over basis
     pairs; D(1) = 0 follows automatically.
     """
-    return _leibniz_space(a, combinations_with_replacement(range(a.dim), 2), derivation=True)
+    pairs = combinations_with_replacement(range(a.dim), 2)
+    return _memoized(a, "derivations", lambda: _leibniz_space(a, pairs, derivation=True))
 
 
 def jacobson_radical(a: AssocAlgebra) -> Subspace:
@@ -176,21 +179,25 @@ def jacobson_radical(a: AssocAlgebra) -> Subspace:
     Over Q this is the Dickson criterion, so the nullspace of the Gram
     matrix G[i][j] = tr(L_(e_i e_j)) is exactly the Jacobson radical.
     """
-    # G is read in numerators over den^2, which leaves its null space alone
-    traces = {}  # traces[l] = den tr(L_(e_l)) = sum_p den c_lp^p
-    for (l, p), terms in a.products.items():
-        for k, c in terms:
-            if k == p:
-                traces[l] = traces.get(l, 0) + c
-    gram = {}  # row i of den^2 G, as {j: den^2 G[i][j]}
-    for (i, j), terms in a.products.items():
-        if x := sum(c * traces.get(l, 0) for l, c in terms):
-            gram.setdefault(i, {})[j] = x
-    return _nullspace_from_system(gram.values(), a.dim)
+
+    def compute():
+        # G is read in numerators over den^2, which leaves its null space alone
+        traces = {}  # traces[l] = den tr(L_(e_l)) = sum_p den c_lp^p
+        for (l, p), terms in a.products.items():
+            for k, c in terms:
+                if k == p:
+                    traces[l] = traces.get(l, 0) + c
+        gram = {}  # row i of den^2 G, as {j: den^2 G[i][j]}
+        for (i, j), terms in a.products.items():
+            if x := sum(c * traces.get(l, 0) for l, c in terms):
+                gram.setdefault(i, {})[j] = x
+        return _nullspace_from_system(gram.values(), a.dim)
+
+    return _memoized(a, "jacobson_radical", compute)
 
 
 def _complement_coords(a: AssocAlgebra, j: Subspace):
-    """Quotient A/J presented on the non-pivot coordinates of J's basis."""
+    """Quotient A/J presented on the non-pivot coordinates of J's basis, and those."""
     n = a.dim
     pivot_set = set(j.pivots)
     cols = [col for col in range(n) if col not in pivot_set]
@@ -213,15 +220,7 @@ def _complement_coords(a: AssocAlgebra, j: Subspace):
     den, products = _products(entries)
     unit = _dense(project(*_int_vector(a.unit, n)).items(), len(cols))
     labels = [a.labels[col] for col in cols]
-    quotient = AssocAlgebra._from_products(labels, den * a.den, products, unit)
-
-    def embed(v):
-        out = [_ZERO] * n
-        for col, idx in pos.items():
-            out[col] = v[idx]
-        return tuple(out)
-
-    return quotient, embed
+    return AssocAlgebra._from_products(labels, den * a.den, products, unit), cols
 
 
 def _minimal_polynomial(alg: AssocAlgebra, unit, x) -> list:
@@ -363,7 +362,7 @@ def wedderburn_complement(a: AssocAlgebra) -> Subspace:
     quotient factor is a field bigger than Q (irrational eigenvalues).
     """
     j = jacobson_radical(a)
-    quotient, embed = _complement_coords(a, j)
+    quotient, cols = _complement_coords(a, j)
     n_q = quotient.dim
 
     components = [tuple(quotient.unit)]
@@ -397,22 +396,17 @@ def wedderburn_complement(a: AssocAlgebra) -> Subspace:
         components = next_components
 
     for u in components:
-        span = Subspace.from_vectors(
-            [
-                quotient.multiply(u, tuple(_ONE if t == c else _ZERO for t in range(n_q)))
-                for c in range(n_q)
-            ],
-            n_q,
-        )
-        if span.dim != 1:
+        # the factor u * quotient is spanned by the u e_c, the columns of L_u
+        dim = rank(quotient.left_mult_matrix(u))
+        if dim != 1:
             raise NonSplitError(
                 "non-split semisimple quotient: a simple factor has dimension %d"
-                % span.dim
+                % dim
             )
 
     lifted = []
     for u in components:
-        e = embed(u)
+        e = _dense(zip(cols, u), a.dim)
         for _ in range(2 * a.dim + 2):
             sq = a.multiply(e, e)
             if sq == e:

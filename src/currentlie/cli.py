@@ -26,21 +26,18 @@ from currentlie.assoc import (
     wedderburn_complement,
 )
 from currentlie.assoc import derivations as assoc_derivations
-from currentlie.heisenberg import heisenberg_der_blocks, truncated_heisenberg
+from currentlie.heisenberg import levi_split, truncated_heisenberg
 from currentlie.lie import (
     LieAlgebra,
-    _derivation_algebra,
     center,
     derived_series,
-    heisenberg,
     is_nilpotent,
-    is_semisimple,
     is_solvable,
     lower_central_series,
     solvable_radical,
 )
 from currentlie.lie import derivations as lie_derivations
-from currentlie.linalg import EndoSubspace, ExactMatrix, Q, rat_str
+from currentlie.linalg import ExactMatrix, Q, rat_str
 from currentlie.serialize import (
     AxiomError,
     FormatError,
@@ -145,24 +142,6 @@ def cmd_derive(args) -> int:
     return _emit(args, report, lines())
 
 
-def _levi_candidates(g: LieAlgebra):
-    """Constructive (s, r) split of der(g) for the supported inputs.
-
-    Heisenberg-patterned algebras get the symplectic-block split; if
-    der(g) is itself semisimple it is its own Levi factor.  Anything
-    else has no constructive candidate here.
-    """
-    if g.dim % 2 == 1 and g.dim >= 3:
-        m = g.dim // 2
-        h = heisenberg(m)
-        if (g.den, g.products) == (h.den, h.products):
-            return heisenberg_der_blocks(m)
-    # the structure of der(g) built here is the one radical_subspace reads
-    if is_semisimple(_derivation_algebra(g)):
-        return lie_derivations(g), EndoSubspace.from_matrices([], g.dim)
-    return None
-
-
 def _load_pair(g_path, a_path) -> tuple:
     """Load the lie and assoc files of g (x) A.  Both are parsed, and their kinds
     and product dim (at most MAX_DIM, the bound a file of it would meet)
@@ -187,7 +166,7 @@ def cmd_levi(args) -> int:
     from currentlie.current import PreconditionError, certify_decomposition, current_algebra
 
     g, a = _load_pair(args.g_path, args.a_path)
-    candidates = _levi_candidates(g)
+    candidates = levi_split(g)
     if candidates is None:
         raise FormatError(
             f"{args.g_path}: no constructive Levi candidate for this algebra"

@@ -21,10 +21,10 @@ import random
 from typing import NamedTuple, Optional, Sequence
 
 from currentlie.assoc import AssocAlgebra, jacobson_radical
+from currentlie.assoc import derivations as assoc_derivations
 from currentlie.lie import (
     LieAlgebra,
     _derivation_algebra,
-    _memoized,
     center,
     centroid,
     derivations,
@@ -42,6 +42,7 @@ from currentlie.linalg import (
     ExactMatrix,
     Q,
     Subspace,
+    _memoized,
     _rref_ints,
     commutator,
     kron,
@@ -85,8 +86,7 @@ class CurrentAlgebra:
     def unindex(self, flat: int) -> tuple[int, int]:
         return divmod(flat, self.a.dim)
 
-    # views of the component algebras; the lie functions memoize on the
-    # algebra, assoc.derivations does not, so der_a is memoized here
+    # views of the component algebras, each memoized on its algebra
 
     def der_g(self) -> EndoSubspace:
         return derivations(self.g)
@@ -98,9 +98,7 @@ class CurrentAlgebra:
         return hom_quotient_to_center(self.g)
 
     def der_a(self) -> EndoSubspace:
-        from currentlie.assoc import derivations as assoc_derivations
-
-        return _memoized(self, "der_a", lambda: assoc_derivations(self.a))
+        return assoc_derivations(self.a)
 
     def derivations(self) -> EndoSubspace:
         return derivations(self.product)

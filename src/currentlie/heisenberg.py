@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
-from currentlie.lie import heisenberg, sp
+from currentlie.lie import LieAlgebra, _derivation_algebra, derivations, heisenberg, is_semisimple, sp
 from currentlie.linalg import EndoSubspace, ExactMatrix, Q, _from_entries, kron, rat
 
 # every `currentlie` command imports this module through the package, and
@@ -42,7 +42,6 @@ def der_dimension_formula(m: int, k: int) -> int:
     return m * (2 * m + 1) * (k + 1) + 2 * m * (k + 1) ** 2 + 2 * k + 1
 
 
-@cache
 def _layout(m: int, k: int) -> tuple:
     """Where each parameter of der(h_m (x) A_k) sits in the template matrix.
 
@@ -132,10 +131,11 @@ class DerivationTemplate:
       ("q", r)          r in 1..k: coefficient derivation series
       ("strip", r, c)   free bottom strip, r in 0..k, c over both top blocks
 
-    Everything runs on one layout (see `_layout`), built once per (m, k):
-    the positions and integer coefficients of each key in the matrix.  A
-    matrix is the sum of coefficient * value over the layout, and `match`
-    reads only the nonzero entries of its argument.
+    Everything runs on one layout (see `_layout`), built once per template,
+    the positions and integer coefficients of each key in the matrix; and
+    `match_template` keeps one template per (m, k).  A matrix is the sum of
+    coefficient * value over the layout, and `match` reads only the
+    nonzero entries of its argument.
     """
 
     def __init__(self, m: int, k: int):
@@ -312,6 +312,25 @@ def heisenberg_der_blocks(m: int) -> tuple[EndoSubspace, EndoSubspace]:
         EndoSubspace.from_matrices(s_mats, n),
         EndoSubspace.from_matrices(r_mats, n),
     )
+
+
+def levi_split(g: LieAlgebra):
+    """A Levi split (s, r) of der(g) for the supported g, or None.
+
+    g with exactly heisenberg(m)'s structure constants gets the
+    symplectic-block split of heisenberg_der_blocks; if der(g) is itself
+    semisimple it is its own Levi factor, with r = 0.  Anything else has
+    no constructive split here.  The certificate re-checks s and r.
+    """
+    if g.dim % 2 == 1 and g.dim >= 3:
+        m = g.dim // 2
+        h = heisenberg(m)
+        if (g.den, g.products) == (h.den, h.products):
+            return heisenberg_der_blocks(m)
+    # the structure of der(g) built here is the one radical_subspace reads
+    if is_semisimple(_derivation_algebra(g)):
+        return derivations(g), EndoSubspace.from_matrices([], g.dim)
+    return None
 
 
 def sp_block_embedding(m: int, k: int) -> list[ExactMatrix]:

@@ -20,8 +20,10 @@ from currentlie.linalg import (
     Subspace,
     _Algebra,
     _from_accumulators,
+    _from_entries,
     _left_mult,
     _leibniz_space,
+    _memoized,
     _nullspace_from_system,
     _products,
     _rref_ints,
@@ -52,7 +54,6 @@ class LieAlgebra(_Algebra):
     def _init(self, labels: tuple, den: int, products: dict, matrix_basis=None) -> None:
         super()._init(labels, den, products)
         self.matrix_basis = tuple(matrix_basis) if matrix_basis is not None else None
-        self._memo: dict = {}
 
     @classmethod
     def from_bracket_entries(cls, labels, entries, matrix_basis=None) -> "LieAlgebra":
@@ -142,13 +143,6 @@ def _combo(g: LieAlgebra, terms, den: int) -> str:
     return " + ".join(out) if out else "0"
 
 
-def _memoized(owner, key: str, compute):
-    """owner._memo[key], computed once; owner is a LieAlgebra or CurrentAlgebra."""
-    if key not in owner._memo:
-        owner._memo[key] = compute()
-    return owner._memo[key]
-
-
 def center(g: LieAlgebra) -> Subspace:
     """{x : [x, g] = 0}, the kernel of x -> ad_x."""
 
@@ -182,23 +176,20 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 def derived_series(g: LieAlgebra) -> list[Subspace]:
     """Strictly decreasing chain g, [g,g], [[g,g],[g,g]], ..."""
-    series = [Subspace.full_space(g.dim)]
-    while True:
-        nxt = _bracket_span(g, series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            return series
-        series.append(nxt)
+    return _series(g, lambda series: series[-1])
 
 
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """Strictly decreasing chain g, [g,g], [g,[g,g]], ..."""
-    full = Subspace.full_space(g.dim)
-    series = [full]
-    while True:
-        nxt = _bracket_span(g, full, series[-1])
-        if nxt.dim == series[-1].dim:
-            return series
+    return _series(g, lambda series: series[0])
+
+
+def _series(g: LieAlgebra, left) -> list[Subspace]:
+    # g, then [left(series), last term] while the dimension drops
+    series = [Subspace.full_space(g.dim)]
+    while (nxt := _bracket_span(g, left(series), series[-1])).dim < series[-1].dim:
         series.append(nxt)
+    return series
 
 
 def is_solvable(g: LieAlgebra) -> bool:
@@ -272,8 +263,7 @@ def solvable_radical(g: LieAlgebra) -> Subspace:
 
 
 def is_semisimple(g: LieAlgebra) -> bool:
-    if g.dim == 0:
-        return True
+    # the zero algebra counts: its 0 x 0 Killing form has rank 0
     return rank(killing_form(g)) == g.dim
 
 
@@ -364,39 +354,22 @@ def sp(m: int) -> LieAlgebra:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = 2 * m
-    mats = []
-    labels = []
-
-    def unit(i, j):
-        return [[_ONE if (r, c) == (i, j) else _ZERO for c in range(n)] for r in range(n)]
-
-    def add(mat_rows, label):
-        mats.append(ExactMatrix(mat_rows))
-        labels.append(label)
-
-    for i in range(m):
-        for j in range(m):
-            rows = unit(i, j)
-            rows[m + j][m + i] -= _ONE
-            add(rows, f"a{i + 1}{j + 1}")
-    for i in range(m):
-        for j in range(i, m):
-            rows = unit(i, m + j)
-            if i != j:
-                for r, c in ((j, m + i),):
-                    rows[r][c] += _ONE
-            add(rows, f"b{i + 1}{j + 1}")
-    for i in range(m):
-        for j in range(i, m):
-            rows = unit(m + i, j)
-            if i != j:
-                rows[m + j][i] += _ONE
-            add(rows, f"c{i + 1}{j + 1}")
+    # (label, {(row, column): entry}); the two keys of b_ii or of c_ii are one
+    basis = [(f"a{i + 1}{j + 1}", {(i, j): 1, (m + j, m + i): -1})
+             for i in range(m) for j in range(m)]
+    for name, r0, c0 in (("b", 0, m), ("c", m, 0)):
+        basis += [
+            (f"{name}{i + 1}{j + 1}", {(r0 + i, c0 + j): 1, (r0 + j, c0 + i): 1})
+            for i in range(m)
+            for j in range(i, m)
+        ]
+    labels = [label for label, _ in basis]
+    mats = [_from_entries(n, n, sorted(entries.items())) for _, entries in basis]
 
     # each basis matrix is 1 at its first entry, where the others are 0, so
     # the basis matrices are the RREF rows of their span in another order
     endo = EndoSubspace.from_matrices(mats, n)
-    label_at = {min(m._flat_nonzeros()): k for k, m in enumerate(mats)}
+    label_at = {min(x._flat_ints()): k for k, x in enumerate(mats)}
     label_of_row = [label_at[p] for p in endo.space.pivots]
 
     def coordinates(i, j):

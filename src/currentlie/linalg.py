@@ -27,6 +27,7 @@ every other reader use it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -34,6 +35,10 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 _ZERO = Q(0)
+
+# A rational string: what rat_str writes, an integer or a fraction.  Fraction
+# would also read decimals and exponents, and expanding "1e50000000" takes minutes
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat(value) -> Q:
@@ -47,6 +52,8 @@ def rat(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a rational string: {value[:20]!r}")
         return Q(value)
     raise TypeError(f"refusing inexact scalar {value!r}")
 
@@ -64,8 +71,8 @@ class ExactMatrix:
     list of (column, nonzero integer numerator) pairs of its entries, by
     column: entry (i, c) is v / _den.  The store is canonical, so == and
     hash read it as it is.  The dense `rows`, the Fraction pairs of
-    `_fraction_rows` and the dicts of `_flat_nonzeros` and
-    `_nonzero_entries` are computed from it when read.
+    `_fraction_rows` and the dict of `_nonzero_entries` are computed from
+    it when read.
     """
 
     __slots__ = ("nrows", "ncols", "_den", "_nz")
@@ -125,13 +132,9 @@ class ExactMatrix:
         n = self.ncols
         return {i * n + c: v for i, row in self._nz.items() for c, v in row}
 
-    def _flat_nonzeros(self) -> dict:
-        """{row-major flat index: entry} over the nonzero entries."""
-        return {j: Q(v, self._den) for j, v in self._flat_ints().items()}
-
     def _nonzero_entries(self) -> dict:
         """{(row, col): entry} over the nonzero entries."""
-        return {divmod(j, self.ncols): x for j, x in self._flat_nonzeros().items()}
+        return {(i, c): Q(v, self._den) for i, row in self._nz.items() for c, v in row}
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -141,19 +144,9 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls._from_ints(n, n, 1, {i: [(i, 1)] for i in range(n)})
 
-    @classmethod
-    def from_flat(cls, nrows: int, ncols: int, flat: Sequence) -> "ExactMatrix":
-        """Rebuild a matrix from its row-major flattening."""
-        if len(flat) != nrows * ncols:
-            raise ValueError("flat length does not match shape")
-        return _from_entries(nrows, ncols, ((divmod(j, ncols), rat(x)) for j, x in enumerate(flat)))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -226,17 +219,8 @@ class ExactMatrix:
         entries = sorted(((c, i), x) for (i, c), x in self._nonzero_entries().items())
         return _from_entries(self.ncols, self.nrows, entries)
 
-    def trace(self) -> Q:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return Q(sum(v for i, row in self._nz.items() for c, v in row if c == i), self._den)
-
     def is_zero(self) -> bool:
         return not self._nz
-
-    def flat(self) -> tuple:
-        """Row-major flattening; inverse of from_flat."""
-        return _dense(self._flat_nonzeros().items(), self.nrows * self.ncols)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         """Submatrix with half-open row range [r0,r1) and column range [c0,c1)."""
@@ -328,23 +312,6 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for i2, rb in b._nz.items()
     }
     return ExactMatrix._from_ints(a.nrows * p, a.ncols * q, a._den * b._den, out)
-
-
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    if not mats:
-        raise ValueError("hstack of nothing")
-    if any(m.nrows != mats[0].nrows for m in mats):
-        raise ValueError("row count mismatch")
-    return vstack([m.transpose() for m in mats]).transpose()
-
-
-def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    w = mats[0].ncols
-    if any(m.ncols != w for m in mats):
-        raise ValueError("column count mismatch")
-    return ExactMatrix.from_flat(sum(m.nrows for m in mats), w, [x for m in mats for x in m.flat()])
 
 
 def _sparse(v: Sequence) -> dict:
@@ -495,6 +462,13 @@ def nullspace(m: ExactMatrix) -> "Subspace":
     return _nullspace_from_system(map(dict, m._nz.values()), m.ncols)
 
 
+def _memoized(owner, key: str, compute):
+    """owner._memo[key], computed once; owner is an _Algebra, EndoSubspace or CurrentAlgebra."""
+    if key not in owner._memo:
+        owner._memo[key] = compute()
+    return owner._memo[key]
+
+
 class _Algebra:
     """Labels and the nonzero structure constants of a bilinear product on Q^dim.
 
@@ -502,9 +476,10 @@ class _Algebra:
     denominator `den` and `products`, which maps each ordered pair (i, j)
     with e_i e_j != 0 to the (k, v) pairs, in increasing k, of the nonzero
     c_ij^k = v / den, v an int; its keys come in increasing order.  The
-    store is canonical, so == and hash read it as it is.  `structure` is a
-    dense dim^3 view of Fractions built on first use, for independent
-    checks in tests.  The public constructor takes that dense table,
+    store is canonical, so == and hash read it as it is.  What is derived
+    from it (derivations, radicals, the dense dim^3 `structure` view of
+    Fractions for independent checks in tests) is memoized in `_memo`.
+    The public constructor takes that dense table,
     checks its shape and keeps its nonzero entries; `_from_products` takes
     the stored form, with den cut down to the least common denominator.
     """
@@ -541,7 +516,7 @@ class _Algebra:
         self.dim = len(labels)
         self.den = den
         self.products = products
-        self._structure = None
+        self._memo: dict = {}
 
     def _times(self, xs, ys) -> dict:
         """{k: nonzero value}: den times the product of two (index, value) pair lists."""
@@ -565,16 +540,12 @@ class _Algebra:
     @property
     def structure(self) -> tuple:
         """structure[i][j]: the coordinate vector of e_i e_j (dense, built once)."""
-        if self._structure is None:
-            n, den = self.dim, self.den
-            self._structure = tuple(
-                tuple(
-                    _dense(((k, Q(v, den)) for k, v in self.products.get((i, j), ())), n)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        return self._structure
+        n, den = self.dim, self.den
+        return _memoized(self, "structure", lambda: tuple(
+            tuple(_dense(((k, Q(v, den)) for k, v in self.products.get((i, j), ())), n)
+                  for j in range(n))
+            for i in range(n)
+        ))
 
     def __eq__(self, other) -> bool:
         return (
@@ -675,9 +646,14 @@ class Subspace:
     __slots__ = ("ambient", "pivots", "_rows", "_row_at")
 
     def __init__(self, ambient: int, basis: ExactMatrix, pivots: tuple[int, ...]):
-        # trusted: an RREF basis, which _rref_ints only rescales; else use from_vectors
+        # the span of basis in RREF; pivots must be its pivots
+        if basis.ncols != ambient:
+            raise ValueError("basis width does not match the ambient dimension")
         reduced = _rref_ints(map(dict, basis._nz.values()))
-        self._init(ambient, pivots, [(d, sorted(row.items())) for _, d, row in reduced])
+        found = tuple(p for p, _, _ in reduced)
+        if tuple(pivots) != found:
+            raise ValueError(f"pivots {tuple(pivots)} are not the basis's pivots {found}")
+        self._init(ambient, found, [(d, sorted(row.items())) for _, d, row in reduced])
 
     def _init(self, ambient: int, pivots: tuple, rows: list) -> None:
         self.ambient, self.pivots, self._rows = ambient, pivots, rows
@@ -828,18 +804,18 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 class EndoSubspace:
     """A subspace of the n x n matrices, held flat inside Q^(n*n).
 
-    Matrices flatten row-major (ExactMatrix.flat), so this is just a
-    Subspace with a matrix-shaped view on top.
+    Matrices flatten row-major (entry (i, j) at i * n + j), so this is
+    just a Subspace with a matrix-shaped view on top.
     """
 
-    __slots__ = ("n", "space", "_mats")
+    __slots__ = ("n", "space", "_memo")
 
     def __init__(self, n: int, space: Subspace):
         if space.ambient != n * n:
             raise ValueError("ambient dimension is not n*n")
         self.n = n
         self.space = space
-        self._mats = None
+        self._memo: dict = {}
 
     @classmethod
     def from_matrices(cls, mats: Iterable[ExactMatrix], n: int) -> "EndoSubspace":
@@ -870,15 +846,17 @@ class EndoSubspace:
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
         """The basis rows as n x n matrices, built once from the integer rows."""
-        if self._mats is None:
+
+        def compute():
             mats = []
             for d, row in self.space._rows:
                 nz = {}
                 for j, v in row:
                     nz.setdefault(j // self.n, []).append((j % self.n, v))
                 mats.append(ExactMatrix._from_ints(self.n, self.n, d, nz))
-            self._mats = tuple(mats)
-        return self._mats
+            return tuple(mats)
+
+        return _memoized(self, "basis_matrices", compute)
 
     def __eq__(self, other) -> bool:
         return (

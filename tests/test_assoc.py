@@ -229,6 +229,18 @@ def test_derivations_of_truncated_ring_are_spanned_by_rbar():
         assert EndoSubspace.from_matrices(mats, k + 1) == derivations(a)
 
 
+def test_derivations_and_radical_are_memoized_on_the_algebra():
+    a = direct_sum(truncated_polynomial(2), truncated_polynomial(1))
+    assert jacobson_radical(a) is jacobson_radical(a)
+    assert derivations(a) is derivations(a)
+    assert derivations(a).basis_matrices() is derivations(a).basis_matrices()
+    assert a.structure is a.structure
+    # an equal algebra built anew has its own memo, and the same results
+    b = direct_sum(truncated_polynomial(2), truncated_polynomial(1))
+    assert b == a and derivations(b) is not derivations(a)
+    assert derivations(b) == derivations(a) and jacobson_radical(b) == jacobson_radical(a)
+
+
 def test_jacobson_radical_of_truncated_ring():
     for k in (0, 1, 2, 3):
         a = truncated_polynomial(k)

@@ -111,7 +111,7 @@ def test_two_file_verbs_refuse_products_over_the_cap(verb, tmp_path, capsys, mon
     def built(*args):
         raise Built
 
-    monkeypatch.setattr("currentlie.cli._levi_candidates", built)
+    monkeypatch.setattr("currentlie.cli.levi_split", built)
     monkeypatch.setattr("currentlie.current.current_algebra", built)
 
     def abelian(n):
@@ -401,7 +401,7 @@ def test_check_axioms_pass(files, capsys):
 
 
 def test_check_axioms_corrupted_file(files, tmp_path, capsys):
-    doc = json.loads(open(files["h1"]).read())
+    doc = json.loads(Path(files["h1"]).read_text(encoding="utf-8"))
     doc["products"] = [[0, 1, 0, "1"], [0, 2, 1, "1"]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -11,6 +11,7 @@ from currentlie.assoc import (
     truncated_polynomial,
     wedderburn_complement,
 )
+from currentlie.assoc import derivations as assoc_derivations
 from currentlie.current import (
     CurrentAlgebra,
     PreconditionError,
@@ -39,6 +40,7 @@ from currentlie.lie import (
     solvable_radical,
     sp,
 )
+from currentlie.lie import derivations as lie_derivations
 from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
@@ -272,13 +274,21 @@ def _sparse_matrix(rng, n, density):
                         for _ in range(n)])
 
 
+def test_current_algebra_reads_the_memos_of_its_factors():
+    ca = current_algebra(heisenberg(1), truncated_polynomial(2))
+    assert ca.der_a() is assoc_derivations(ca.a) and ca.der_a() is ca.der_a()
+    assert ca.der_g() is lie_derivations(ca.g)
+    assert ca.derivations() is lie_derivations(ca.product)
+    assert summand_w(ca) is summand_w(ca)
+
+
 def test_bracket_table_checks_the_component_spaces():
     # wrong component spaces, put in the memo in place of the computed ones.
     # The identity of A is no derivation, so the h*w rule breaks: on h_1 (x) A_1
     # the first pair, (D0, 1) and (id, id) with D0 = E_00 + E_22, gives
     # lhs 0 against rhs -(T D0) (x) L_(rho 1) = -D0 (x) id
     ca = current_algebra(heisenberg(1), truncated_polynomial(1))
-    ca._memo["der_a"] = EndoSubspace.from_matrices([ExactMatrix.identity(2)], 2)
+    ca.a._memo["derivations"] = EndoSubspace.from_matrices([ExactMatrix.identity(2)], 2)
     with pytest.raises(TableIdentityError) as failed:
         verify_bracket_table(ca)
     assert str(failed.value) == "bracket rule h*w: commutator does not match the twisted rule"
@@ -287,7 +297,7 @@ def test_bracket_table_checks_the_component_spaces():
     # sampled: the rules draw in order, each its left family first, so the
     # seed fixes the counterexample
     ca = current_algebra(heisenberg(1), truncated_polynomial(2))
-    ca._memo["der_a"] = EndoSubspace.from_matrices([ExactMatrix.identity(3)], 3)
+    ca.a._memo["derivations"] = EndoSubspace.from_matrices([ExactMatrix.identity(3)], 3)
     with pytest.raises(TableIdentityError) as failed:
         verify_bracket_table(ca)
     assert failed.value.rule == "h*w" and failed.value.lhs.is_zero()

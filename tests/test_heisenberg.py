@@ -14,11 +14,12 @@ from currentlie.heisenberg import (
     heisenberg_der_blocks,
     levi_factor,
     levi_report,
+    levi_split,
     match_template,
     sp_block_embedding,
     truncated_heisenberg,
 )
-from currentlie.lie import derivations, heisenberg, sp
+from currentlie.lie import LieAlgebra, derivations, heisenberg, sp
 from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
@@ -232,6 +233,20 @@ def test_heisenberg_der_blocks_split():
             assert der.contains(mat)
         assert subspace_sum(s.space, r.space) == der.space
         assert subspace_intersection(s.space, r.space).dim == 0
+
+
+def test_levi_split_of_the_supported_algebras():
+    for m in (1, 2):
+        assert levi_split(heisenberg(m)) == heisenberg_der_blocks(m)
+    # der(sp_2) is semisimple: its own Levi factor, with a zero radical
+    s, r = levi_split(sp(1))
+    assert s == derivations(sp(1)) and r.dim == 0 and r.n == 3
+    # h_1 with [e, f] = 2z has the right shape but not heisenberg(1)'s constants
+    scaled = LieAlgebra.from_bracket_entries(["e", "f", "z"], [(0, 1, 2, 2)])
+    assert levi_split(scaled) is None
+    # h_1 (+) a central line, of even dim, holds heisenberg(1)'s brackets
+    padded = LieAlgebra.from_bracket_entries(["e", "f", "z", "c"], [(0, 1, 2, 1)])
+    assert levi_split(padded) is None
 
 
 def test_levi_factor_certified(ca11):

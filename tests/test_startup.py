@@ -25,7 +25,7 @@ EXPORTS = {
     ],
     "currentlie.heisenberg": [
         "DerivationTemplate", "TemplateMatch", "TemplateMismatch", "der_dimension_formula",
-        "heisenberg_der_blocks", "levi_factor", "levi_report", "match_template",
+        "heisenberg_der_blocks", "levi_factor", "levi_report", "levi_split", "match_template",
         "sp_block_embedding", "truncated_heisenberg",
     ],
     "currentlie.lie": [
@@ -35,9 +35,9 @@ EXPORTS = {
         "lie_from_endo_span", "lower_central_series", "solvable_radical", "sp", "subalgebra",
     ],
     "currentlie.linalg": [
-        "EndoSubspace", "ExactMatrix", "Q", "Subspace", "commutator", "hstack",
+        "EndoSubspace", "ExactMatrix", "Q", "Subspace", "commutator",
         "kron", "nullspace", "rank", "rat", "rat_str", "rref", "subspace_intersection",
-        "subspace_sum", "vstack",
+        "subspace_sum",
     ],
     "currentlie.serialize": [
         "AxiomError", "FormatError", "algebra_from_dict", "algebra_to_dict", "dumps_canonical",
