@@ -31,8 +31,6 @@ from currentlie.lie import (
     LieAlgebra,
     center,
     derived_series,
-    is_nilpotent,
-    is_solvable,
     lower_central_series,
     solvable_radical,
 )
@@ -305,7 +303,7 @@ def cmd_info(args) -> int:
             "center": center(alg).dim,
             "derivations": lie_derivations(alg).dim,
         }
-        flags = {"nilpotent": is_nilpotent(alg), "solvable": is_solvable(alg)}
+        flags = {"nilpotent": lseries[-1] == 0, "solvable": dseries[-1] == 0}
         report = _envelope(
             args, [args.path], "pass",
             dimensions=dims, flags=flags,

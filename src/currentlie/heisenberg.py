@@ -14,6 +14,7 @@ nonzero entries of the matrix it is given.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
@@ -106,9 +107,9 @@ _Z_COLUMN, _Z_CORNER, _E_E, _F_F, _E_F, _F_E = range(6)
 
 
 class TemplateMatch(NamedTuple):
-    """Successful fit; params maps structured keys to rationals."""
+    """Successful fit; params maps every key to a rational, its zeros shared by all fits."""
 
-    params: dict
+    params: ChainMap
     ok: bool = True
 
 
@@ -148,7 +149,7 @@ class DerivationTemplate:
         self.dim = (2 * m + 1) * self.width
         self._layout = layout = _layout(m, k)
         self._keys = tuple(key for key, _ in layout)
-        # {defining position: index}, and {key: 0}, which `match` copies
+        # {defining position: index}, and {key: 0}, which every fit of `match` reads through
         self._defined_at = {entries[0][0]: idx for idx, (_, entries) in enumerate(layout)}
         self._zeros = dict.fromkeys(self._keys, _ZERO)
 
@@ -202,7 +203,7 @@ class DerivationTemplate:
         den *= 2
         actual = {(i, c): 2 * v for i, row in nz.items() for c, v in row}
         expected: dict = {}
-        params = self._zeros.copy()
+        solved = {}
         # a key's entries reach only the defining positions of later keys,
         # so popping indices in increasing order solves in layout order
         todo = [defined_at[pos] for pos in actual if pos in defined_at]
@@ -225,10 +226,10 @@ class DerivationTemplate:
                 for later, _ in entries[1:]:
                     if later in defined_at:
                         heappush(todo, defined_at[later])
-                params[key] = Q(value, den)
+                solved[key] = Q(value, den)
         expected = {pos: x for pos, x in expected.items() if x}
         if expected == actual:
-            return TemplateMatch(params=params)
+            return TemplateMatch(params=ChainMap(solved, self._zeros))
         return self._mismatch(actual, expected)
 
     def _mismatch(self, actual: dict, expected: dict) -> TemplateMismatch:

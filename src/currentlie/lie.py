@@ -11,6 +11,7 @@ symplectic algebras with their matrix realization).
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import lcm
 from typing import Sequence
 
 from currentlie.linalg import (
@@ -27,7 +28,6 @@ from currentlie.linalg import (
     _nullspace_from_system,
     _products,
     _rref_ints,
-    _sparse,
     commutator,
     nullspace,
     rank,
@@ -185,10 +185,11 @@ def lower_central_series(g: LieAlgebra) -> list[Subspace]:
 
 
 def _series(g: LieAlgebra, left) -> list[Subspace]:
-    # g, then [left(series), last term] while the dimension drops
-    series = [Subspace.full_space(g.dim)]
-    while (nxt := _bracket_span(g, left(series), series[-1])).dim < series[-1].dim:
+    # g, [g,g] (memoized), then [left(series), last term] while the dimension drops
+    series, nxt = [Subspace.full_space(g.dim)], derived_subalgebra(g)
+    while nxt.dim < series[-1].dim:
         series.append(nxt)
+        nxt = _bracket_span(g, left(series), nxt)
     return series
 
 
@@ -256,10 +257,8 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
 
 def solvable_radical(g: LieAlgebra) -> Subspace:
     """Cartan's criterion: x is radical iff K(x, [g,g]) = 0."""
-    kil = killing_form(g)
-    derived = derived_subalgebra(g)
-    rows = [_sparse(kil.apply(d)) for d in derived.basis.rows]
-    return _nullspace_from_system(rows, g.dim)
+    # K is symmetric, so that is (D K) x = 0 for the basis rows D of [g,g]
+    return nullspace(derived_subalgebra(g).basis * killing_form(g))
 
 
 def is_semisimple(g: LieAlgebra) -> bool:
@@ -289,8 +288,8 @@ def subalgebra(g: LieAlgebra, space: Subspace, labels=None) -> LieAlgebra:
     rows = space._rows
     if labels is None:
         labels = [f"u{i}" for i in range(len(rows))]
-    return _lie_from_brackets(labels, lambda i, j: space._coordinates(
-        g._times(rows[i][1], rows[j][1]), g.den * rows[i][0] * rows[j][0]))
+    return _lie_from_brackets(labels, lambda i, j: (
+        g.den * rows[i][0] * rows[j][0], space._coordinates(g._times(rows[i][1], rows[j][1]))))
 
 
 def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
@@ -298,9 +297,12 @@ def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
     mats = endo.basis_matrices()
     if labels is None:
         labels = [f"m{i}" for i in range(len(mats))]
-    return _lie_from_brackets(
-        labels, lambda i, j: endo._coordinates(commutator(mats[i], mats[j])), mats
-    )
+
+    def coordinates(i, j):
+        bracket = commutator(mats[i], mats[j])
+        return bracket._den, endo._coordinates(bracket)
+
+    return _lie_from_brackets(labels, coordinates, mats)
 
 
 def _derivation_algebra(g: LieAlgebra) -> LieAlgebra:
@@ -316,19 +318,21 @@ def _derivation_algebra(g: LieAlgebra) -> LieAlgebra:
 def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
     """The Lie algebra on a bracket-closed basis b_0, ..., b_(d-1), d = len(labels).
 
-    coordinates(i, j) gives the nonzero coordinates of [b_i, b_j] over the
-    basis as (k, c) pairs, or None if the bracket lies outside its span.
+    coordinates(i, j) gives [b_i, b_j] as (den, pairs): pairs lists the
+    nonzero coordinates c / den of the bracket over the basis as (k, c)
+    pairs with c an int, or is None if the bracket lies outside its span.
     """
-    d = len(labels)
-    entries = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = coordinates(i, j)
-            if coords is None:
-                raise ValueError("basis is not closed under the bracket")
-            for k, c in coords:
-                entries += ((i, j, k, c), (j, i, k, -c))
-    return LieAlgebra._from_products(labels, *_products(entries), matrix_basis)
+    brackets = []
+    for i, j in combinations(range(len(labels)), 2):
+        den, coords = coordinates(i, j)
+        if coords is None:
+            raise ValueError("basis is not closed under the bracket")
+        if coords:
+            brackets.append((i, j, den, coords))
+    den = lcm(*(b for _, _, b, _ in brackets))
+    entries = [(i, j, k, c * (den // b)) for i, j, b, coords in brackets for k, c in coords]
+    entries += [(j, i, k, -c) for i, j, k, c in entries]
+    return LieAlgebra._from_products(labels, den, _products(entries)[1], matrix_basis)
 
 
 def heisenberg(m: int) -> LieAlgebra:
@@ -373,7 +377,8 @@ def sp(m: int) -> LieAlgebra:
     label_of_row = [label_at[p] for p in endo.space.pivots]
 
     def coordinates(i, j):
-        coords = endo._coordinates(mats[i] * mats[j] - mats[j] * mats[i])
-        return None if coords is None else [(label_of_row[r], c) for r, c in coords]
+        bracket = mats[i] * mats[j] - mats[j] * mats[i]
+        coords = endo._coordinates(bracket)
+        return bracket._den, None if coords is None else [(label_of_row[r], c) for r, c in coords]
 
     return _lie_from_brackets(labels, coordinates, mats)

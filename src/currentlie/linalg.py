@@ -1,22 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Every entry is a fractions.Fraction, so ranks, nullspaces and subspace
-operations are exact certificates rather than floating-point estimates.
-An ExactMatrix stores one form of its entries: a positive least common
-denominator and, for its nonempty rows only, the (column, integer
-numerator) pairs of their nonzero entries.  Dense rows and Fraction
-entries are computed from it when a caller reads them.  Products,
-commutators, Kronecker products, sums and scalar multiples walk the
-nonempty rows only: they accumulate integer numerators in dicts, over
-the product of the operands' denominators (1 for integer matrices), and
-store the result the same way.
-Linear systems are eliminated sparse and in integers: one fraction-free
-Gauss-Jordan routine takes rows held as {column: value} dicts of their
-nonzero entries and eliminates with integer cross-multiplication.  A
-null space takes that one elimination, with the unknowns numbered in
-reverse, and reads its canonical RREF basis straight off the integer
-rows.  A Subspace stores only that basis, as primitive integer rows, and
-reduces integer vectors against it; a Fraction is built only on read.
+Public functions take and return ints and fractions.Fractions, so ranks,
+null spaces and subspace operations are exact certificates rather than
+floating-point estimates.  Below them every store is integer numerators
+over one positive denominator, and a Fraction is built only where a
+caller reads an entry, a coordinate or a product.  An ExactMatrix keeps
+a least common denominator and, for its nonempty rows only, the (column,
+integer numerator) pairs of their nonzero entries; products, commutators,
+Kronecker products, sums and scalar multiples walk those rows, accumulate
+integer numerators over the product of the operands' denominators (1 for
+integer matrices), and store the result the same way.
+Linear systems are eliminated sparse and in integers: the one
+fraction-free Gauss-Jordan routine, _rref_ints, takes integer rows only,
+as {column: nonzero int} dicts, and eliminates by integer
+cross-multiplication.  A null space takes that one elimination, with the
+unknowns numbered in reverse, and reads its canonical RREF basis straight
+off the integer rows.  A Subspace stores that basis as primitive integer
+rows, reduces integer vectors against it and reads integer coordinates.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra), in the same integer form: a least common
 denominator and, per ordered pair of basis elements with a nonzero
@@ -314,11 +314,6 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._from_ints(a.nrows * p, a.ncols * q, a._den * b._den, out)
 
 
-def _sparse(v: Sequence) -> dict:
-    """The nonzero entries of a dense vector, as {index: Fraction}."""
-    return {j: q for j, q in enumerate(map(rat, v)) if q}
-
-
 def _int_vector(v: Sequence, n: int) -> tuple[int, dict]:
     """(den, w) with v[j] = w[j] / den on v's support: ints over their lcd, for len(v) = n."""
     if len(v) != n:
@@ -338,13 +333,12 @@ def _dense(items: Iterable, n: int) -> tuple:
 def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int, int, dict]]:
     """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
-    Rows are {column: nonzero int or Fraction} dicts and are not modified;
-    the unit rows e_j, j in `zero`, join them.  Each such e_j and each
-    one-entry row becomes a pivot row, and column j is dropped from every
-    other row before anything is eliminated.  Each other row is copied,
-    scaled to integers only if it holds a Fraction, and eliminated forward
-    on its leading entry only, by gcd-reduced integer cross-multiplication;
-    a repeated row just reduces to nothing.  This is fraction-free
+    Rows are {column: nonzero int} dicts and are not modified; the unit
+    rows e_j, j in `zero`, join them.  Each such e_j and each one-entry row
+    becomes a pivot row, and column j is dropped from every other row
+    before anything is eliminated.  Each other row is copied and
+    eliminated forward on its leading entry only, by gcd-reduced integer
+    cross-multiplication; a repeated row just reduces to nothing.  This is fraction-free
     elimination in the style of Bareiss (Math. Comp. 22, 1968), except
     that a row is made primitive after each step instead of being divided
     by the previous pivot, and once more, with a positive pivot entry, when
@@ -360,9 +354,6 @@ def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int
         work = {j: x for j, x in row.items() if j not in zero}
         if not work:
             continue
-        if Fraction in map(type, work.values()):
-            den = lcm(*[x.denominator for x in work.values()])
-            work = {j: x.numerator * (den // x.denominator) for j, x in work.items()}
         p = min(work)
         while p in pivot_rows:
             _eliminate(work, p, pivot_rows[p])
@@ -534,8 +525,9 @@ class _Algebra:
     def _product(self, x: Sequence, y: Sequence) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        xy = self._times(_sparse(x).items(), _sparse(y).items())
-        return _dense(((k, c / self.den) for k, c in xy.items()), self.dim)
+        (dx, xs), (dy, ys) = _int_vector(x, self.dim), _int_vector(y, self.dim)
+        xy, den = self._times(xs.items(), ys.items()), self.den * dx * dy
+        return _dense(((k, Q(c, den)) for k, c in xy.items()), self.dim)
 
     @property
     def structure(self) -> tuple:
@@ -572,14 +564,14 @@ def _left_mult(alg: _Algebra, x: Sequence) -> ExactMatrix:
     """The matrix of y -> x y; column j holds the coordinates of x e_j."""
     if len(x) != alg.dim:
         raise ValueError("vector length does not match the algebra dimension")
-    xs = _sparse(x)
-    acc = {}
+    den, xs = _int_vector(x, alg.dim)
+    acc = {}  # acc[k][j]: den * alg.den * coordinate k of x e_j
     for (i, j), terms in alg.products.items():
-        xi = xs.get(i)
-        if xi:
+        if xi := xs.get(i):
             for k, v in terms:
-                acc[k, j] = acc.get((k, j), _ZERO) + xi * v
-    return _from_entries(alg.dim, alg.dim, sorted(acc.items())) * Q(1, alg.den)
+                row = acc.setdefault(k, {})
+                row[j] = row.get(j, 0) + xi * v
+    return _from_accumulators(alg.dim, alg.dim, den * alg.den, acc)
 
 
 def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSubspace":
@@ -745,13 +737,13 @@ class Subspace:
     def coordinates(self, v: Sequence):
         """Coefficients of v in the RREF basis, or None if v is outside."""
         den, w = _int_vector(v, self.ambient)
-        coeffs = self._coordinates(w, den)
-        return None if coeffs is None else _dense(coeffs, self.dim)
+        coeffs = self._coordinates(w)
+        return None if coeffs is None else _dense(((r, Q(x, den)) for r, x in coeffs), self.dim)
 
-    def _coordinates(self, w: dict, den: int = 1):
-        """The (row, coefficient) pairs, by row, of w / den (reduced in place), or None if outside."""
+    def _coordinates(self, w: dict):
+        """w's coordinates as (row, int) pairs by row, over w's denominator, or None if outside."""
         _, coeffs = self._reduce(w)
-        return None if w else [(r, Q(x, den)) for r, x in coeffs]
+        return None if w else coeffs
 
     def __eq__(self, other) -> bool:
         return (
@@ -836,13 +828,13 @@ class EndoSubspace:
     def coordinates(self, m: ExactMatrix):
         """Coefficients of m over basis_matrices(), or None if m is outside."""
         coeffs = self._coordinates(m)
-        return None if coeffs is None else _dense(coeffs, self.dim)
+        return None if coeffs is None else _dense(((r, Q(x, m._den)) for r, x in coeffs), self.dim)
 
     def _coordinates(self, m: ExactMatrix):
-        """The (index, coefficient) pairs of m over basis_matrices(), or None if m is outside."""
+        """m's coordinates over basis_matrices() as (index, int) pairs over m._den, or None."""
         if m.shape != (self.n, self.n):
             raise ValueError("matrix shape mismatch")
-        return self.space._coordinates(m._flat_ints(), m._den)
+        return self.space._coordinates(m._flat_ints())
 
     def basis_matrices(self) -> tuple[ExactMatrix, ...]:
         """The basis rows as n x n matrices, built once from the integer rows."""

@@ -38,6 +38,17 @@ def store_is_canonical(m: ExactMatrix) -> bool:
     )
 
 
+def int_rows(rows) -> list:
+    """Each sparse {column: int or Fraction} row times the lcm of its
+    denominators: the integer rows the eliminator takes, spanning the same
+    rows one by one."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row.values()))
+        out.append({c: int(x * den) for c, x in row.items()})
+    return out
+
+
 def rand_vector(rng: random.Random, n: int) -> list[Fraction]:
     return [rand_frac(rng) for _ in range(n)]
 

@@ -7,7 +7,8 @@ is perturbed, added or dropped, or a coefficient is malformed.  Every verb
 runs in process on each pair, and `cli.main` must return 0, 1 or 2 and
 never raise.  Where the outcome is known it is asserted too: a malformed
 file exits 2 from every verb that reads it, and every single-file verb
-passes on an unbroken one.
+passes on an unbroken one.  The seed never draws a non-Lie file together
+with a malformed associative one, so that pair is added by hand.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def assoc_file(rng: random.Random) -> tuple:
     return text, malformed, broken
 
 
+# (text, malformed, broken) of a non-Lie file, whose Jacobi sum on (b0, b1,
+# b2) is -b1, and of Q[t]/(t^2) with a malformed coefficient
+NON_LIE = (json.dumps({"kind": "lie", "dim": 3, "basis": ["b0", "b1", "b2"],
+                       "products": [[0, 1, 0, "1"], [0, 2, 1, "1"]]}), False, True)
+MALFORMED_A = (json.dumps({"kind": "assoc", "dim": 2, "basis": ["b0", "b1"],
+                           "products": [[0, 0, 0, "1e3"], [0, 1, 1, "1"]],
+                           "unit": ["1", "0"]}), True, False)
+
+
 def _run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -116,8 +126,9 @@ def test_random_files_keep_the_exit_code_contract(tmp_path):
     rng = random.Random(20261019)
     g_path, a_path = str(tmp_path / "g.json"), str(tmp_path / "a.json")
     seen = set()
-    for _ in range(40):
-        files = {g_path: lie_file(rng), a_path: assoc_file(rng)}
+    pairs = [(lie_file(rng), assoc_file(rng)) for _ in range(40)] + [(NON_LIE, MALFORMED_A)]
+    for g_file, a_file in pairs:
+        files = {g_path: g_file, a_path: a_file}
         for path, (text, _, _) in files.items():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -101,6 +101,27 @@ def test_match_roundtrip_random(ca11):
             assert tpl.matrix(fit.params) == mat
 
 
+def test_fit_stores_only_its_solved_keys():
+    # a fit's own map holds the keys it solved, all nonzero; every other key
+    # reads 0 through one map of zeros that all fits of the template share,
+    # so matching a whole basis does not copy every key once per matrix
+    tpl = DerivationTemplate(2, 3)
+    keys = tpl.parameter_keys()
+    fits = [tpl.match(mat) for mat in truncated_heisenberg(2, 3).derivations().basis_matrices()]
+    zeros = fits[0].params.maps[1]
+    assert set(zeros) == set(keys) and not any(zeros.values())
+    for fit in fits:
+        own, shared = fit.params.maps
+        assert fit.ok and shared is zeros and own and all(own.values())
+        assert set(own) == {key for key, v in fit.params.items() if v}
+        assert list(fit.params) == list(zeros)
+    # a write to one fit stays in that fit
+    key = next(key for key in keys if key not in fits[0].params.maps[0])
+    before = fits[1].params[key]
+    fits[0].params[key] = Fraction(1)
+    assert fits[0].params.maps[0][key] == 1 and zeros[key] == 0 and fits[1].params[key] == before
+
+
 def test_every_computed_derivation_matches_template(ca11):
     tpl = DerivationTemplate(1, 1)
     for mat in ca11.derivations().basis_matrices():

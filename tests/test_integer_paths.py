@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import rand_frac, rand_matrix, reference_match
+from helpers import int_rows, rand_frac, rand_matrix, reference_match
 from test_startup import fresh
 
 from currentlie.assoc import AssocAlgebra, truncated_polynomial
@@ -123,7 +123,8 @@ def test_integer_rref_hand_off_and_nullspace_match_dense_oracle():
         pivots, reduced = _dense_gauss_jordan(dense, ncols)
 
         # the integer rows: primitive, pivot entry d > 0, row / d the RREF row
-        triples = _rref_ints(rows)
+        ints = int_rows(rows)
+        triples = _rref_ints(ints)
         assert [p for p, _, _ in triples] == pivots
         for (p, d, row), want in zip(triples, reduced):
             assert all(type(x) is int and x for x in row.values())
@@ -138,7 +139,7 @@ def test_integer_rref_hand_off_and_nullspace_match_dense_oracle():
         _check_reads(span, reduced, random.Random(len(rows)))
 
         expected = _dense_nullspace(dense, ncols)
-        got = _nullspace_from_system(rows, ncols)
+        got = _nullspace_from_system(ints, ncols)
         assert got == expected and got.pivots == expected.pivots
         assert got._rows == expected._rows and got.basis == expected.basis
         assert nullspace(ExactMatrix(dense)) == expected
@@ -194,6 +195,63 @@ def test_derive_path_builds_no_fraction():
         print(during, len(mats), made[0] > 0)
     """)
     assert out.split() == ["0", "159", "True"]
+
+
+def test_certificate_checks_build_no_fraction():
+    # the radical, the coordinates of a summand over der, the membership
+    # tests of the Levi certificate and the structure constants of der
+    # (lie_from_endo_span) are computed on integer rows: Fraction.__new__ is
+    # counted in a fresh interpreter around each, with every memo they read
+    # built beforehand; a coordinate read, which returns Fractions, shows
+    # that the count works
+    out = fresh("""
+        from fractions import Fraction
+        from currentlie.current import _der_coordinates, summand_k
+        from currentlie.heisenberg import truncated_heisenberg
+        from currentlie.lie import (
+            _derivation_algebra, derived_subalgebra, is_ideal, is_subalgebra_closed,
+            lie_from_endo_span, solvable_radical,
+        )
+
+        ca = truncated_heisenberg(1, 2)
+        der, k = ca.derivations(), summand_k(ca)
+        lie_der = _derivation_algebra(ca.product)
+        k_coords = _der_coordinates(der, k)
+        rad, derived = solvable_radical(lie_der), derived_subalgebra(lie_der)
+        checks = {
+            "solvable_radical": lambda: solvable_radical(lie_der) == rad,
+            "_der_coordinates": lambda: _der_coordinates(der, k) == k_coords,
+            "is_ideal": lambda: is_ideal(lie_der, k_coords),
+            "is_subalgebra_closed": lambda: is_subalgebra_closed(lie_der, derived),
+            "is_subspace_of": lambda: k_coords.is_subspace_of(rad),
+            "lie_from_endo_span": lambda: lie_from_endo_span(der) == lie_der,
+            "coordinates": lambda: derived.coordinates(derived.basis.rows[0]) is not None,
+        }
+        made = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made[0] += 1
+            return new(cls, *args, **kwargs)
+
+        print(der.dim, k.dim, rad.dim, derived.dim)
+        for name, check in checks.items():
+            made[0] = 0
+            Fraction.__new__ = counting
+            result = check()
+            Fraction.__new__ = new
+            print(name, result, made[0] if name != "coordinates" else made[0] > 0)
+    """)
+    assert out.splitlines() == [
+        "32 18 29 30",
+        "solvable_radical True 0",
+        "_der_coordinates True 0",
+        "is_ideal True 0",
+        "is_subalgebra_closed True 0",
+        "is_subspace_of True 0",
+        "lie_from_endo_span True 0",
+        "coordinates True True",
+    ]
 
 
 def test_nullspace_of_leibniz_like_integer_systems():

@@ -26,6 +26,7 @@ from currentlie.linalg import (
     subspace_sum,
 )
 from helpers import (
+    int_rows,
     rand_frac,
     rand_matrix,
     rand_vector,
@@ -186,7 +187,8 @@ def test_sparse_nullspace_matches_independent_elimination():
         ncols = rng.randint(1, 40)
         rows = _random_sparse_system(rng, ncols)
         dense = ExactMatrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
-        ns = _nullspace_from_system(rows, ncols)
+        ns = _nullspace_from_system(int_rows(rows), ncols)
+        assert nullspace(dense) == ns
 
         # oracle: free-column solutions of the reference RREF, then the
         # reference RREF of those solutions
@@ -423,7 +425,7 @@ def test_fraction_free_elimination_matches_reference():
         ref_rows = _nonzero_rows(ref)
         ref_pivots = [_leading(row) for row in ref_rows]
 
-        reduced = _rref_ints(rows)
+        reduced = _rref_ints(int_rows(rows))
         assert [p for p, _, _ in reduced] == ref_pivots
         for (p, d, row), want in zip(reduced, ref_rows):
             assert all(type(x) is int and x for x in row.values()) and d == row[p] > 0
@@ -448,7 +450,7 @@ def test_fraction_free_elimination_matches_reference():
         ns = nullspace(dense)
         want = _nonzero_rows(reference_rref(ExactMatrix(solutions))) if solutions else []
         assert list(ns.basis.rows) == want and _all_fractions(ns.basis)
-        assert _nullspace_from_system(rows, ncols) == ns
+        assert _nullspace_from_system(int_rows(rows), ncols) == ns
 
 
 def _reference_rows(rows) -> list:
@@ -479,11 +481,12 @@ def _check_reduction(space, v, coeffs, rest):
     # _coordinates are sorted by the routine, not by the input
     den = math.lcm(*(Fraction(x).denominator for x in v))
     w = {j: int(x * den) for j, x in reversed(list(enumerate(v))) if x}
-    pairs = space._coordinates(w, den)
+    pairs = space._coordinates(w)  # integer numerators over den
     if coeffs is None:
         assert pairs is None and space.coordinates(v) is None and not space.contains(v)
     else:
-        assert pairs == [(r, c) for r, c in enumerate(coeffs) if c]
+        assert all(type(x) is int for _, x in pairs)
+        assert [(r, Fraction(x, den)) for r, x in pairs] == [(r, c) for r, c in enumerate(coeffs) if c]
         assert space.coordinates(v) == tuple(coeffs) and space.contains(v)
     assert space.reduce(v) == rest
 
@@ -596,7 +599,7 @@ def test_subspace_equality_and_hash_across_constructors():
         twice = nullspace(annihilator.basis) if annihilator.dim else Subspace.full_space(n)
         equal = [
             Subspace.from_vectors(m.rows, n),
-            Subspace._from_rref(n, _rref_ints(rows)),
+            Subspace._from_rref(n, _rref_ints(int_rows(rows))),
             dense,
             twice,
         ]

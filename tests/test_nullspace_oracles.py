@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import rand_frac
+from helpers import int_rows, rand_frac
 from test_integer_paths import _check_reads, _fractional_algebras, rescaled_truncated_polynomial
 
 from currentlie.assoc import derivations as assoc_derivations
@@ -155,8 +155,10 @@ def test_reversed_order_nullspace_matches_dense_oracle():
             rows, kind = _random_rows(rng, ncols), "random"
         kinds[kind] += 1
         expected = dense_nullspace(_dense(rows, ncols), ncols)
-        got = _nullspace_from_system(rows, ncols)
+        got = _nullspace_from_system(int_rows(rows), ncols)
         assert got == expected, (trial, rows)
+        if rows:  # the rational rows, through the public null space
+            assert nullspace(ExactMatrix(_dense(rows, ncols))) == expected
         assert_canonical_rref(got)
         # the store's reads: pivots, basis, coordinates and reduce
         want = dense_nullspace_rows(_dense(rows, ncols), ncols)
