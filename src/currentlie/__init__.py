@@ -9,7 +9,6 @@ dispatches on the algebra kind, the per-kind versions live in
 
 from currentlie.assoc import (
     AssocAlgebra,
-    NonSplitError,
     direct_sum,
     jacobson_radical,
     rbar,

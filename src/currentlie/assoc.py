@@ -5,7 +5,7 @@ shares with LieAlgebra (linalg._Algebra), and every routine here reads
 that form.  The module provides the coefficient algebras used on the
 right-hand side of a current Lie algebra g (x) A: truncated polynomial
 rings, their direct sums, and the structure theory needed later
-(derivations, Jacobson radical, a split Wedderburn complement,
+(derivations, Jacobson radical, the Wedderburn-Malcev complement,
 multiplication operators).
 """
 
@@ -23,23 +23,16 @@ from currentlie.linalg import (
     _Algebra,
     _dense,
     _from_entries,
-    _int_vector,
     _left_mult,
     _leibniz_space,
     _memoized,
     _nullspace_from_system,
-    _products,
     nullspace,
-    rank,
     rat,
 )
 
 _ZERO = Q(0)
 _ONE = Q(1)
-
-
-class NonSplitError(ValueError):
-    """The semisimple quotient has a factor that is not Q itself."""
 
 
 class AssocAlgebra(_Algebra):
@@ -196,242 +189,74 @@ def jacobson_radical(a: AssocAlgebra) -> Subspace:
     return _memoized(a, "jacobson_radical", compute)
 
 
-def _complement_coords(a: AssocAlgebra, j: Subspace):
-    """Quotient A/J presented on the non-pivot coordinates of J's basis, and those."""
-    n = a.dim
-    pivot_set = set(j.pivots)
-    cols = [col for col in range(n) if col not in pivot_set]
-    pos = {col: idx for idx, col in enumerate(cols)}
-
-    def project(den: int, w: dict) -> dict:
-        # the vector w / den, w {index: nonzero int}, modulo J; the reduced
-        # vector is zero on the pivots
-        den *= j._reduce(w)[0]
-        return {pos[col]: Q(x, den) for col, x in w.items()}
-
-    # reduction is linear, so the numerators reduce to den times the
-    # reduced constants
-    entries = [
-        (pos[ci], pos[cj], k, x)
-        for (ci, cj), terms in a.products.items()
-        if ci in pos and cj in pos
-        for k, x in project(1, dict(terms)).items()
-    ]
-    den, products = _products(entries)
-    unit = _dense(project(*_int_vector(a.unit, n)).items(), len(cols))
-    labels = [a.labels[col] for col in cols]
-    return AssocAlgebra._from_products(labels, den * a.den, products, unit), cols
-
-
-def _minimal_polynomial(alg: AssocAlgebra, unit, x) -> list:
-    """Monic minimal polynomial of x over the subalgebra with unit `unit`.
+def _minimal_polynomial(a: AssocAlgebra, x, modulus: Subspace) -> list:
+    """Monic polynomial q of least degree with q(x) in the ideal `modulus`.
 
     Returns the coefficient list [c_0, ..., c_(s-1), 1] of smallest degree
-    with sum(c_i x^i) + x^s = 0, powers taken relative to `unit`.  The
-    powers are independent up to the first dependency, which dim + 1 of
-    them must have, so that one is the null space of the matrix whose
-    columns are the powers, scaled to end in 1.
+    with sum(c_i x^i) + x^s in `modulus`; the zero subspace gives the
+    minimal polynomial of x.  The powers of x modulo `modulus` are
+    independent up to the first dependency, which dim + 1 of them must
+    have, so that one is the null space of the matrix whose columns are
+    the reduced powers, scaled to end in 1.
     """
-    powers = [tuple(unit)]
+    power = a.unit
+    reduced = [modulus.reduce(power)]
     while True:
-        powers.append(alg.multiply(powers[-1], x))
-        kernel = nullspace(ExactMatrix(powers).transpose())
+        power = a.multiply(power, x)
+        reduced.append(modulus.reduce(power))
+        kernel = nullspace(ExactMatrix(reduced).transpose())
         if kernel.dim:
             c = kernel.basis.rows[0]
             return [v / c[-1] for v in c]
 
 
-def _rational_roots(poly: list) -> tuple[list, int]:
-    """Distinct rational roots of a poly plus the leftover degree.
-
-    poly lists the coefficients from the constant term up.  Zero comes
-    first, then the other roots by (|numerator|, denominator, positive
-    before negative), the order in which a rational-root-theorem search
-    over numerators and denominators meets them; the idempotents, and so
-    the reports, follow this order.  With the denominators cleared to
-    integers a_0..a_n, every rational root of the poly is y / a_n for an
-    integer root y of the monic integer polynomial a_n^(n-1) p(y / a_n).
-    Those are isolated by exact bisection (see _integer_roots), so the
-    cost grows with the number of digits of the coefficients, not with
-    their size.  Each root is confirmed by exact evaluation and deflated
-    as often as it divides.
-    """
-    coeffs = list(poly)
-    roots = []
-    if len(coeffs) > 1 and coeffs[0] == 0:
-        roots.append(_ZERO)
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-    if len(coeffs) > 1:
-        den = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
-        lead, n = ints[-1], len(ints) - 1
-        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-        found = sorted(
-            (Q(y, lead) for y in _integer_roots(monic)),
-            key=lambda r: (abs(r.numerator), r.denominator, r < 0),
-        )
-        for r in found:
-            if _evaluate(coeffs, r) == 0:
-                roots.append(r)
-                while len(coeffs) > 1 and _evaluate(coeffs, r) == 0:
-                    coeffs = _deflate(coeffs, r)
-    return roots, len(coeffs) - 1
-
-
-def _evaluate(cs: list, x) -> Q:
-    acc = _ZERO
-    for c in reversed(cs):
-        acc = acc * x + c
+def _evaluate(a: AssocAlgebra, poly: list, x) -> tuple:
+    # poly(x) in a by Horner's rule, poly's coefficients from the constant up
+    acc = tuple(poly[-1] * u for u in a.unit)
+    for c in reversed(poly[:-1]):
+        acc = tuple(v + c * u for v, u in zip(a.multiply(acc, x), a.unit))
     return acc
 
 
-def _deflate(cs: list, r) -> list:
-    # quotient of cs by (t - r), for a root r of cs
-    out = [_ZERO] * (len(cs) - 1)
-    carry = cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        out[i] = carry
-        carry = cs[i] + r * carry
-    return out
-
-
-def _integer_roots(monic: list) -> list[int]:
-    """Integer roots of a monic integer polynomial (constant term first).
-
-    Every root y has |y| <= 1 + max |coefficient| (Cauchy's bound).  The
-    drop in sign variations of the Sturm sequence from lo + 1/2 to
-    hi + 1/2 counts the distinct real roots in between; that holds for
-    repeated roots too, as a monic integer polynomial has only integer
-    rational roots, so the half-integer ends are never roots.  Bisecting
-    the intervals that hold roots down to single integers takes about
-    degree * log2(bound) steps; an integer is kept if it is a root.
-    """
-    chain = [[Q(c) for c in monic]]
-    chain.append([i * c for i, c in enumerate(chain[0])][1:])
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-
-    def variations(k: int) -> int:
-        # sign changes of the chain at k + 1/2
-        x = Q(2 * k + 1, 2)
-        values = [_evaluate(p, x) for p in chain]
-        signs = [v > 0 for v in values if v]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    bound = 1 + max(abs(c) for c in monic[:-1])
-    roots = []
-    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if _evaluate(monic, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = variations(mid)
-        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return roots
-
-
-def _poly_rem(a: list, b: list) -> list:
-    """Remainder of a divided by b, coefficients from the constant up; [] for 0."""
-    a = list(a)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def wedderburn_complement(a: AssocAlgebra) -> Subspace:
-    """A subalgebra S with S (+) J = A, S isomorphic to the quotient A/J.
+    """The subalgebra S with S (+) J = A: the semisimple parts of A's elements.
 
-    Splits the quotient into one-dimensional factors by pulling primitive
-    idempotents out of minimal polynomials, then lifts each through the
-    nilpotent radical with e -> 3e^2 - 2e^3.  Raises NonSplitError when a
-    quotient factor is a field bigger than Q (irrational eigenvalues).
+    A is commutative over a field of characteristic 0, so S is unique: it
+    is the set of the x_s of the additive Jordan-Chevalley decompositions
+    x = x_s + x_n, S is isomorphic to A/J, and it exists whether or not
+    A/J splits over Q.  S is spanned by the x_s of the basis vectors e_c
+    off J's pivots, which span A modulo J.  For each, q, the monic least
+    polynomial with q(e_c) in J, is squarefree, so q'(y) is a unit
+    whenever q(y) is in J.  Newton's iteration y <- y - q(y) q'(y)^(-1)
+    from y = e_c then stays in e_c + J, and each step moves q(y) from J^m
+    into J^(2m), until q(y) = 0 and y = (e_c)_s (Couty, Esterle and
+    Zarouf, Gazette des Mathematiciens 129, 2011).  q'(y) h = q(y) is
+    solved as the null space of [L_(q'(y)) | q(y)].
     """
     j = jacobson_radical(a)
-    quotient, cols = _complement_coords(a, j)
-    n_q = quotient.dim
-
-    components = [tuple(quotient.unit)]
-    for c in range(n_q):
-        e_c = tuple(_ONE if t == c else _ZERO for t in range(n_q))
-        next_components = []
-        for u in components:
-            x = quotient.multiply(u, e_c)
-            poly = _minimal_polynomial(quotient, u, x)
-            roots, leftover = _rational_roots(poly)
-            if leftover > 0:
-                raise NonSplitError(
-                    "non-split semisimple quotient: minimal polynomial has an "
-                    "irrational factor of degree %d" % leftover
-                )
-            if len(roots) <= 1:
-                next_components.append(u)
-                continue
-            for lam in roots:
-                # Lagrange idempotent of the eigenvalue lam inside u*quotient
-                e = u
-                for mu in roots:
-                    if mu == lam:
-                        continue
-                    shifted = tuple(
-                        xv - mu * uv for xv, uv in zip(x, u)
-                    )
-                    e = quotient.multiply(e, shifted)
-                    e = tuple(v / (lam - mu) for v in e)
-                next_components.append(e)
-        components = next_components
-
-    for u in components:
-        # the factor u * quotient is spanned by the u e_c, the columns of L_u
-        dim = rank(quotient.left_mult_matrix(u))
-        if dim != 1:
-            raise NonSplitError(
-                "non-split semisimple quotient: a simple factor has dimension %d"
-                % dim
-            )
-
-    lifted = []
-    for u in components:
-        e = _dense(zip(cols, u), a.dim)
-        for _ in range(2 * a.dim + 2):
-            sq = a.multiply(e, e)
-            if sq == e:
+    pivots = set(j.pivots)
+    parts = []
+    for c in range(a.dim):
+        if c in pivots:
+            continue
+        y = _dense([(c, _ONE)], a.dim)
+        q = _minimal_polynomial(a, y, j)
+        dq = [i * v for i, v in enumerate(q)][1:]
+        # J^(dim + 1) = 0, so q(y) = 0 after bit_length(dim) steps
+        for _ in range(a.dim.bit_length() + 1):
+            qy = _evaluate(a, q, y)
+            if not any(qy):
                 break
-            cube = a.multiply(sq, e)
-            e = tuple(3 * s - 2 * cb for s, cb in zip(sq, cube))
+            m = a.left_mult_matrix(_evaluate(a, dq, y))
+            kernel = nullspace(ExactMatrix([row + (v,) for row, v in zip(m.rows, qy)]))
+            if kernel.dim != 1 or not (h := kernel.basis.rows[0])[-1]:
+                raise RuntimeError("q'(y) is not a unit in Newton's iteration")
+            # the kernel row (h', t) has q'(y) (-h'/t) = q(y)
+            y = tuple(v + w / h[-1] for v, w in zip(y, h))
         else:
-            raise RuntimeError("idempotent lifting did not converge")
-        lifted.append(e)
-
-    # internal certification: orthogonal idempotents summing to 1
-    total = [_ZERO] * a.dim
-    for i, e in enumerate(lifted):
-        for t, v in enumerate(e):
-            total[t] += v
-        for f in lifted[i + 1 :]:
-            if any(a.multiply(e, f)):
-                raise RuntimeError("lifted idempotents are not orthogonal")
-    if tuple(total) != a.unit:
-        raise RuntimeError("lifted idempotents do not sum to 1")
-
-    s = Subspace.from_vectors(lifted, a.dim)
-    if s.dim != a.dim - j.dim:
-        raise RuntimeError("complement dimension mismatch")
-    return s
+            raise RuntimeError("Newton's iteration for the semisimple parts did not converge")
+        parts.append(y)
+    return Subspace.from_vectors(parts, a.dim)
 
 
 def rbar(a: AssocAlgebra, q: Sequence) -> ExactMatrix:

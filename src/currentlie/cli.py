@@ -21,7 +21,6 @@ from pathlib import Path
 
 from currentlie.assoc import (
     AssocAlgebra,
-    NonSplitError,
     jacobson_radical,
     wedderburn_complement,
 )
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
     except AxiomError as exc:
         print(f"axiom check failed: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, NonSplitError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
@@ -405,7 +404,7 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, ValueError) as exc:
         # loaded files passed their axiom checks, so a certificate built from
-        # them failed (idempotent lifting, the bracket of g (x) A): exit 1
+        # them failed (Newton's iteration for S, the bracket of g (x) A): exit 1
         print(f"certificate failed: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+from currentlie.assoc import AssocAlgebra
 from currentlie.linalg import ExactMatrix
 
 
@@ -181,60 +182,24 @@ def reference_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows) if rows else ExactMatrix.zero(0, a.ncols * q)
 
 
-def reference_rational_roots(poly: list) -> tuple[list, int]:
-    """Rational roots by the rational root theorem, searched exhaustively.
+def polynomial_quotient(f: list) -> AssocAlgebra:
+    """Q[x]/(f) on the basis 1, x, ..., x^(d-1), for f monic of degree d >= 1.
 
-    Tries p/q for every divisor p of the constant term and q of the
-    leading coefficient, p first, then q, +p/q before -p/q, deflating each
-    root found; zero is taken first.  The search is linear in the size of
-    the coefficients, so this is for small polynomials only.
+    f lists its coefficients from the constant term up.  Each x^k is
+    reduced by subtracting multiples of x^(top - d) f, top first.
     """
-    coeffs = [Fraction(c) for c in poly]
-    roots = []
+    d = len(f) - 1
 
-    def evaluate(cs, x):
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
+    def power(k):
+        v = [Fraction(int(i == k)) for i in range(max(k + 1, d))]
+        for top in range(k, d - 1, -1):
+            c = v[top]
+            for i, fi in enumerate(f):
+                v[top - d + i] -= c * fi
+        return v[:d]
 
-    def deflate(cs, r):
-        out = [Fraction(0)] * (len(cs) - 1)
-        carry = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            out[i] = carry
-            carry = cs[i] + r * carry
-        return out
-
-    def divisors(n):
-        return [d for d in range(1, abs(n) + 1) if n % d == 0]
-
-    while len(coeffs) > 1:
-        if coeffs[0] == 0:
-            if 0 not in roots:
-                roots.append(Fraction(0))
-            coeffs = coeffs[1:]
-            continue
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
-        found = next(
-            (
-                cand
-                for p in divisors(ints[0])
-                for q in divisors(ints[-1])
-                for cand in (Fraction(p, q), Fraction(-p, q))
-                if evaluate(coeffs, cand) == 0
-            ),
-            None,
-        )
-        if found is None:
-            break
-        if found not in roots:
-            roots.append(found)
-        coeffs = deflate(coeffs, found)
-    return roots, len(coeffs) - 1
+    labels = ["1", "x"] + [f"x^{i}" for i in range(2, d)]
+    return AssocAlgebra(labels[:d], [[power(i + j) for j in range(d)] for i in range(d)], power(0))
 
 
 # -- the dense derivation template of h_m (x) A_k, as it was first written ---

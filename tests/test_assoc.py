@@ -8,8 +8,6 @@ import pytest
 from currentlie.assoc import (
     AssocAlgebra,
     _minimal_polynomial,
-    _rational_roots,
-    NonSplitError,
     derivations,
     direct_sum,
     first_assoc_violation,
@@ -28,8 +26,8 @@ from currentlie.linalg import (
 from currentlie.serialize import first_axiom_violation
 from helpers import (
     assert_is_largest_nilpotent_ideal,
+    polynomial_quotient,
     rand_frac,
-    reference_rational_roots,
     reference_rref,
 )
 
@@ -328,29 +326,71 @@ def test_minimal_polynomial_is_monic_annihilating_and_least():
         a = _rebased(a, rng)
         assert a.check_axioms()
         x = tuple(rand_frac(rng, 3, 2) for _ in range(a.dim))
-        poly = _minimal_polynomial(a, a.unit, x)
-        assert poly[-1] == 1
-        powers = [tuple(a.unit)]
-        for _ in range(len(poly) - 1):
-            powers.append(a.multiply(powers[-1], x))
-        killed = [sum(c * power[t] for c, power in zip(poly, powers)) for t in range(a.dim)]
-        assert killed == [0] * a.dim
-        # the powers below the degree are independent: no lower polynomial kills x
-        lower = ExactMatrix(powers[:-1])
-        assert sum(1 for row in reference_rref(lower).rows if any(row)) == lower.nrows
+        # modulo 0 the minimal polynomial itself, modulo J the least one with q(x) in J
+        for modulus in (Subspace.zero_space(a.dim), jacobson_radical(a)):
+            poly = _minimal_polynomial(a, x, modulus)
+            assert poly[-1] == 1
+            powers = [modulus.reduce(a.unit)]
+            for _ in range(len(poly) - 1):
+                powers.append(modulus.reduce(a.multiply(powers[-1], x)))
+            killed = [sum(c * power[t] for c, power in zip(poly, powers)) for t in range(a.dim)]
+            assert modulus.contains(killed)
+            # the powers below the degree are independent modulo the ideal:
+            # no lower polynomial sends x into it
+            lower = ExactMatrix(powers[:-1])
+            assert sum(1 for row in reference_rref(lower).rows if any(row)) == lower.nrows
 
 
-def test_wedderburn_complement_refuses_nonsplit_quotient():
-    # Q[x]/(x^2+1) is a field bigger than Q
-    gauss = AssocAlgebra(
-        ["1", "x"],
-        [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
-        [1, 0],
-    )
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def test_wedderburn_complement_of_a_field_bigger_than_q():
+    # Q[x]/(x^2+1) is a field, so J = 0 and S is all of it
+    gauss = polynomial_quotient([1, 0, 1])
     assert gauss.check_axioms()
     assert jacobson_radical(gauss).dim == 0
-    with pytest.raises(NonSplitError, match="non-split semisimple quotient"):
-        wedderburn_complement(gauss)
+    assert wedderburn_complement(gauss) == Subspace.full_space(2)
+
+
+def test_wedderburn_complement_is_the_semisimple_parts():
+    # Q[x]/(p^e) with p irreducible over Q, summed with truncated rings and
+    # rebased: A/J holds fields bigger than Q.  S (+) J = A, S is a
+    # subalgebra holding 1, and each basis vector of S is semisimple (its
+    # minimal polynomial is its squarefree one modulo J); for commutative A
+    # these characterise the unique complement
+    rng = random.Random(29)
+    fields = ([1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1])
+    for _ in range(10):
+        p = rng.choice(fields)
+        parts = [polynomial_quotient(p if rng.random() < 0.5 else _poly_mul(p, p))]
+        parts += [truncated_polynomial(rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        a = parts[0]
+        for b in parts[1:]:
+            a = direct_sum(a, b)
+        a = _rebased(a, rng)
+        s, j = wedderburn_complement(a), jacobson_radical(a)
+        assert s.dim + j.dim == a.dim
+        assert subspace_sum(s, j) == Subspace.full_space(a.dim)
+        assert s.contains(a.unit)
+        rows = s.basis.rows
+        for u in rows:
+            assert all(s.contains(a.multiply(u, v)) for v in rows)
+            assert _minimal_polynomial(a, u, Subspace.zero_space(a.dim)) == _minimal_polynomial(a, u, j)
+
+
+def test_wedderburn_complement_fails_loudly_on_a_wrong_radical(monkeypatch):
+    # with J taken as the ideal (t^2) of Q[t]/(t^3), q = x^2 for t is not
+    # squarefree, and q'(t) = 2t is no unit: Newton's iteration raises
+    # instead of returning a wrong S
+    monkeypatch.setattr("currentlie.assoc.jacobson_radical", lambda a: Subspace.from_vectors([(0, 0, 1)], 3))
+    with pytest.raises(RuntimeError, match="not a unit"):
+        wedderburn_complement(truncated_polynomial(2))
 
 
 def test_regular_rep_toeplitz():
@@ -389,36 +429,3 @@ def test_rbar_rejects_non_monomial_algebras():
     s = direct_sum(truncated_polynomial(1), truncated_polynomial(1))
     with pytest.raises(ValueError, match="not a derivation"):
         rbar(s, (0, 1, 0, 0))
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def test_rational_roots_keep_the_divisor_search_order():
-    # the idempotents, and so the reports, follow the order of the roots
-    rng = random.Random(11)
-    for _ in range(300):
-        poly = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))]
-        for _ in range(rng.randint(0, 4)):
-            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            poly = _poly_mul(poly, [-root, Fraction(1)])
-        if rng.random() < 0.4:  # irreducible or split quadratic factor
-            poly = _poly_mul(poly, [Fraction(rng.randint(-4, 5)), Fraction(rng.randint(-3, 3)), Fraction(1)])
-        if rng.random() < 0.3:
-            poly = _poly_mul(poly, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)), 0, 0, 1])
-        assert _rational_roots(poly) == reference_rational_roots(poly)
-
-
-def test_rational_roots_of_huge_coefficients():
-    n = 10**12
-    assert _rational_roots([0, -n, 1]) == ([0, n], 0)
-    assert _rational_roots([-(n**2), 0, 1]) == ([n, -n], 0)
-    # (t - n/3)^2 (t^2 + n) (t + 2n)
-    poly = _poly_mul(_poly_mul([Fraction(-n, 3), 1], [Fraction(-n, 3), 1]), [n, 0, 1])
-    poly = _poly_mul(poly, [2 * n, 1])
-    assert _rational_roots([Fraction(x) for x in poly]) == ([Fraction(n, 3), -2 * n], 2)

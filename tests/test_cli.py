@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from currentlie.assoc import AssocAlgebra, truncated_polynomial
+from currentlie.assoc import AssocAlgebra, direct_sum, truncated_polynomial, wedderburn_complement
 from currentlie.cli import main
-from currentlie.heisenberg import DerivationTemplate, truncated_heisenberg
-from currentlie.lie import LieAlgebra, heisenberg, sp
+from currentlie.current import current_algebra, levi_candidate_subspace
+from currentlie.heisenberg import DerivationTemplate, levi_split, truncated_heisenberg
+from currentlie.lie import LieAlgebra, centroid, heisenberg, lie_from_endo_span, sp
 from currentlie.linalg import ExactMatrix, rat
 from currentlie.serialize import (
     AxiomError,
@@ -26,7 +27,7 @@ from currentlie.serialize import (
     load_algebra,
     save_algebra,
 )
-from helpers import nonassociative_current
+from helpers import nonassociative_current, polynomial_quotient
 
 
 def run(argv, capsys):
@@ -216,15 +217,15 @@ def test_failed_certificates_exit_1(files, capsys, monkeypatch):
     # no known file reaches these raises, so stubs stand in for them: a
     # loaded file has passed its axiom checks, and a certificate step that
     # then fails is a mathematical failure, not a traceback
-    def no_lifting(a):
-        raise RuntimeError("idempotent lifting did not converge")
+    def no_complement(a):
+        raise RuntimeError("Newton's iteration for the semisimple parts did not converge")
 
     def bad_product(g, a):
         raise ValueError("product bracket violates the Lie axioms")
 
-    monkeypatch.setattr("currentlie.cli.wedderburn_complement", no_lifting)
+    monkeypatch.setattr("currentlie.cli.wedderburn_complement", no_complement)
     code, stdout, stderr = run(["levi", files["h1"], files["a1"]], capsys)
-    assert code == 1 and not stdout and "idempotent lifting" in stderr
+    assert code == 1 and not stdout and "Newton's iteration" in stderr
     monkeypatch.setattr("currentlie.current.current_algebra", bad_product)
     code, stdout, stderr = run(["check", "table1", files["h1"], files["a1"]], capsys)
     assert code == 1 and not stdout and "violates the Lie axioms" in stderr
@@ -298,6 +299,36 @@ def test_levi_semisimple_g(files, capsys):
     assert doc["dimensions"]["levi"] == 3
     assert doc["dimensions"]["radical"] == 8
     assert doc["dimensions"]["derivations"] == 11
+
+
+# A/J is Q(sqrt 2), Q(i) and Q(sqrt 2) (+) Q: not split over Q, and the
+# Wedderburn-Malcev complement S exists all the same
+NONSPLIT = {
+    "sqrt2_squared": lambda: polynomial_quotient([4, 0, -4, 0, 1]),
+    "gauss": lambda: polynomial_quotient([1, 0, 1]),
+    "sqrt2_plus_dual": lambda: direct_sum(polynomial_quotient([-2, 0, 1]), truncated_polynomial(1)),
+}
+
+
+@pytest.mark.parametrize("a_name", sorted(NONSPLIT))
+@pytest.mark.parametrize("m", [1, 2])
+def test_levi_passes_when_the_quotient_does_not_split(m, a_name, tmp_path, capsys):
+    g, a = heisenberg(m), NONSPLIT[a_name]()
+    g_path, a_path = tmp_path / "g.json", tmp_path / "a.json"
+    save_algebra(g, g_path)
+    save_algebra(a, a_path)
+    code, stdout, _ = run(["levi", str(g_path), str(a_path), "--json"], capsys)
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["status"] == "pass"
+    assert len(doc["flags"]) == 6 and all(doc["flags"].values())
+    if m == 1:
+        # the centroid of the Levi factor s (x) S is centroid(s) (x) S: it
+        # sees the field in S, which the dimension of s (x) S does not
+        s, _ = levi_split(g)
+        big_s = wedderburn_complement(a)
+        levi = levi_candidate_subspace(current_algebra(g, a), s, big_s)
+        assert centroid(lie_from_endo_span(levi)).dim == centroid(sp(1)).dim * big_s.dim
 
 
 def test_levi_without_candidate_exits_2(tmp_path, capsys):
@@ -580,7 +611,7 @@ def test_json_reports_match_golden_files(argv, golden):
 
 
 def test_levi_of_split_algebra_with_huge_coefficient(files, tmp_path, capsys):
-    # h_1 (x) Q[x]/(x^2 - n x): root finding must not scale with n
+    # h_1 (x) Q[x]/(x^2 - n x): finding S must not scale with n
     n = 10**12
     split = AssocAlgebra(["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, n]]], [1, 0])
     path = tmp_path / "split.json"

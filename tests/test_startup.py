@@ -14,7 +14,7 @@ SRC = Path(__file__).parent.parent / "src"
 # there (an alias first when it differs)
 EXPORTS = {
     "currentlie.assoc": [
-        "AssocAlgebra", "NonSplitError", ("assoc_derivations", "derivations"), "direct_sum",
+        "AssocAlgebra", ("assoc_derivations", "derivations"), "direct_sum",
         "jacobson_radical", "rbar", "truncated_polynomial", "wedderburn_complement",
     ],
     "currentlie.current": [
