@@ -21,10 +21,8 @@ from currentlie.heisenberg import (
     TemplateMatch,
     TemplateMismatch,
     der_dimension_formula,
-    heisenberg_der_blocks,
     levi_factor,
     levi_report,
-    levi_split,
     match_template,
     sp_block_embedding,
     truncated_heisenberg,
@@ -99,6 +97,7 @@ _LAZY = frozenset({
     "embed_k",
     "embed_w",
     "levi_candidate_subspace",
+    "levi_split",
     "radical_subspace",
     "verify_bracket_table",
     "verify_levi_decomposition",

@@ -25,7 +25,7 @@ from currentlie.assoc import (
     wedderburn_complement,
 )
 from currentlie.assoc import derivations as assoc_derivations
-from currentlie.heisenberg import levi_split, truncated_heisenberg
+from currentlie.heisenberg import truncated_heisenberg
 from currentlie.lie import (
     LieAlgebra,
     center,
@@ -160,16 +160,11 @@ def _load_pair(g_path, a_path) -> tuple:
 def cmd_levi(args) -> int:
     # only levi and check table1 import currentlie.current, so that the
     # other verbs start without it
-    from currentlie.current import PreconditionError, certify_decomposition, current_algebra
+    from currentlie.current import PreconditionError, certify_decomposition
+    from currentlie.current import current_algebra, levi_split
 
     g, a = _load_pair(args.g_path, args.a_path)
-    candidates = levi_split(g)
-    if candidates is None:
-        raise FormatError(
-            f"{args.g_path}: no constructive Levi candidate for this algebra"
-            " (supported: Heisenberg-patterned g, or g with semisimple der(g))"
-        )
-    s, r = candidates
+    s, r = levi_split(g)
     big_j = jacobson_radical(a)
     big_s = wedderburn_complement(a)
     ca = current_algebra(g, a)

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from currentlie.assoc import AssocAlgebra, jacobson_radical
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.lie import (
     LieAlgebra,
+    _bracket_span,
     _derivation_algebra,
     center,
     centroid,
@@ -43,6 +45,7 @@ from currentlie.linalg import (
     Q,
     Subspace,
     _memoized,
+    _nullspace_from_system,
     _rref_ints,
     commutator,
     kron,
@@ -295,12 +298,12 @@ def verify_bracket_table(
     rng = random.Random(seed)
 
     def coeffs(n):
-        return [Q(rng.randint(-3, 3)) for _ in range(n)]
+        return [rng.randint(-3, 3) for _ in range(n)]
 
     def sample_mats(mats):
         cs = coeffs(len(mats))
         if not any(cs):
-            cs[rng.randrange(len(mats))] = Q(1)
+            cs[rng.randrange(len(mats))] = 1
         return linear_combination(zip(cs, mats), *mats[0].shape)
 
     # per family: its first factors (none when the family is empty), all
@@ -398,6 +401,93 @@ def verify_bracket_table(
 
     mode = "exhaustive" if exhaustive else "sampled"
     return TableReport(mode, None if exhaustive else seed, checked, plain_reading_matches=plain_ok)
+
+
+def _cleared(row: dict) -> tuple[int, dict]:
+    # (den, w): the rational row {index: x} as ints w over den, zeros dropped
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
+
+
+def _mod(space: Subspace, v: dict) -> dict:
+    # the canonical representative of the rational v {index: x} modulo space
+    den, w = _cleared(v)
+    den *= space._reduce(w)[0]
+    return {j: Q(x, den) for j, x in w.items()}
+
+
+def levi_split(g: LieAlgebra) -> tuple[EndoSubspace, EndoSubspace]:
+    """A Levi split s (+) r of der(g): r is its solvable radical, s a Levi factor.
+
+    The lifting of Whitehead's second lemma (de Graaf, Lie Algebras:
+    Theory and Algorithms, 2000, 4.13; Rand, Winternitz and Zassenhaus,
+    Linear Algebra Appl. 109, 1988), in the structure constants L of
+    der(g), down the derived series R = R_0 > R_1 > ... > 0 of R = rad L.
+    The x_k start as the unit vectors off R's pivots, which span L modulo
+    R, where [x_i, x_j] = sum_k c_ij^k x_k.  Step t adds to each x_k some
+    r_k in R_t so that e_ij = [x_i, x_j] - sum_k c_ij^k x_k falls into
+    R_(t+1); modulo R_(t+1) = [R_t, R_t] that is linear in the r_k.  A
+    step without a solution raises RuntimeError.
+    """
+    lie = _derivation_algebra(g)
+    series = [solvable_radical(lie)]
+    while series[-1].dim:
+        series.append(_bracket_span(lie, series[-1], series[-1]))
+    rad = series[0]
+    xs = {k: {k: Q(1)} for k in range(lie.dim) if k not in rad._row_at}
+    pairs = list(itertools.combinations(xs, 2))
+
+    def bracket(x, y):
+        return {p: v / lie.den for p, v in lie._times(x.items(), y.items()).items()}
+
+    # [x_i, x_j] modulo R is zero on R's pivots: its entries are the c_ij^k
+    c = {(i, j): _mod(rad, bracket(xs[i], xs[j])) for i, j in pairs}
+    for upper, lower in zip(series, series[1:]):
+        errors = {}
+        for i, j in pairs:
+            e = bracket(xs[i], xs[j])
+            for k, ck in c[i, j].items():
+                for p, v in xs[k].items():
+                    e[p] = e.get(p, 0) - ck * v
+            errors[i, j] = _mod(lower, e)
+        if not any(errors.values()):
+            continue
+        # r_k = sum_b y_kb u_b over the rows u_b of R_t off the pivots of
+        # R_(t+1), which are zero at those pivots: reduced modulo R_(t+1).
+        # Unknown y_kb is column 1 + k q + b, the constant term column 0
+        us = [{j: Q(v, d) for j, v in row}
+              for p, (d, row) in zip(upper.pivots, upper._rows) if p not in lower._row_at]
+        q = len(us)
+        ad = {k: [_mod(lower, bracket(x, u)) for u in us] for k, x in xs.items()}
+        system = {}  # (i, j, coordinate) -> {column: coefficient}
+        for i, j in pairs:
+            # e_ij + [x_i, r_j] - [x_j, r_i] - sum_k c_ij^k r_k
+            terms = [(0, 1, errors[i, j])]
+            for b, u in enumerate(us):
+                terms += [(1 + j * q + b, 1, ad[i][b]), (1 + i * q + b, -1, ad[j][b])]
+                terms += [(1 + k * q + b, -ck, u) for k, ck in c[i, j].items()]
+            for col, f, vec in terms:
+                for p, v in vec.items():
+                    row = system.setdefault((i, j, p), {})
+                    row[col] = row.get(col, 0) + f * v
+        kernel = _nullspace_from_system(
+            (_cleared(row)[1] for row in system.values()), 1 + lie.dim * q)
+        if not kernel.pivots or kernel.pivots[0] != 0:
+            raise RuntimeError("no Levi factor of der(g): a lifting step has no solution")
+        d, solution = kernel._rows[0]
+        for col, v in solution[1:]:
+            k, b = divmod(col - 1, q)
+            for p, w in us[b].items():
+                xs[k][p] = xs[k].get(p, 0) + Q(v, d) * w
+
+    mats = derivations(g).basis_matrices()
+
+    def span(vectors):
+        combos = [linear_combination(((v, mats[p]) for p, v in x.items()), g.dim, g.dim)
+                  for x in vectors]
+        return EndoSubspace.from_matrices(combos, g.dim)
+
+    return span(xs.values()), span(dict(row) for _, row in rad._rows)
 
 
 def radical_subspace(

@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
 from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
-from currentlie.lie import LieAlgebra, _derivation_algebra, derivations, heisenberg, is_semisimple, sp
+from currentlie.lie import heisenberg, sp
 from currentlie.linalg import EndoSubspace, ExactMatrix, Q, _from_entries, kron, rat
 
 # every `currentlie` command imports this module through the package, and
@@ -296,44 +296,6 @@ def match_template(m: int, k: int, mat: ExactMatrix):
 _template = cache(DerivationTemplate)
 
 
-def _extend_to_heisenberg(d: ExactMatrix, m: int) -> ExactMatrix:
-    # pad a 2m x 2m block to act on h_m with zero z row and column: the
-    # same stored entries in a larger shape
-    return ExactMatrix._from_ints(2 * m + 1, 2 * m + 1, *d._int_rows())
-
-
-def heisenberg_der_blocks(m: int) -> tuple[EndoSubspace, EndoSubspace]:
-    """Levi/radical split of der(h_m): symplectic block and aI + strip."""
-    n = 2 * m + 1
-    s_mats = [_extend_to_heisenberg(d, m) for d in sp(m).matrix_basis]
-    # the scaling diag(1, ..., 1, 2), then the strip units E_(z, c)
-    r_mats = [ExactMatrix._from_ints(n, n, 1, {i: [(i, 1 + i // (2 * m))] for i in range(n)})]
-    r_mats += [ExactMatrix._from_ints(n, n, 1, {2 * m: [(c, 1)]}) for c in range(2 * m)]
-    return (
-        EndoSubspace.from_matrices(s_mats, n),
-        EndoSubspace.from_matrices(r_mats, n),
-    )
-
-
-def levi_split(g: LieAlgebra):
-    """A Levi split (s, r) of der(g) for the supported g, or None.
-
-    g with exactly heisenberg(m)'s structure constants gets the
-    symplectic-block split of heisenberg_der_blocks; if der(g) is itself
-    semisimple it is its own Levi factor, with r = 0.  Anything else has
-    no constructive split here.  The certificate re-checks s and r.
-    """
-    if g.dim % 2 == 1 and g.dim >= 3:
-        m = g.dim // 2
-        h = heisenberg(m)
-        if (g.den, g.products) == (h.den, h.products):
-            return heisenberg_der_blocks(m)
-    # the structure of der(g) built here is the one radical_subspace reads
-    if is_semisimple(_derivation_algebra(g)):
-        return derivations(g), EndoSubspace.from_matrices([], g.dim)
-    return None
-
-
 def sp_block_embedding(m: int, k: int) -> list[ExactMatrix]:
     """Images of the sp_2m basis inside End(h_m (x) A_k).
 
@@ -341,19 +303,17 @@ def sp_block_embedding(m: int, k: int) -> list[ExactMatrix]:
     tensored with the identity of A_k; the list is indexed like the
     basis of sp(m).
     """
-    ident = ExactMatrix.identity(k + 1)
-    return [
-        kron(_extend_to_heisenberg(d, m), ident) for d in sp(m).matrix_basis
-    ]
+    n, ident = 2 * m + 1, ExactMatrix.identity(k + 1)
+    return [kron(ExactMatrix._from_ints(n, n, *d._int_rows()), ident) for d in sp(m).matrix_basis]
 
 
 def levi_report(m: int, k: int, ca: CurrentAlgebra | None = None) -> DecompositionReport:
     """Run the full decomposition certificate for h_m (x) A_k."""
-    from currentlie.current import certify_decomposition
+    from currentlie.current import certify_decomposition, levi_split
 
     if ca is None:
         ca = truncated_heisenberg(m, k)
-    s, r = heisenberg_der_blocks(m)
+    s, r = levi_split(ca.g)
     a = ca.a
     big_j = jacobson_radical(a)
     big_s = wedderburn_complement(a)

@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 
 from currentlie.assoc import AssocAlgebra
-from currentlie.linalg import ExactMatrix
+from currentlie.lie import LieAlgebra, sp
+from currentlie.linalg import EndoSubspace, ExactMatrix
 
 
 def rand_frac(rng: random.Random, num: int = 9, den: int = 4) -> Fraction:
@@ -411,3 +412,26 @@ def nonassociative_current(g):
     ]
     labels = [f"{x}*{y}" for x in g.labels for y in a.labels]
     return CurrentAlgebra(g, a, LieAlgebra(labels, table))
+
+
+def sl2_ltimes_q2():
+    """sl_2 x| Q^2, on h, e, f and the standard module v1, v2."""
+    return LieAlgebra.from_bracket_entries(
+        ["h", "e", "f", "v1", "v2"],
+        [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1), (0, 3, 3, 1), (0, 4, 4, -1), (1, 4, 3, 1),
+         (2, 3, 4, 1)],
+    )
+
+
+def heisenberg_der_blocks(m: int) -> tuple[EndoSubspace, EndoSubspace]:
+    """The closed-form Levi split of der(h_m): the symplectic block and aI + strip.
+
+    s is sp_2m acting on the e and f coordinates, with a zero z row and
+    column; r is spanned by the scaling diag(1, ..., 1, 2) and the strip
+    units E_(z, c).  A reference for currentlie.current.levi_split.
+    """
+    n = 2 * m + 1
+    s_mats = [ExactMatrix._from_ints(n, n, *d._int_rows()) for d in sp(m).matrix_basis]
+    r_mats = [ExactMatrix._from_ints(n, n, 1, {i: [(i, 1 + i // (2 * m))] for i in range(n)})]
+    r_mats += [ExactMatrix._from_ints(n, n, 1, {2 * m: [(c, 1)]}) for c in range(2 * m)]
+    return EndoSubspace.from_matrices(s_mats, n), EndoSubspace.from_matrices(r_mats, n)

@@ -31,7 +31,6 @@ from currentlie.current import (
 from currentlie.heisenberg import (
     DerivationTemplate,
     der_dimension_formula,
-    heisenberg_der_blocks,
     levi_report,
     sp_block_embedding,
     truncated_heisenberg,
@@ -60,7 +59,7 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from helpers import rand_frac, rand_matrix, rand_vector
+from helpers import heisenberg_der_blocks, rand_frac, rand_matrix, rand_vector
 
 DIMENSION_CASES = ((1, 1, 17), (1, 2, 32), (1, 3, 51), (2, 1, 39), (2, 2, 71))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,11 +11,27 @@ from pathlib import Path
 
 import pytest
 
-from currentlie.assoc import AssocAlgebra, direct_sum, truncated_polynomial, wedderburn_complement
+from currentlie.assoc import (
+    AssocAlgebra,
+    direct_sum,
+    jacobson_radical,
+    truncated_polynomial,
+    wedderburn_complement,
+)
+from currentlie.assoc import derivations as assoc_derivations
 from currentlie.cli import main
-from currentlie.current import current_algebra, levi_candidate_subspace
-from currentlie.heisenberg import DerivationTemplate, levi_split, truncated_heisenberg
-from currentlie.lie import LieAlgebra, centroid, heisenberg, lie_from_endo_span, sp
+from currentlie.current import current_algebra, levi_candidate_subspace, levi_split
+from currentlie.heisenberg import DerivationTemplate, truncated_heisenberg
+from currentlie.lie import (
+    LieAlgebra,
+    centroid,
+    derivations,
+    heisenberg,
+    hom_quotient_to_center,
+    lie_from_endo_span,
+    solvable_radical,
+    sp,
+)
 from currentlie.linalg import ExactMatrix, rat
 from currentlie.serialize import (
     AxiomError,
@@ -27,7 +44,8 @@ from currentlie.serialize import (
     load_algebra,
     save_algebra,
 )
-from helpers import nonassociative_current, polynomial_quotient
+from helpers import nonassociative_current, polynomial_quotient, sl2_ltimes_q2
+from test_closed_forms import _rebased_lie
 
 
 def run(argv, capsys):
@@ -112,7 +130,7 @@ def test_two_file_verbs_refuse_products_over_the_cap(verb, tmp_path, capsys, mon
     def built(*args):
         raise Built
 
-    monkeypatch.setattr("currentlie.cli.levi_split", built)
+    monkeypatch.setattr("currentlie.current.levi_split", built)
     monkeypatch.setattr("currentlie.current.current_algebra", built)
 
     def abelian(n):
@@ -331,22 +349,83 @@ def test_levi_passes_when_the_quotient_does_not_split(m, a_name, tmp_path, capsy
         assert centroid(lie_from_endo_span(levi)).dim == centroid(sp(1)).dim * big_s.dim
 
 
-def test_levi_without_candidate_exits_2(tmp_path, capsys):
+def test_levi_passes_on_affine_and_rescaled_h1(tmp_path, capsys):
     a1 = tmp_path / "a1.json"
     save_algebra(truncated_polynomial(1), a1)
     # the affine algebra, and h_1 with [e,f] = 2z or (1/2)z: the last has
-    # h_1's numerators over den 2, so only the whole store tells them apart
-    for name, labels, coeff in (
-        ("affine", ["x", "y"], 1),
-        ("h1_2z", ["e", "f", "z"], 2),
-        ("h1_half_z", ["e", "f", "z"], rat("1/2")),
+    # h_1's numerators over den 2
+    for name, labels, coeff, der_dim in (
+        ("affine", ["x", "y"], 1, 5),
+        ("h1_2z", ["e", "f", "z"], 2, 17),
+        ("h1_half_z", ["e", "f", "z"], rat("1/2"), 17),
     ):
         path = tmp_path / f"{name}.json"
         target = len(labels) - 1
         save_algebra(LieAlgebra.from_bracket_entries(labels, [(0, 1, target, coeff)]), path)
-        code, _, stderr = run(["levi", str(path), str(a1)], capsys)
-        assert code == 2, name
-        assert "no constructive Levi candidate" in stderr
+        code, stdout, _ = run(["levi", str(path), str(a1), "--json"], capsys)
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "pass", name
+        assert len(doc["flags"]) == 6 and all(doc["flags"].values()), name
+        assert doc["dimensions"]["derivations"] == der_dim, name
+
+
+def _lie(labels, entries) -> LieAlgebra:
+    return LieAlgebra.from_bracket_entries(labels, entries)
+
+
+def _plus_line(g: LieAlgebra) -> LieAlgebra:
+    # g (+) Q, with the new basis vector c central
+    entries = [(i, j, k, x) for i in range(g.dim) for j in range(i + 1, g.dim)
+               for k, x in enumerate(g.structure[i][j]) if x]
+    return _lie([*g.labels, "c"], entries)
+
+
+# g with z(g) in [g, g], none of them heisenberg(m)
+LEVI_CORPUS = {
+    "h1_permuted": lambda: _lie(["z", "e", "f"], [(1, 2, 0, 1)]),
+    "h2_rebased": lambda: _rebased_lie(heisenberg(2), random.Random(24)),
+    "sl2_x_Q2": sl2_ltimes_q2,
+    "filiform_n4": lambda: _lie(["e1", "e2", "e3", "e4"], [(0, 1, 2, 1), (0, 2, 3, 1)]),
+    "Q_x_Q2_diag12": lambda: _lie(["x", "y1", "y2"], [(0, 1, 1, 1), (0, 2, 2, 2)]),
+    "sp1": lambda: sp(1),
+}
+
+
+@pytest.mark.parametrize("g_name", sorted(LEVI_CORPUS))
+def test_levi_oracle_beyond_heisenberg(g_name, tmp_path, capsys):
+    g = LEVI_CORPUS[g_name]()
+    g_path = tmp_path / "g.json"
+    save_algebra(g, g_path)
+    der_g = derivations(g).dim
+    h, cent = hom_quotient_to_center(g).dim, centroid(g).dim
+    levi_g = der_g - solvable_radical(lie_from_endo_span(derivations(g))).dim
+    for a in (truncated_polynomial(2), direct_sum(truncated_polynomial(1), truncated_polynomial(1))):
+        a_path = tmp_path / "a.json"
+        save_algebra(a, a_path)
+        code, stdout, _ = run(["levi", str(g_path), str(a_path), "--json"], capsys)
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "pass"
+        assert len(doc["flags"]) == 6 and all(doc["flags"].values())
+        # dim der(g (x) A) from the factors, and the Levi factor s (x) S
+        want = (der_g - h) * a.dim + (cent - h) * assoc_derivations(a).dim + h * a.dim**2
+        assert doc["dimensions"]["derivations"] == want
+        assert doc["dimensions"]["levi"] == levi_g * (a.dim - jacobson_radical(a).dim)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_plus_line(sp(1)), _plus_line(_lie(["x", "y"], [(0, 1, 1, 1)])), _plus_line(heisenberg(1))],
+    ids=["sl2+Q", "r2+Q", "h1+Q"],
+)
+def test_levi_refuses_a_center_outside_the_derived_algebra(g, tmp_path, capsys):
+    # then k = hom0(g) (x) End(A) holds sl(A), and der(g (x) A) has no
+    # solvable radical of the predicted form
+    g_path, a_path = tmp_path / "g.json", tmp_path / "a.json"
+    save_algebra(g, g_path)
+    save_algebra(truncated_polynomial(2), a_path)
+    code, stdout, _ = run(["levi", str(g_path), str(a_path)], capsys)
+    assert code == 1
+    assert stdout == "precondition failed: z(g) is not contained in [g,g]\nFAIL\n"
 
 
 def test_levi_missing_file_exits_2(files, capsys):

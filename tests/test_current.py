@@ -30,7 +30,7 @@ from currentlie.current import (
     verify_levi_decomposition,
     zusmanovich_span,
 )
-from currentlie.heisenberg import heisenberg_der_blocks, levi_report
+from currentlie.heisenberg import levi_report
 from currentlie.lie import (
     LieAlgebra,
     heisenberg,
@@ -51,7 +51,7 @@ from currentlie.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from helpers import nonassociative_current
+from helpers import heisenberg_der_blocks, nonassociative_current
 
 
 @pytest.fixture(scope="module")

@@ -4,26 +4,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import reference_match, reference_matrix
+from helpers import heisenberg_der_blocks, reference_match, reference_matrix, sl2_ltimes_q2
 
+from currentlie.current import levi_split
 from currentlie.heisenberg import (
     DerivationTemplate,
     TemplateMatch,
     TemplateMismatch,
     der_dimension_formula,
-    heisenberg_der_blocks,
     levi_factor,
     levi_report,
-    levi_split,
     match_template,
     sp_block_embedding,
     truncated_heisenberg,
 )
-from currentlie.lie import LieAlgebra, derivations, heisenberg, sp
+from currentlie.lie import (
+    LieAlgebra,
+    derivations,
+    heisenberg,
+    is_semisimple,
+    is_solvable,
+    lie_from_endo_span,
+    sp,
+)
 from currentlie.linalg import (
     EndoSubspace,
     ExactMatrix,
+    _nullspace_from_system,
     commutator,
+    rref,
     subspace_intersection,
     subspace_sum,
 )
@@ -256,18 +265,50 @@ def test_heisenberg_der_blocks_split():
         assert subspace_intersection(s.space, r.space).dim == 0
 
 
-def test_levi_split_of_the_supported_algebras():
-    for m in (1, 2):
+def _in_basis(g: LieAlgebra, p: list) -> LieAlgebra:
+    """g in the basis b_i = sum_j p[i][j] e_j, for an invertible p."""
+    n = g.dim
+    # the right half of the RREF of [p | 1] is p^-1; a row v in the e_j has
+    # the row v p^-1 of coordinates in the b_i
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(p)]
+    inverse = rref(ExactMatrix(augmented))[0].block(0, n, n, 2 * n).transpose()
+    table = [[inverse.apply(g.bracket(p[i], p[k])) for k in range(n)] for i in range(n)]
+    return LieAlgebra(g.labels, table)
+
+
+def _assert_levi_split(g: LieAlgebra, s: EndoSubspace, r: EndoSubspace, levi_dim: int) -> None:
+    # s (+) r = der(g) with r a solvable ideal and s a semisimple subalgebra,
+    # so that r is the radical, checked on the matrices
+    der = derivations(g)
+    assert subspace_sum(s.space, r.space) == der.space
+    assert subspace_intersection(s.space, r.space).dim == 0 and s.dim == levi_dim
+    for d in der.basis_matrices():
+        assert all(r.contains(commutator(d, x)) for x in r.basis_matrices())
+    assert is_solvable(lie_from_endo_span(r)) and is_semisimple(lie_from_endo_span(s))
+
+
+def test_levi_split_of_the_supported_algebras(monkeypatch):
+    # the lifting keeps the closed-form symplectic block of heisenberg(m)
+    for m in (1, 2, 3):
         assert levi_split(heisenberg(m)) == heisenberg_der_blocks(m)
     # der(sp_2) is semisimple: its own Levi factor, with a zero radical
     s, r = levi_split(sp(1))
     assert s == derivations(sp(1)) and r.dim == 0 and r.n == 3
-    # h_1 with [e, f] = 2z has the right shape but not heisenberg(1)'s constants
+    # h_1 with [e, f] = 2z, and h_1 (+) a central line
     scaled = LieAlgebra.from_bracket_entries(["e", "f", "z"], [(0, 1, 2, 2)])
-    assert levi_split(scaled) is None
-    # h_1 (+) a central line, of even dim, holds heisenberg(1)'s brackets
     padded = LieAlgebra.from_bracket_entries(["e", "f", "z", "c"], [(0, 1, 2, 1)])
-    assert levi_split(padded) is None
+    for g in (scaled, padded):
+        _assert_levi_split(g, *levi_split(g), levi_dim=3)
+    # sl_2 x| Q^2 in the basis h + v1, e + v2, f + v1 + v2, v1, v2: the
+    # radical of its der, ad(Q^2) plus the scaling of Q^2, has a derived
+    # series of length 2, and both lifting steps solve a system
+    shear = [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    g = _in_basis(sl2_ltimes_q2(), shear)
+    solved = []
+    monkeypatch.setattr("currentlie.current._nullspace_from_system",
+                        lambda rows, n: solved.append(n) or _nullspace_from_system(rows, n))
+    _assert_levi_split(g, *levi_split(g), levi_dim=3)
+    assert len(solved) == 2
 
 
 def test_levi_factor_certified(ca11):

@@ -20,13 +20,13 @@ EXPORTS = {
     "currentlie.current": [
         "CurrentAlgebra", "DecompositionReport", "PreconditionError", "TableIdentityError",
         "TableReport", "certify_decomposition", "current_algebra", "embed_h", "embed_k",
-        "embed_w", "levi_candidate_subspace", "radical_subspace", "verify_bracket_table",
-        "verify_levi_decomposition", "zusmanovich_span",
+        "embed_w", "levi_candidate_subspace", "levi_split", "radical_subspace",
+        "verify_bracket_table", "verify_levi_decomposition", "zusmanovich_span",
     ],
     "currentlie.heisenberg": [
         "DerivationTemplate", "TemplateMatch", "TemplateMismatch", "der_dimension_formula",
-        "heisenberg_der_blocks", "levi_factor", "levi_report", "levi_split", "match_template",
-        "sp_block_embedding", "truncated_heisenberg",
+        "levi_factor", "levi_report", "match_template", "sp_block_embedding",
+        "truncated_heisenberg",
     ],
     "currentlie.lie": [
         "LieAlgebra", "center", "centroid", "derived_series", "derived_subalgebra", "heisenberg",
