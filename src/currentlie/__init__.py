@@ -91,6 +91,7 @@ _LAZY = frozenset({
     "PreconditionError",
     "TableIdentityError",
     "TableReport",
+    "certify",
     "certify_decomposition",
     "current_algebra",
     "embed_h",

@@ -19,11 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from currentlie.assoc import (
-    AssocAlgebra,
-    jacobson_radical,
-    wedderburn_complement,
-)
+from currentlie.assoc import AssocAlgebra, jacobson_radical
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.heisenberg import truncated_heisenberg
 from currentlie.lie import (
@@ -160,17 +156,13 @@ def _load_pair(g_path, a_path) -> tuple:
 def cmd_levi(args) -> int:
     # only levi and check table1 import currentlie.current, so that the
     # other verbs start without it
-    from currentlie.current import PreconditionError, certify_decomposition
-    from currentlie.current import current_algebra, levi_split
+    from currentlie.current import PreconditionError, certify, current_algebra
 
     g, a = _load_pair(args.g_path, args.a_path)
-    s, r = levi_split(g)
-    big_j = jacobson_radical(a)
-    big_s = wedderburn_complement(a)
     ca = current_algebra(g, a)
     inputs = [args.g_path, args.a_path]
     try:
-        outcome = certify_decomposition(ca, s, r, big_s, big_j)
+        outcome = certify(ca)
     except PreconditionError as exc:
         report = _envelope(args, inputs, "fail", counterexample=str(exc))
         return _emit(args, report, [f"precondition failed: {exc}", "FAIL"])

@@ -21,7 +21,7 @@ import random
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from currentlie.assoc import AssocAlgebra, jacobson_radical
+from currentlie.assoc import AssocAlgebra, jacobson_radical, wedderburn_complement
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.lie import (
     LieAlgebra,
@@ -35,6 +35,7 @@ from currentlie.lie import (
     is_ideal,
     is_semisimple,
     is_solvable,
+    is_subalgebra_closed,
     lie_from_endo_span,
     solvable_radical,
     subalgebra,
@@ -160,44 +161,37 @@ def embed_k(ca: CurrentAlgebra, t: ExactMatrix, f: ExactMatrix) -> ExactMatrix:
 
 def summand_h(ca: CurrentAlgebra) -> EndoSubspace:
     """Span of der(g) (x) L(A) inside End(g (x) A)."""
-
-    def compute():
-        basis_a = ExactMatrix.identity(ca.a.dim).rows
-        mats = _tensor_left_mult(ca, ca.der_g().basis_matrices(), basis_a)
-        return EndoSubspace.from_matrices(mats, ca.dim)
-
-    return _memoized(ca, "summand_h", compute)
+    return _memoized(ca, "summand_h", lambda: _kron_span(ca, _factors(ca, "h")))
 
 
 def summand_w(ca: CurrentAlgebra) -> EndoSubspace:
     """Span of centroid(g) (x) der(A)."""
-
-    def compute():
-        mats = [
-            kron(t, rho)
-            for t in ca.centroid_g().basis_matrices()
-            for rho in ca.der_a().basis_matrices()
-        ]
-        return EndoSubspace.from_matrices(mats, ca.dim)
-
-    return _memoized(ca, "summand_w", compute)
+    return _memoized(ca, "summand_w", lambda: _kron_span(ca, _factors(ca, "w")))
 
 
 def summand_k(ca: CurrentAlgebra) -> EndoSubspace:
     """Span of Hom(g/[g,g], z(g)) (x) End(A)."""
-
-    def compute():
-        units = _matrix_units(ca.a.dim)
-        mats = [kron(t, unit) for t in ca.hom0_g().basis_matrices() for unit in units]
-        return EndoSubspace.from_matrices(mats, ca.dim)
-
-    return _memoized(ca, "summand_k", compute)
+    return _memoized(ca, "summand_k", lambda: _kron_span(ca, _factors(ca, "k")))
 
 
-def _tensor_left_mult(ca: CurrentAlgebra, mats, elements) -> list:
-    # X (x) L_u for every X in mats and u in elements
-    left_mults = [ca.a.left_mult_matrix(u) for u in elements]
-    return [kron(x, lu) for x in mats for lu in left_mults]
+def _factors(ca: CurrentAlgebra, family: str) -> tuple:
+    # the first and the second factors whose Kronecker products span a family
+    if family == "h":
+        return ca.der_g().basis_matrices(), _left_mults(ca, Subspace.full_space(ca.a.dim))
+    if family == "w":
+        return ca.centroid_g().basis_matrices(), ca.der_a().basis_matrices()
+    return ca.hom0_g().basis_matrices(), _matrix_units(ca.a.dim)
+
+
+def _kron_span(ca: CurrentAlgebra, *factors) -> EndoSubspace:
+    # the span of kron(x, y) over x in xs and y in ys, for each (xs, ys) in factors
+    mats = [kron(x, y) for xs, ys in factors for x in xs for y in ys]
+    return EndoSubspace.from_matrices(mats, ca.dim)
+
+
+def _left_mults(ca: CurrentAlgebra, space: Subspace) -> list:
+    # L_u for the basis rows u of a subspace of A
+    return [ca.a.left_mult_matrix(u) for u in space.basis.rows]
 
 
 def _matrix_units(n):
@@ -511,22 +505,16 @@ def radical_subspace(
     if big_s.ambient != a.dim or big_j.ambient != a.dim:
         raise PreconditionError("S and J must be subspaces of A")
 
-    if (
-        subspace_sum(s.space, r.space) != der_g.space
-        or subspace_intersection(s.space, r.space).dim != 0
-    ):
+    # every Levi flag of der(g) on s and r, over its basis; a candidate
+    # outside der(g) has no coordinates there
+    rad, lev = _der_coordinates(der_g, r), _der_coordinates(der_g, s)
+    flags = None if rad is None or lev is None else _levi_flags(_derivation_algebra(g), rad, lev)
+    if flags is None or not flags["direct_complement"]:
         raise PreconditionError("s (+) r does not decompose der(g)")
-
-    # s and r lie in der(g) now, so both have coordinates over it
-    lie_der_g = _derivation_algebra(g)
-    if _der_coordinates(der_g, r) != solvable_radical(lie_der_g):
+    # a solvable ideal with a semisimple complement is the solvable radical
+    if not (flags["radical_is_ideal"] and flags["radical_solvable"]):
         raise PreconditionError("r is not the solvable radical of der(g)")
-
-    try:
-        s_lie = subalgebra(lie_der_g, _der_coordinates(der_g, s))
-    except ValueError:
-        raise PreconditionError("s is not a subalgebra of der(g)")
-    if not is_semisimple(s_lie):
+    if not flags["levi_semisimple"]:
         raise PreconditionError("s is not a semisimple subalgebra")
 
     if (
@@ -536,11 +524,8 @@ def radical_subspace(
         raise PreconditionError("S (+) J does not decompose A")
     if big_j != jacobson_radical(a):
         raise PreconditionError("J is not the Jacobson radical of A")
-    basis_s = big_s.basis.rows
-    for u in basis_s:
-        for v in basis_s:
-            if not big_s.contains(a.multiply(u, v)):
-                raise PreconditionError("S is not closed under multiplication")
+    if not is_subalgebra_closed(a, big_s):
+        raise PreconditionError("S is not closed under multiplication")
 
     der_a = ca.der_a()
     if der_a.dim > 0:
@@ -554,10 +539,13 @@ def radical_subspace(
     if not center(g).is_subspace_of(derived_subalgebra(g)):
         raise PreconditionError("z(g) is not contained in [g,g]")
 
-    mats = _tensor_left_mult(ca, s.basis_matrices(), big_j.basis.rows)
-    mats += _tensor_left_mult(ca, r.basis_matrices(), ExactMatrix.identity(a.dim).rows)
-    mats += summand_w(ca).basis_matrices() + summand_k(ca).basis_matrices()
-    return EndoSubspace.from_matrices(mats, ca.dim)
+    return _kron_span(
+        ca,
+        (s.basis_matrices(), _left_mults(ca, big_j)),
+        (r.basis_matrices(), _left_mults(ca, Subspace.full_space(a.dim))),
+        _factors(ca, "w"),
+        _factors(ca, "k"),
+    )
 
 
 def verify_levi_decomposition(
@@ -572,44 +560,47 @@ def verify_levi_decomposition(
     candidates' coordinates over its basis.
     """
     der = ca.derivations()
-    lie_der = _derivation_algebra(ca.product)
     coords = {}
     for name, cand in (("radical", radical), ("levi", levi)):
         coords[name] = _der_coordinates(der, cand)
         if coords[name] is None:
             raise ValueError(f"{name} candidate is not inside der(g (x) A)")
-    rad, lev = coords["radical"], coords["levi"]
-
-    def induced(test, space):
-        # test on the subalgebra space spans; one not closed under the bracket fails
-        try:
-            return test(subalgebra(lie_der, space))
-        except ValueError:
-            return False
-
     return DecompositionReport(
         der_dim=der.dim,
-        flags={
-            "radical_is_ideal": is_ideal(lie_der, rad),
-            "radical_solvable": induced(is_solvable, rad),
-            "levi_semisimple": induced(is_semisimple, lev),
-            "direct_complement": (
-                subspace_sum(rad, lev).dim == der.dim
-                and subspace_intersection(rad, lev).dim == 0
-            ),
-        },
+        flags=_levi_flags(_derivation_algebra(ca.product), coords["radical"], coords["levi"]),
         der_full=der,
         radical_candidate=radical,
         levi_candidate=levi,
     )
 
 
+def _levi_flags(lie: LieAlgebra, rad: Subspace, lev: Subspace) -> dict:
+    # the four defining properties of a Levi decomposition rad (+) lev of
+    # lie: rad a solvable ideal, lev a semisimple subalgebra, complementary
+
+    def induced(test, space):
+        # test on the subalgebra space spans; one not closed under the bracket fails
+        try:
+            return test(subalgebra(lie, space))
+        except ValueError:
+            return False
+
+    return {
+        "radical_is_ideal": is_ideal(lie, rad),
+        "radical_solvable": induced(is_solvable, rad),
+        "levi_semisimple": induced(is_semisimple, lev),
+        "direct_complement": (
+            subspace_sum(rad, lev).dim == lie.dim
+            and subspace_intersection(rad, lev).dim == 0
+        ),
+    }
+
+
 def levi_candidate_subspace(
     ca: CurrentAlgebra, s: EndoSubspace, big_s: Subspace
 ) -> EndoSubspace:
     """s (x) S: the Levi factor predicted for der(g (x) A)."""
-    mats = _tensor_left_mult(ca, s.basis_matrices(), big_s.basis.rows)
-    return EndoSubspace.from_matrices(mats, ca.dim)
+    return _kron_span(ca, (s.basis_matrices(), _left_mults(ca, big_s)))
 
 
 def certify_decomposition(
@@ -626,3 +617,9 @@ def certify_decomposition(
     levi_report = verify_levi_decomposition(ca, radical, levi)
     report.flags.update(levi_report.flags)
     return report._replace(radical_candidate=radical, levi_candidate=levi)
+
+
+def certify(ca: CurrentAlgebra) -> DecompositionReport:
+    """certify_decomposition on the Levi split of der(g) and the Wedderburn split of A."""
+    s, r = levi_split(ca.g)
+    return certify_decomposition(ca, s, r, wedderburn_complement(ca.a), jacobson_radical(ca.a))

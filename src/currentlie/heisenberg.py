@@ -19,7 +19,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
-from currentlie.assoc import jacobson_radical, truncated_polynomial, wedderburn_complement
+from currentlie.assoc import truncated_polynomial
 from currentlie.lie import heisenberg, sp
 from currentlie.linalg import EndoSubspace, ExactMatrix, Q, _from_entries, kron, rat
 
@@ -309,15 +309,9 @@ def sp_block_embedding(m: int, k: int) -> list[ExactMatrix]:
 
 def levi_report(m: int, k: int, ca: CurrentAlgebra | None = None) -> DecompositionReport:
     """Run the full decomposition certificate for h_m (x) A_k."""
-    from currentlie.current import certify_decomposition, levi_split
+    from currentlie.current import certify
 
-    if ca is None:
-        ca = truncated_heisenberg(m, k)
-    s, r = levi_split(ca.g)
-    a = ca.a
-    big_j = jacobson_radical(a)
-    big_s = wedderburn_complement(a)
-    return certify_decomposition(ca, s, r, big_s, big_j)
+    return certify(truncated_heisenberg(m, k) if ca is None else ca)
 
 
 def levi_factor(m: int, k: int, ca: CurrentAlgebra | None = None) -> EndoSubspace:

@@ -267,11 +267,13 @@ def is_semisimple(g: LieAlgebra) -> bool:
 
 
 def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:
+    # g may also be commutative: either way u v = +-v u, so the basis pairs
+    # u <= v suffice, squares included
     basis = [row for _, row in space._rows]
     return all(
         space._coordinates(g._times(u, v)) is not None
         for i, u in enumerate(basis)
-        for v in basis[i + 1 :]
+        for v in basis[i:]
     )
 
 

@@ -241,7 +241,7 @@ def test_failed_certificates_exit_1(files, capsys, monkeypatch):
     def bad_product(g, a):
         raise ValueError("product bracket violates the Lie axioms")
 
-    monkeypatch.setattr("currentlie.cli.wedderburn_complement", no_complement)
+    monkeypatch.setattr("currentlie.current.wedderburn_complement", no_complement)
     code, stdout, stderr = run(["levi", files["h1"], files["a1"]], capsys)
     assert code == 1 and not stdout and "Newton's iteration" in stderr
     monkeypatch.setattr("currentlie.current.current_algebra", bad_product)
@@ -288,6 +288,22 @@ def test_derive_basis_matrices_fit_template(files, capsys):
     for rows in doc["basis"]:
         mat = ExactMatrix([[rat(c) for c in row] for row in rows])
         assert tpl.match(mat).ok
+
+
+def test_derive_text_prints_the_basis_cells_right_justified(capsys):
+    # the text report prints the cells of --json --basis, each matrix's
+    # right-justified to its widest cell and joined with two spaces
+    path = str(DATA / "h1.json")
+    code, stdout, _ = run(["derive", path, "--basis"], capsys)
+    assert code == 0
+    _, doc, _ = run(["derive", path, "--json", "--basis"], capsys)
+    basis = json.loads(doc)["basis"]
+    lines = ["kind: lie", "algebra dimension: 3", f"derivation algebra dimension: {len(basis)}"]
+    for idx, cells in enumerate(basis):
+        width = max(len(c) for row in cells for c in row)
+        lines.append(f"basis[{idx}]:")
+        lines += ["  ".join(c.rjust(width) for c in row) for row in cells]
+    assert stdout == "\n".join(lines) + "\n"
 
 
 def test_levi_heisenberg_passes(files, capsys):

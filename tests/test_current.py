@@ -22,6 +22,7 @@ from currentlie.current import (
     embed_k,
     embed_w,
     levi_candidate_subspace,
+    levi_split,
     radical_subspace,
     summand_h,
     summand_k,
@@ -33,6 +34,7 @@ from currentlie.current import (
 from currentlie.heisenberg import levi_report
 from currentlie.lie import (
     LieAlgebra,
+    derived_subalgebra,
     heisenberg,
     is_semisimple,
     is_solvable,
@@ -313,6 +315,30 @@ def test_bracket_table_checks_the_component_spaces():
     assert failed.value.lhs is None and failed.value.rhs is None
 
 
+def test_bracket_table_checks_the_closure_of_w_and_k(monkeypatch):
+    # w*w: the derivations t -> t and t -> t^2 of Q[t]/(t^3) do not commute,
+    # so a w bracket is nonzero; it must lie in summand_w, here made zero
+    ca = current_algebra(heisenberg(1), truncated_polynomial(2))
+    zero = EndoSubspace(ca.dim, Subspace.zero_space(ca.dim**2))
+    with monkeypatch.context() as patch:
+        patch.setattr("currentlie.current.summand_w", lambda ca: zero)
+        with pytest.raises(TableIdentityError) as failed:
+            verify_bracket_table(ca)
+    assert str(failed.value) == (
+        "bracket rule w*w: bracket left the w family despite commutative centroid")
+    # k*k: on h_1 (+) Q the map c -> c is in the k family and squares to
+    # itself, so k brackets need not vanish; a swapped center memo claims
+    # z(g) = [g,g] = span{z}
+    g = LieAlgebra.from_bracket_entries(["e", "f", "z", "c"], [(0, 1, 2, 1)])
+    ca = current_algebra(g, truncated_polynomial(1))
+    ca.hom0_g()
+    g._memo["center"] = derived_subalgebra(g)
+    with pytest.raises(TableIdentityError) as failed:
+        verify_bracket_table(ca)
+    assert str(failed.value) == "bracket rule k*k: bracket nonzero although z(g) lies in [g,g]"
+    assert not failed.value.lhs.is_zero()
+
+
 def test_radical_subspace_happy_path(h1a1):
     ca = h1a1
     s, r = heisenberg_der_blocks(1)
@@ -339,6 +365,39 @@ def test_radical_subspace_named_preconditions(h1a1):
     # S (+) J fine but J is not the radical: swap the factors
     with pytest.raises(PreconditionError, match="Jacobson radical"):
         radical_subspace(ca, s, r, big_j, big_s)
+
+
+def test_radical_subspace_names_a_levi_factor_that_is_not_semisimple(h1a1):
+    ca = h1a1
+    s, r = levi_split(ca.g)
+    big_s, big_j = wedderburn_complement(ca.a), jacobson_radical(ca.a)
+    # r's first basis matrix added to s's first: still a complement of r,
+    # but no longer closed under the commutator
+    mats = list(s.basis_matrices())
+    mats[0] = mats[0] + r.basis_matrices()[0]
+    bent = EndoSubspace.from_matrices(mats, 3)
+    with pytest.raises(ValueError, match="not closed"):
+        lie_from_endo_span(bent)
+    with pytest.raises(PreconditionError, match="^s is not a semisimple subalgebra$"):
+        radical_subspace(ca, bent, r, big_s, big_j)
+    # r = 0 is a solvable ideal and s = der(g) its complement, but der(h_1)
+    # is not semisimple; either factor could be named, and s is
+    zero = EndoSubspace(3, Subspace.zero_space(9))
+    with pytest.raises(PreconditionError, match="^s is not a semisimple subalgebra$"):
+        radical_subspace(ca, ca.der_g(), zero, big_s, big_j)
+
+
+def test_radical_subspace_checks_the_squares_in_s():
+    # A = Q[t]/(t^2) (+) Q on the basis 1.L, t.L, 1.R, and S' = span{1.L + t.L,
+    # 1.R}: a complement of J = span{t.L}, in which only the square
+    # (1.L + t.L)^2 = 1.L + 2 t.L of the first vector leaves S'
+    a = direct_sum(truncated_polynomial(1), truncated_polynomial(0))
+    ca = current_algebra(heisenberg(1), a)
+    s, r = levi_split(ca.g)
+    bent = Subspace.from_vectors([(1, 1, 0), (0, 0, 1)], 3)
+    assert jacobson_radical(a) == Subspace.from_vectors([(0, 1, 0)], 3)
+    with pytest.raises(PreconditionError, match="^S is not closed under multiplication$"):
+        radical_subspace(ca, s, r, bent, jacobson_radical(a))
 
 
 def test_radical_subspace_rejects_central_leak():

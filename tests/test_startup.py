@@ -19,7 +19,7 @@ EXPORTS = {
     ],
     "currentlie.current": [
         "CurrentAlgebra", "DecompositionReport", "PreconditionError", "TableIdentityError",
-        "TableReport", "certify_decomposition", "current_algebra", "embed_h", "embed_k",
+        "TableReport", "certify", "certify_decomposition", "current_algebra", "embed_h", "embed_k",
         "embed_w", "levi_candidate_subspace", "levi_split", "radical_subspace",
         "verify_bracket_table", "verify_levi_decomposition", "zusmanovich_span",
     ],
