@@ -8,14 +8,16 @@ Verbs:
   info         dimensions, center, series, radical summary
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the
-report carries a counterexample), 2 input/IO/format error or out of
-memory.  With identical inputs and seed the machine-readable report is
+report carries a counterexample), 2 input/IO/format error, an --out path
+that cannot be written, a closed stdout, or out of memory; 130 on
+Ctrl-C.  With identical inputs and seed the machine-readable report is
 byte identical: sorted keys, no timestamps, sha256 digests of the inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +71,31 @@ def _combo(labels, items) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def _reserve_out(path) -> str:
+    """A new empty file beside path, which _write_out renames over it.
+
+    It is made before any work, so a path that cannot be written fails at
+    once, and a run that is killed leaves no half-written report at path.
+    """
+    if os.path.isdir(path):
+        raise FormatError(f"cannot write {path}: Is a directory")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        open(tmp, "x").close()
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return tmp
+
+
+def _write_out(args, doc: str) -> None:
+    try:
+        Path(args.out_tmp).write_text(doc, encoding="utf-8")
+        os.replace(args.out_tmp, args.out)
+    except OSError as exc:
+        raise FormatError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+
+
 def _envelope(args, input_paths, status: str, **fields) -> dict:
     doc = {
         "command": list(args.argv),
@@ -82,9 +109,8 @@ def _envelope(args, input_paths, status: str, **fields) -> dict:
 
 def _emit(args, report: dict, text_lines) -> int:
     doc = dumps_canonical(report)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(doc, encoding="utf-8")
+    if args.out:
+        _write_out(args, doc)
     if getattr(args, "json", False):
         sys.stdout.write(doc)
     else:
@@ -102,7 +128,7 @@ def cmd_heisenberg(args) -> int:
     ca = truncated_heisenberg(args.m, args.k)
     doc = dumps_canonical(algebra_to_dict(ca.product))
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        _write_out(args, doc)
         print(f"wrote lie algebra file (dim {ca.dim}) to {args.out}")
     else:
         sys.stdout.write(doc)
@@ -378,8 +404,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.argv = argv
+    args.out_tmp = None
     try:
-        return args.func(args)
+        if args.out:
+            args.out_tmp = _reserve_out(args.out)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to
+        # devnull, so the flush at exit fails no second time (the SIGPIPE
+        # note of the signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except AxiomError as exc:
         print(f"axiom check failed: {exc}", file=sys.stderr)
         return 1
@@ -394,6 +437,9 @@ def main(argv=None) -> int:
         # them failed (Newton's iteration for S, the bracket of g (x) A): exit 1
         print(f"certificate failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.out_tmp and os.path.exists(args.out_tmp):
+            os.remove(args.out_tmp)
 
 
 if __name__ == "__main__":

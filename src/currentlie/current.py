@@ -26,19 +26,16 @@ from currentlie.assoc import derivations as assoc_derivations
 from currentlie.lie import (
     LieAlgebra,
     _bracket_span,
-    _derivation_algebra,
     center,
     centroid,
     derivations,
     derived_subalgebra,
     hom_quotient_to_center,
-    is_ideal,
     is_semisimple,
     is_solvable,
     is_subalgebra_closed,
     lie_from_endo_span,
     solvable_radical,
-    subalgebra,
 )
 from currentlie.linalg import (
     EndoSubspace,
@@ -47,7 +44,6 @@ from currentlie.linalg import (
     Subspace,
     _memoized,
     _nullspace_from_system,
-    _rref_ints,
     commutator,
     kron,
     linear_combination,
@@ -220,28 +216,37 @@ class DecompositionReport(NamedTuple):
         return all(self.flags.values())
 
 
-def _der_coordinates(der: EndoSubspace, part: EndoSubspace) -> Optional[Subspace]:
-    # part as the span of its basis's coordinates over der.basis_matrices(),
-    # which is a subspace of _derivation_algebra's; None if part leaves der
-    coords = [der._coordinates(m) for m in part.basis_matrices()]
-    if any(c is None for c in coords):
-        return None
-    return Subspace._from_rref(der.dim, _rref_ints(map(dict, coords)))
+def _own_algebra(der: EndoSubspace, part: EndoSubspace) -> tuple[Optional[LieAlgebra], bool]:
+    # (part's own Lie algebra, None if part is not closed under the
+    # commutator; whether part is an ideal of der).  Inside der, part's
+    # pivots are among der's, so der's basis rows off them span a
+    # complement of part: [der, part] lies in part when part is closed and
+    # each of those rows brackets part into it
+    try:
+        lie = lie_from_endo_span(part)
+    except ValueError:
+        return None, False
+    if not part.space.is_subspace_of(der.space):
+        return lie, False
+    own = part.space._row_at
+    rest = [m for p, m in zip(der.space.pivots, der.basis_matrices()) if p not in own]
+    return lie, all(
+        part.contains(commutator(x, y)) for x in rest for y in part.basis_matrices()
+    )
 
 
 def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:
     """Check that the three families span the full derivation algebra.
 
     The sum is generally not direct; only the span equality and the
-    ideal property of the k family are asserted here, the latter in
-    the structure constants of der(g (x) A).
+    ideal property of the k family are asserted here, the latter on the
+    commutators of k's basis matrices.
     """
     der = ca.derivations()
     h, w, k = summand_h(ca), summand_w(ca), summand_k(ca)
     total = subspace_sum(subspace_sum(h.space, w.space), k.space)
     span_ok = total == der.space
-    k_coords = _der_coordinates(der, k)
-    k_ideal = k_coords is not None and is_ideal(_derivation_algebra(ca.product), k_coords)
+    _, k_ideal = _own_algebra(der, k)
 
     return DecompositionReport(
         der_dim=der.dim,
@@ -423,7 +428,7 @@ def levi_split(g: LieAlgebra) -> tuple[EndoSubspace, EndoSubspace]:
     R_(t+1); modulo R_(t+1) = [R_t, R_t] that is linear in the r_k.  A
     step without a solution raises RuntimeError.
     """
-    lie = _derivation_algebra(g)
+    lie = lie_from_endo_span(derivations(g))
     series = [solvable_radical(lie)]
     while series[-1].dim:
         series.append(_bracket_span(lie, series[-1], series[-1]))
@@ -505,10 +510,11 @@ def radical_subspace(
     if big_s.ambient != a.dim or big_j.ambient != a.dim:
         raise PreconditionError("S and J must be subspaces of A")
 
-    # every Levi flag of der(g) on s and r, over its basis; a candidate
-    # outside der(g) has no coordinates there
-    rad, lev = _der_coordinates(der_g, r), _der_coordinates(der_g, s)
-    flags = None if rad is None or lev is None else _levi_flags(_derivation_algebra(g), rad, lev)
+    # every Levi flag of der(g) on s and r; a candidate outside der(g) raises
+    try:
+        flags = _levi_flags(der_g, r, s)
+    except ValueError:
+        flags = None
     if flags is None or not flags["direct_complement"]:
         raise PreconditionError("s (+) r does not decompose der(g)")
     # a solvable ideal with a semisimple complement is the solvable radical
@@ -556,42 +562,36 @@ def verify_levi_decomposition(
     radical must be a solvable ideal of der(g (x) A), levi a semisimple
     subalgebra, and the two must be complementary.  Results come back as
     flags; candidates lying outside der(g (x) A) raise ValueError.  The
-    checks run in the structure constants of der(g (x) A), on the
-    candidates' coordinates over its basis.
+    checks run on the commutators of the candidates' own basis matrices.
     """
     der = ca.derivations()
-    coords = {}
-    for name, cand in (("radical", radical), ("levi", levi)):
-        coords[name] = _der_coordinates(der, cand)
-        if coords[name] is None:
-            raise ValueError(f"{name} candidate is not inside der(g (x) A)")
     return DecompositionReport(
         der_dim=der.dim,
-        flags=_levi_flags(_derivation_algebra(ca.product), coords["radical"], coords["levi"]),
+        flags=_levi_flags(der, radical, levi),
         der_full=der,
         radical_candidate=radical,
         levi_candidate=levi,
     )
 
 
-def _levi_flags(lie: LieAlgebra, rad: Subspace, lev: Subspace) -> dict:
+def _levi_flags(der: EndoSubspace, rad: EndoSubspace, lev: EndoSubspace) -> dict:
     # the four defining properties of a Levi decomposition rad (+) lev of
-    # lie: rad a solvable ideal, lev a semisimple subalgebra, complementary
-
-    def induced(test, space):
-        # test on the subalgebra space spans; one not closed under the bracket fails
-        try:
-            return test(subalgebra(lie, space))
-        except ValueError:
-            return False
-
+    # der: rad a solvable ideal, lev a semisimple subalgebra, complementary
+    for name, part in (("radical", rad), ("levi", lev)):
+        if not part.space.is_subspace_of(der.space):
+            raise ValueError(f"{name} candidate is not inside der(g (x) A)")
+    rad_lie, rad_ideal = _own_algebra(der, rad)
+    try:
+        semisimple = is_semisimple(lie_from_endo_span(lev))
+    except ValueError:  # not closed under the commutator
+        semisimple = False
     return {
-        "radical_is_ideal": is_ideal(lie, rad),
-        "radical_solvable": induced(is_solvable, rad),
-        "levi_semisimple": induced(is_semisimple, lev),
+        "radical_is_ideal": rad_ideal,
+        "radical_solvable": rad_lie is not None and is_solvable(rad_lie),
+        "levi_semisimple": semisimple,
         "direct_complement": (
-            subspace_sum(rad, lev).dim == lie.dim
-            and subspace_intersection(rad, lev).dim == 0
+            rad.dim + lev.dim == der.dim
+            and subspace_intersection(rad.space, lev.space).dim == 0
         ),
     }
 

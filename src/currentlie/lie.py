@@ -307,16 +307,6 @@ def lie_from_endo_span(endo: EndoSubspace, labels=None) -> LieAlgebra:
     return _lie_from_brackets(labels, coordinates, mats)
 
 
-def _derivation_algebra(g: LieAlgebra) -> LieAlgebra:
-    """der(g) as a Lie algebra, on the basis derivations(g).basis_matrices().
-
-    Its structure constants come from the commutators of those matrices,
-    built once per g; a subspace of der(g) enters as the coordinates of
-    its basis over that basis.
-    """
-    return _memoized(g, "derivation_algebra", lambda: lie_from_endo_span(derivations(g)))
-
-
 def _lie_from_brackets(labels, coordinates, matrix_basis=None) -> LieAlgebra:
     """The Lie algebra on a bracket-closed basis b_0, ..., b_(d-1), d = len(labels).
 

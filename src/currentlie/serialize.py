@@ -38,7 +38,7 @@ MAX_SAMPLES = 200
 
 
 class FormatError(ValueError):
-    """The file is not a well-formed algebra file."""
+    """The file is not a well-formed algebra file, or cannot be read or written."""
 
 
 class AxiomError(ValueError):

@@ -731,3 +731,78 @@ def test_out_of_memory_exits_2(files, capsys, monkeypatch):
     assert code == 2 and not stdout
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert "Traceback" not in stderr
+
+
+def _child(argv, cwd, **kwargs):
+    # currentlie.cli in a fresh interpreter that imports the package from src/
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.Popen([sys.executable, "-m", "currentlie.cli", *argv], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing_dir", "dir"])
+@pytest.mark.parametrize("verb", [
+    ["levi", "h1.json", "a1.json"],
+    ["info", "h1.json"],
+    ["heisenberg", "--m", "1", "--k", "1"],
+], ids=["levi", "info", "heisenberg"])
+def test_unwritable_out_exits_2_with_empty_stdout(verb, target, files, tmp_path):
+    # into a missing directory, or onto a directory: an environment error,
+    # named on one stderr line, and nothing left behind
+    before = sorted(tmp_path.iterdir())
+    stdout, stderr = _child([*verb, "--out", target], tmp_path).communicate()
+    assert stdout == b""
+    assert stderr.decode() == f"error: cannot write {target}: " + (
+        "Is a directory\n" if target == "." else "No such file or directory\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_levi_refuses_an_unwritable_out_before_it_certifies(files, tmp_path, capsys, monkeypatch):
+    def certify(ca):
+        raise AssertionError("certify ran")
+
+    monkeypatch.setattr("currentlie.current.certify", certify)
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, stderr = run(["levi", files["h1"], files["a1"], "--out", str(out)], capsys)
+    assert code == 2 and not stdout
+    assert stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_out_is_written_whole_or_not_at_all(files, tmp_path, capsys):
+    # the report goes to a temporary file beside PATH, renamed over it at the
+    # end: a run that fails leaves neither PATH nor the temporary file
+    out = tmp_path / "report.txt"
+    out.write_text("old", encoding="utf-8")
+    code, _, _ = run(["levi", files["h1"], str(tmp_path / "none.json"), "--out", str(out)], capsys)
+    assert code == 2 and out.read_text(encoding="utf-8") == "old"
+    code, _, _ = run(["levi", files["h1"], files["a1"], "--json", "--out", str(out)], capsys)
+    assert code == 0 and json.loads(out.read_text(encoding="utf-8"))["status"] == "pass"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["report.txt", *(Path(p).name for p in files.values())])
+
+
+@pytest.mark.parametrize("flags", [["--basis"], ["--basis", "--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_2_without_a_traceback(flags, tmp_path):
+    # der(h_{2,3}) prints 111 matrices of size 20, more than a pipe holds,
+    # so the child writes into a pipe whose reader is gone
+    save_algebra(truncated_heisenberg(2, 3).product, tmp_path / "h23.json")
+    proc = _child(["derive", "h23.json", *flags], tmp_path)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert stderr == b""
+
+
+def test_ctrl_c_exits_130_with_one_line(files, tmp_path, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("currentlie.cli.cmd_derive", interrupted)
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run(["derive", files["h11"], "--out", str(out)], capsys)
+    assert code == 130 and not stdout
+    assert stderr == "interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(p).name for p in files.values())

@@ -16,6 +16,7 @@ from currentlie.current import (
     CurrentAlgebra,
     PreconditionError,
     TableIdentityError,
+    certify,
     certify_decomposition,
     current_algebra,
     embed_h,
@@ -31,7 +32,7 @@ from currentlie.current import (
     verify_levi_decomposition,
     zusmanovich_span,
 )
-from currentlie.heisenberg import levi_report
+from currentlie.heisenberg import levi_report, truncated_heisenberg
 from currentlie.lie import (
     LieAlgebra,
     derived_subalgebra,
@@ -358,6 +359,10 @@ def test_radical_subspace_named_preconditions(h1a1):
     big_s = wedderburn_complement(ca.a)
     with pytest.raises(PreconditionError, match="does not decompose der"):
         radical_subspace(ca, s, s, big_s, big_j)
+    # the identity is no derivation of h_1
+    outside = EndoSubspace.from_matrices([ExactMatrix.identity(3)], 3)
+    with pytest.raises(PreconditionError, match="does not decompose der"):
+        radical_subspace(ca, s, outside, big_s, big_j)
     with pytest.raises(PreconditionError, match="solvable radical of der"):
         radical_subspace(ca, r, s, big_s, big_j)
     with pytest.raises(PreconditionError, match="does not decompose A"):
@@ -597,3 +602,46 @@ def test_levi_flags_match_matrix_commutators_on_bad_candidates(h1a1, monkeypatch
     identity = EndoSubspace.from_matrices([ExactMatrix.identity(6)], 6)
     monkeypatch.setattr("currentlie.current.summand_k", lambda ca: identity)
     assert not zusmanovich_span(ca).flags["k_is_ideal"]
+
+
+def test_certificate_brackets_each_pair_of_its_candidates_once(monkeypatch):
+    # on h_{2,3} the certificate reads the candidates' own commutators: it
+    # builds no Lie algebra as large as der(g (x) A), the Levi check brackets
+    # rad x rad, (der off rad) x rad and lev x lev, d(d-1)/2 pairs with
+    # d = dim rad + dim lev = der dim, and the k check k x k and
+    # (der off k) x k
+    built = []
+    init = LieAlgebra._init
+
+    def recording(self, labels, *args, **kwargs):
+        built.append(len(labels))
+        init(self, labels, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebra, "_init", recording)
+    report = certify(truncated_heisenberg(2, 3))
+    assert report.all_flags_true
+    d = report.der_dim
+    assert (d, report.radical_candidate.dim, report.levi_candidate.dim) == (111, 101, 10)
+    assert d not in built
+
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return commutator(a, b)
+
+    ca = truncated_heisenberg(2, 3)
+    s, r = levi_split(ca.g)
+    big_s, big_j = wedderburn_complement(ca.a), jacobson_radical(ca.a)
+    radical = radical_subspace(ca, s, r, big_s, big_j)
+    levi = levi_candidate_subspace(ca, s, big_s)
+    ca.derivations().basis_matrices()
+    monkeypatch.setattr("currentlie.lie.commutator", counting)
+    monkeypatch.setattr("currentlie.current.commutator", counting)
+    assert verify_levi_decomposition(ca, radical, levi).all_flags_true
+    assert calls[0] <= d * (d - 1) // 2 == 6105
+    calls[0] = 0
+    span = zusmanovich_span(ca)
+    k = span.summand_k.dim
+    assert k == 64 and span.flags["k_is_ideal"]
+    assert calls[0] <= (d - k) * k + k * (k - 1) // 2 == 5024

@@ -198,29 +198,33 @@ def test_derive_path_builds_no_fraction():
 
 
 def test_certificate_checks_build_no_fraction():
-    # the radical, the coordinates of a summand over der, the membership
-    # tests of the Levi certificate and the structure constants of der
-    # (lie_from_endo_span) are computed on integer rows: Fraction.__new__ is
-    # counted in a fresh interpreter around each, with every memo they read
-    # built beforehand; a coordinate read, which returns Fractions, shows
-    # that the count works
+    # the radical, the Levi flags and the k-ideal check of the certificate
+    # (on the candidates' own commutators), the membership tests and the
+    # structure constants of der (lie_from_endo_span) are computed on
+    # integer rows: Fraction.__new__ is counted in a fresh interpreter
+    # around each, with every memo they read built beforehand; a coordinate
+    # read, which returns Fractions, shows that the count works
     out = fresh("""
         from fractions import Fraction
-        from currentlie.current import _der_coordinates, summand_k
+        from currentlie.current import _levi_flags, _own_algebra, certify, summand_k
         from currentlie.heisenberg import truncated_heisenberg
         from currentlie.lie import (
-            _derivation_algebra, derived_subalgebra, is_ideal, is_subalgebra_closed,
-            lie_from_endo_span, solvable_radical,
+            derived_subalgebra, is_ideal, is_subalgebra_closed, lie_from_endo_span,
+            solvable_radical,
         )
+        from currentlie.linalg import Subspace
 
         ca = truncated_heisenberg(1, 2)
+        report = certify(ca)
         der, k = ca.derivations(), summand_k(ca)
-        lie_der = _derivation_algebra(ca.product)
-        k_coords = _der_coordinates(der, k)
+        lie_der = lie_from_endo_span(der)
+        k_coords = Subspace.from_vectors([der.coordinates(m) for m in k.basis_matrices()], der.dim)
         rad, derived = solvable_radical(lie_der), derived_subalgebra(lie_der)
+        radical, levi = report.radical_candidate, report.levi_candidate
         checks = {
             "solvable_radical": lambda: solvable_radical(lie_der) == rad,
-            "_der_coordinates": lambda: _der_coordinates(der, k) == k_coords,
+            "_own_algebra": lambda: _own_algebra(der, k)[1],
+            "_levi_flags": lambda: all(_levi_flags(der, radical, levi).values()),
             "is_ideal": lambda: is_ideal(lie_der, k_coords),
             "is_subalgebra_closed": lambda: is_subalgebra_closed(lie_der, derived),
             "is_subspace_of": lambda: k_coords.is_subspace_of(rad),
@@ -245,7 +249,8 @@ def test_certificate_checks_build_no_fraction():
     assert out.splitlines() == [
         "32 18 29 30",
         "solvable_radical True 0",
-        "_der_coordinates True 0",
+        "_own_algebra True 0",
+        "_levi_flags True 0",
         "is_ideal True 0",
         "is_subalgebra_closed True 0",
         "is_subspace_of True 0",
