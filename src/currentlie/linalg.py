@@ -13,10 +13,12 @@ integer matrices), and store the result the same way.
 Linear systems are eliminated sparse and in integers: the one
 fraction-free Gauss-Jordan routine, _rref_ints, takes integer rows only,
 as {column: nonzero int} dicts, and eliminates by integer
-cross-multiplication.  A null space takes that one elimination, with the
-unknowns numbered in reverse, and reads its canonical RREF basis straight
-off the integer rows.  A Subspace stores that basis as primitive integer
-rows, reduces integer vectors against it and reads integer coordinates.
+cross-multiplication.  A null space numbers the unknowns in reverse,
+solves its two-entry rows by a weighted union-find in integers, takes
+that one elimination on the longer rows only, and reads its canonical
+RREF basis straight off the integer rows.  A Subspace stores that basis
+as primitive integer rows, reduces integer vectors against it and reads
+integer coordinates.
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra), in the same integer form: a least common
 denominator and, per ordered pair of basis elements with a nonzero
@@ -333,12 +335,13 @@ def _dense(items: Iterable, n: int) -> tuple:
 def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int, int, dict]]:
     """Sparse fraction-free Gauss-Jordan: the RREF basis of the span of the rows.
 
-    Rows are {column: nonzero int} dicts and are not modified; the unit
-    rows e_j, j in `zero`, join them.  Each such e_j and each one-entry row
-    becomes a pivot row, and column j is dropped from every other row
-    before anything is eliminated.  Each other row is copied and
-    eliminated forward on its leading entry only, by gcd-reduced integer
-    cross-multiplication; a repeated row just reduces to nothing.  This is fraction-free
+    Rows are {column: nonzero int} dicts and are not modified.  The
+    columns in `zero` are cut out of every row: the basis is that of the
+    span of what is left.  Each one-entry row outside them becomes a
+    pivot row e_j, and column j is dropped from every other row before
+    anything is eliminated.  Each other row is copied and eliminated forward on its
+    leading entry only, by gcd-reduced integer cross-multiplication; a
+    repeated row just reduces to nothing.  This is fraction-free
     elimination in the style of Bareiss (Math. Comp. 22, 1968), except
     that a row is made primitive after each step instead of being divided
     by the previous pivot, and once more, with a positive pivot entry, when
@@ -347,9 +350,10 @@ def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int
     int}) triples a Subspace stores, by pivot: each row is primitive, d > 0
     is its pivot entry, and row / d is the RREF row.
     """
-    rows = list(rows)
-    zero = {*zero, *(j for row in rows if len(row) == 1 for j in row)}
-    pivot_rows: dict[int, dict] = {j: {j: 1} for j in zero}
+    rows, zero = list(rows), set(zero)
+    units = (j for row in rows if len(row) == 1 for j in row if j not in zero)
+    pivot_rows: dict[int, dict] = {j: {j: 1} for j in units}
+    zero.update(pivot_rows)
     for row in rows:
         work = {j: x for j, x in row.items() if j not in zero}
         if not work:
@@ -416,21 +420,96 @@ def _nullspace_from_system(rows: Iterable[dict], ncols: int) -> "Subspace":
     return _nullspace_reversed(({last - j: x for j, x in row.items()} for row in rows), ncols)
 
 
+def _find(up: dict, c: int) -> tuple[int, int, int]:
+    """(root, n, d) with x_c = (n / d) x_root, for a member c of the forest up.
+
+    up[c] = (parent, n, d) says x_c = (n / d) x_parent, n / d reduced with
+    d > 0; a root has no entry.  c's path is compressed onto the root.
+    """
+    link = up[c]
+    if link[0] not in up:
+        return link
+    path = []
+    while c in up:
+        path.append(c)
+        c = up[c][0]
+    n = d = 1
+    for m in reversed(path):
+        _, a, b = up[m]
+        n, d = a * n, b * d
+        if d != 1 and (g := gcd(n, d)) != 1:
+            n, d = n // g, d // g
+        up[m] = (c, n, d)
+    return c, n, d
+
+
 def _nullspace_reversed(rows: Iterable[dict], ncols: int, zero: Iterable[int] = ()) -> "Subspace":
     """Solution space of a system whose rows hold unknown j at column ncols - 1 - j.
 
-    The unknowns at the columns in `zero` vanish.  With the unknowns
-    numbered in reverse, each RREF row of the system pivots on its largest
-    unknown p and is nonzero elsewhere only on free unknowns below p.  So
-    the solution of free unknown f, x_f = 1 and x_p = -row_p[f] / d_p on
-    the pivots, is zero on the other free unknowns and below f: it already
-    is the null space's RREF row with pivot f, built in integers over the
-    lcm of its denominators (1 if every d_p is).
+    The unknowns at the columns in `zero`, and at one-entry rows, vanish.
+    Each two-entry row a x_u + b x_v = 0 is a union in a weighted
+    union-find (Tarjan, J. ACM 22, 1975) kept in integers: every member of
+    a component is a reduced ratio n / d of its root, the component's
+    largest column, so its smallest unknown.  A component whose cycle
+    ratios disagree, or which meets the zero set, vanishes whole.  The
+    rows with three or more entries go to _rref_ints, the one eliminator;
+    those that touch a non-root column are first rewritten onto roots.
+    With the unknowns numbered in reverse, each RREF row of that system
+    pivots on its largest unknown p and is nonzero elsewhere only on free
+    roots below p.  So the solution of free root f, x_f = 1 and x_p =
+    -row_p[f] / d_p on the pivots, with each member at its ratio of its
+    root, is zero on the other free roots and below f: it already is the
+    null space's RREF row with pivot f, built in integers over the lcm of
+    its denominators (1 if every d_p and ratio denominator is).
     """
-    reduced = _rref_ints(rows, zero)
+    zero, up, long_rows = set(zero), {}, []
+    for row in rows:
+        if len(row) == 2:
+            (u, a), (v, b) = row.items()
+            ru, nu, du = _find(up, u) if u in up else (u, 1, 1)
+            rv, nv, dv = _find(up, v) if v in up else (v, 1, 1)
+            # a x_u + b x_v = 0 reads a x_ru + b x_rv = 0 over du * dv
+            a, b = a * nu * dv, b * nv * du
+            if ru == rv:
+                if a + b:  # the cycle's ratios disagree
+                    zero.add(ru)
+                continue
+            if ru < rv:
+                ru, rv, a, b = rv, ru, b, a
+            # ru is the new root, and x_rv = (-a / b) x_ru
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            up[rv] = (ru, -a // g, b // g)
+        elif len(row) == 1:
+            zero.update(row)
+        elif row:
+            long_rows.append(row)
+    members = {}  # root: its (column, n, d) triples, x_column = (n / d) x_root
+    for c in up:
+        r, n, d = _find(up, c)
+        members.setdefault(r, []).append((c, n, d))
+    # a component that meets the zero set vanishes whole
+    for r in {up[c][0] if c in up else c for c in zero}.intersection(members):
+        zero.add(r)
+        for c, _, _ in members.pop(r):
+            zero.add(c)
+            del up[c]
+    system = []
+    for row in long_rows:
+        if not up.keys().isdisjoint(row):
+            den, out = lcm(*(up[j][2] for j in row if j in up)), {}
+            for j, x in row.items():
+                j, n, d = up.get(j) or (j, 1, 1)
+                if x := out.pop(j, 0) + x * n * (den // d):
+                    out[j] = x
+            if len(out) < 2:
+                zero.update(out)
+                continue
+            row = out
+        system.append(row)
+    reduced = _rref_ints(system, zero)
     last = ncols - 1
-    pivots = {p for p, _, _ in reduced}
-    free = {f: [(f, 1)] for f in range(ncols) if last - f not in pivots}
+    bound = {p for p, _, _ in reduced}.union(zero, up)
+    free = {f: [(f, 1)] for f in range(ncols) if last - f not in bound}
     # pivots by increasing unknown, so that each solution row comes out sorted
     for p, d, row in reversed(reduced):
         unknown = last - p
@@ -444,6 +523,14 @@ def _nullspace_reversed(rows: Iterable[dict], ncols: int, zero: Iterable[int] = 
                         x *= scale
                     x //= d
                 sol.append((unknown, -x))
+    # each member at its ratio of its root's entry
+    for sol in free.values() if members else ():
+        extra = [(last - c, x * n, d) for u, x in sol for c, n, d in members.get(last - u, ())]
+        if extra:
+            if (scale := lcm(*(d // gcd(x, d) for _, x, d in extra if d != 1))) != 1:
+                sol[:] = [(u, x * scale) for u, x in sol]
+            sol += [(u, x * scale // d) for u, x, d in extra]
+            sol.sort()
     return Subspace._from_rows(ncols, tuple(free), [(sol[0][1], sol) for sol in free.values()])
 
 
@@ -586,6 +673,8 @@ def _leibniz_space(alg: _Algebra, pairs: Iterable, derivation: bool) -> "EndoSub
     The rows are emitted with unknown u at column n*n - 1 - u, the
     numbering _nullspace_reversed solves in; one-entry rows (most are) go
     to its zero set instead, and the bracket term alone never builds one.
+    Most of the others have two entries, which _nullspace_reversed solves
+    by its union-find; only the longer rows reach _rref_ints.
     """
     n = alg.dim
     last = n * n - 1

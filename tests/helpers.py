@@ -435,3 +435,31 @@ def heisenberg_der_blocks(m: int) -> tuple[EndoSubspace, EndoSubspace]:
     r_mats = [ExactMatrix._from_ints(n, n, 1, {i: [(i, 1 + i // (2 * m))] for i in range(n)})]
     r_mats += [ExactMatrix._from_ints(n, n, 1, {2 * m: [(c, 1)]}) for c in range(2 * m)]
     return EndoSubspace.from_matrices(s_mats, n), EndoSubspace.from_matrices(r_mats, n)
+
+
+
+def rebased(alg, seed: int, spread: int = 3):
+    """alg in the basis f_i = sum_j P[i][j] e_j, for a seeded dense integer P.
+
+    P's entries are drawn from [-spread, spread] until P is invertible.  A
+    product, and the unit of an assoc algebra, is read in the f basis
+    through Q = P^-1 (e_m = sum_r Q[m][r] f_r), so that most constants are
+    nonzero, and many are fractions.  The labels are kept.
+    """
+    rng = random.Random(seed)
+    n = alg.dim
+    while True:
+        p = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
+        p_i = [p[i] + [int(i == j) for j in range(n)] for i in range(n)]  # [P | I]
+        ext = reference_rref(ExactMatrix(p_i))
+        if all(ext[i, i] == 1 for i in range(n)):  # the left block is I, so P is invertible
+            break
+    q = [[ext[m, n + r] for r in range(n)] for m in range(n)]
+
+    def in_f(v):
+        return [sum(v[m] * q[m][r] for m in range(n)) for r in range(n)]
+
+    if isinstance(alg, AssocAlgebra):
+        table = [[in_f(alg.multiply(u, v)) for v in p] for u in p]
+        return AssocAlgebra(alg.labels, table, in_f(alg.unit))
+    return LieAlgebra(alg.labels, [[in_f(alg.bracket(u, v)) for v in p] for u in p])

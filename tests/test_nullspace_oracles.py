@@ -1,28 +1,41 @@
 """The one-elimination null space against dense Fraction oracles.
 
-`_nullspace_from_system` numbers the unknowns in reverse before it
-eliminates, so that its free-column solutions already are the canonical
-RREF basis of the null space.  Here that basis is compared with a dense
-Fraction null space computed inside the test, on random systems and on
-the Leibniz, centroid and hom systems of the algebra callers, and the
-RREF invariants are asserted directly.
+`_nullspace_from_system` numbers the unknowns in reverse and solves the
+two-entry rows by a union-find before it eliminates the rest, so that
+its free-column solutions already are the canonical RREF basis of the
+null space.  Here that basis is compared with a dense Fraction null
+space computed inside the test, on random systems, on systems built for
+the union-find and on the Leibniz, centroid and hom systems of the
+algebra callers, and the RREF invariants are asserted directly.  Last,
+`levi` must report the same in a dense basis, where no row has two
+entries, as in the standard one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import int_rows, rand_frac
+from helpers import int_rows, rand_frac, rebased
 from test_integer_paths import _check_reads, _fractional_algebras, rescaled_truncated_polynomial
 
+from currentlie import linalg
 from currentlie.assoc import derivations as assoc_derivations
 from currentlie.assoc import truncated_polynomial
+from currentlie.cli import main
 from currentlie.current import current_algebra
 from currentlie.lie import centroid, derivations, heisenberg, hom_quotient_to_center, sp
-from currentlie.linalg import ExactMatrix, Subspace, _nullspace_from_system, nullspace
+from currentlie.linalg import (
+    ExactMatrix,
+    Subspace,
+    _nullspace_from_system,
+    _nullspace_reversed,
+    nullspace,
+)
+from currentlie.serialize import save_algebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -177,6 +190,91 @@ def test_reversed_order_nullspace_matches_dense_oracle():
     assert kinds["zero"] == kinds["full"] == 8 and kinds["nonzero"] > 100
 
 
+# -- systems built for the union-find ---------------------------------------
+
+
+def _ratio(rng: random.Random, big: bool):
+    # a nonzero ratio; with big set, a numerator above 2^64 over 1, 3, 2^65 + 1 or a small int
+    if big:
+        num = rng.choice([1, -1]) * rng.randint(2**64 + 1, 2**80)
+        return Fraction(num, rng.choice([1, 3, 2**65 + 1, rng.randint(2, 50)]))
+    return rng.choice([1, -1, 2, -7, Fraction(-1, 3), Fraction(5, 2)])
+
+
+def _forest_rows(rng: random.Random, ncols: int, big: bool) -> tuple[list, dict]:
+    """Two-entry rows x_child = r x_parent that link random groups of unknowns.
+
+    Each group is a chain or a random tree, and half of the groups of
+    three or more get a cycle: an extra two-entry row whose ratio agrees
+    with the tree's or disagrees with it.  Returned with the count of each.
+    """
+    cols = rng.sample(range(ncols), ncols)
+    rows, seen = [], {"chain": 0, "agree": 0, "disagree": 0}
+    while cols:
+        size = rng.randint(1, max(1, ncols // 3))
+        group, cols = cols[:size], cols[size:]
+        value = {group[0]: Fraction(1)}  # a solution of the group's tree rows
+        chain = rng.random() < 0.5
+        for t in range(1, len(group)):
+            parent = group[t - 1] if chain else rng.choice(group[:t])
+            r = _ratio(rng, big)
+            value[group[t]] = r * value[parent]
+            rows.append({group[t]: 1, parent: -r})
+        seen["chain"] += chain and len(group) > 5
+        if len(group) > 2 and rng.random() < 0.5:
+            u, v = rng.sample(group, 2)
+            r = value[v] / value[u]
+            agree = rng.random() < 0.5
+            seen["agree" if agree else "disagree"] += 1
+            rows.append({v: 1, u: -(r if agree else r * rng.choice([2, -1, Fraction(1, 3)]))})
+    return rows, seen
+
+
+def _forest_system(rng: random.Random, ncols: int, trial: int) -> tuple[list, dict]:
+    """Union-find rows plus one-entry rows, long rows across groups and copies."""
+    if trial % 10 == 9:  # no two-entry rows at all
+        rows, seen = [], {}
+    else:
+        rows, seen = _forest_rows(rng, ncols, big=trial % 3 == 1)
+    if rng.random() < 0.5:  # one-entry rows, so components that meet the zero set
+        rows += [{c: _entry(rng)} for c in rng.sample(range(ncols), rng.randint(1, 2))]
+    for _ in range(rng.randint(0, 4)):  # long rows, which also join groups
+        cols = rng.sample(range(ncols), min(rng.randint(3, 5), ncols))
+        rows.append({c: _entry(rng) for c in cols})
+    rows += [{c: 3 * x for c, x in row.items()} for row in rng.sample(rows, len(rows) // 4)]
+    rng.shuffle(rows)
+    return rows, seen
+
+
+def test_union_find_nullspace_matches_dense_oracle():
+    # also through _nullspace_reversed's zero set: the one-entry rows go there
+    rng = random.Random(20261020)
+    kinds = {"chain": 0, "agree": 0, "disagree": 0, "zero set": 0, "no pairs": 0}
+    for trial in range(150):
+        ncols = rng.randint(3, 30)
+        rows, seen = _forest_system(rng, ncols, trial)
+        for kind, count in seen.items():
+            kinds[kind] += count
+        kinds["no pairs"] += all(len(row) != 2 for row in rows)
+        want = dense_nullspace_rows(_dense(rows, ncols), ncols)
+        if trial % 2:
+            got = _nullspace_from_system(int_rows(rows), ncols)
+        else:
+            kinds["zero set"] += any(len(row) == 1 for row in rows)
+            last = ncols - 1
+            zero = [last - c for row in rows if len(row) == 1 for c in row]
+            system = [
+                {last - c: x for c, x in row.items()} for row in int_rows(rows) if len(row) > 1
+            ]
+            got = _nullspace_reversed(system, ncols, zero)
+        assert got.pivots == tuple(want), (trial, rows)
+        assert [list(r) for r in got.basis.rows] == list(want.values()), (trial, rows)
+        assert_canonical_rref(got)
+        if trial % 3 == 0:
+            _check_reads(got, list(want.values()), random.Random(trial))
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_nullspace_of_matrices_matches_dense_oracle():
     rng = random.Random(11)
     for _ in range(40):
@@ -212,6 +310,35 @@ def test_truncated_polynomial_derivation_dimension():
         der = assoc_derivations(truncated_polynomial(k))
         assert der.dim == k
         assert_canonical_rref(der.space)
+
+
+@pytest.mark.parametrize(
+    "g,k,dim,rows,eliminations",
+    [(heisenberg(3), 4, 264, 126, 311), (sp(2), 1, 21, 160, 248)],
+    ids=["h_3,4", "sp(2)(x)A_1"],
+)
+def test_derivation_solve_leaves_few_rows_to_the_eliminator(
+    g, k, dim, rows, eliminations, monkeypatch
+):
+    # the two-entry Leibniz rows go to the union-find, so of 1023 rows (h_3,4)
+    # and 1530 (sp(2)(x)A_1), and of 993 and 2272 _eliminate calls, when
+    # every row with two or more entries reached _rref_ints, these are left
+    counts = {"rows": 0, "eliminations": 0}
+    rref, eliminate = linalg._rref_ints, linalg._eliminate
+
+    def counting_rref(system, zero=()):
+        system = list(system)
+        counts["rows"] += len(system)
+        return rref(system, zero)
+
+    def counting_eliminate(*args):
+        counts["eliminations"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_rref_ints", counting_rref)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    assert derivations(current_algebra(g, truncated_polynomial(k)).product).dim == dim
+    assert counts == {"rows": rows, "eliminations": eliminations}
 
 
 def dense_leibniz_rows(alg, diagonal: bool) -> list:
@@ -301,3 +428,31 @@ def test_centroid_and_hom_quotient_to_center_match_dense_solve(g):
     n = g.dim
     assert centroid(g).space == dense_nullspace(dense_centroid_rows(g), n * n)
     assert hom_quotient_to_center(g).space == dense_nullspace(dense_hom0_rows(g), n * n)
+
+
+# -- basis invariance -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g,spread", [(heisenberg(1), 3), (heisenberg(2), 1), (sp(1), 3)], ids=["h_1", "h_2", "sp(1)"]
+)
+def test_levi_is_invariant_under_a_dense_change_of_basis(g, spread, tmp_path, capsys):
+    # g and A = Q[t]/(t^3), then both again in seeded dense integer bases.
+    # In the standard basis most Leibniz rows of two or more entries have
+    # two and go to the union-find; in these dense bases none do.  The der
+    # dims, the report's dimensions and flags and the text output must not
+    # change.  h_2 is rebased with entries in [-1, 1]: in [-3, 3] its levi
+    # takes 2.7 s
+    a = truncated_polynomial(2)
+    seen = []
+    bases = {"standard": (g, a), "dense": (rebased(g, 7, spread), rebased(a, 8, spread))}
+    for tag, (gg, aa) in bases.items():
+        g_path, a_path, out = (str(tmp_path / f"{tag}_{x}.json") for x in ("g", "a", "report"))
+        save_algebra(gg, g_path)
+        save_algebra(aa, a_path)
+        assert main(["levi", g_path, a_path, "--out", out]) == 0
+        with open(out) as f:
+            report = json.load(f)
+        ders = (derivations(gg).dim, assoc_derivations(aa).dim)
+        seen.append((ders, report["dimensions"], report["flags"], capsys.readouterr().out))
+    assert seen[0] == seen[1]
