@@ -42,6 +42,7 @@ from currentlie.linalg import (
     ExactMatrix,
     Q,
     Subspace,
+    _kron_space,
     _memoized,
     _nullspace_from_system,
     commutator,
@@ -156,47 +157,30 @@ def embed_k(ca: CurrentAlgebra, t: ExactMatrix, f: ExactMatrix) -> ExactMatrix:
 
 
 def summand_h(ca: CurrentAlgebra) -> EndoSubspace:
-    """Span of der(g) (x) L(A) inside End(g (x) A)."""
-    return _memoized(ca, "summand_h", lambda: _kron_span(ca, _factors(ca, "h")))
+    """Span of der(g) (x) L(A) inside End(g (x) A), read off the factors' RREF bases."""
+    return _memoized(ca, "summand_h", lambda: _kron_of(ca, ca.der_g(), _left_mult_span(ca)))
 
 
 def summand_w(ca: CurrentAlgebra) -> EndoSubspace:
-    """Span of centroid(g) (x) der(A)."""
-    return _memoized(ca, "summand_w", lambda: _kron_span(ca, _factors(ca, "w")))
+    """Span of centroid(g) (x) der(A), read off the factors' RREF bases."""
+    return _memoized(ca, "summand_w", lambda: _kron_of(ca, ca.centroid_g(), ca.der_a()))
 
 
 def summand_k(ca: CurrentAlgebra) -> EndoSubspace:
-    """Span of Hom(g/[g,g], z(g)) (x) End(A)."""
-    return _memoized(ca, "summand_k", lambda: _kron_span(ca, _factors(ca, "k")))
+    """Span of Hom(g/[g,g], z(g)) (x) End(A), read off hom0(g)'s RREF basis and the units E_pq."""
+    return _memoized(ca, "summand_k", lambda: _kron_of(
+        ca, ca.hom0_g(), EndoSubspace(ca.a.dim, Subspace.full_space(ca.a.dim ** 2))))
 
 
-def _factors(ca: CurrentAlgebra, family: str) -> tuple:
-    # the first and the second factors whose Kronecker products span a family
-    if family == "h":
-        return ca.der_g().basis_matrices(), _left_mults(ca, Subspace.full_space(ca.a.dim))
-    if family == "w":
-        return ca.centroid_g().basis_matrices(), ca.der_a().basis_matrices()
-    return ca.hom0_g().basis_matrices(), _matrix_units(ca.a.dim)
+def _kron_of(ca: CurrentAlgebra, x: EndoSubspace, y: EndoSubspace) -> EndoSubspace:
+    # x (x) y inside End(g (x) A), from the RREF bases of x and y
+    return _kron_space(x.basis_matrices(), y.basis_matrices(), ca.dim)
 
 
-def _kron_span(ca: CurrentAlgebra, *factors) -> EndoSubspace:
-    # the span of kron(x, y) over x in xs and y in ys, for each (xs, ys) in factors
-    mats = [kron(x, y) for xs, ys in factors for x in xs for y in ys]
-    return EndoSubspace.from_matrices(mats, ca.dim)
-
-
-def _left_mults(ca: CurrentAlgebra, space: Subspace) -> list:
-    # L_u for the basis rows u of a subspace of A
-    return [ca.a.left_mult_matrix(u) for u in space.basis.rows]
-
-
-def _matrix_units(n):
-    # E_pq, the single entry 1 at (p, q), in row-major order of (p, q)
-    return [
-        ExactMatrix._from_ints(n, n, 1, {p: [(q, 1)]})
-        for p in range(n)
-        for q in range(n)
-    ]
+def _left_mult_span(ca: CurrentAlgebra, space: Optional[Subspace] = None) -> EndoSubspace:
+    # L(U) = span{L_u : u in U} in End(A), U = A by default: eliminated at factor size
+    space = Subspace.full_space(ca.a.dim) if space is None else space
+    return EndoSubspace.from_matrices([ca.a.left_mult_matrix(u) for u in space.basis.rows], ca.a.dim)
 
 
 class DecompositionReport(NamedTuple):
@@ -244,7 +228,7 @@ def zusmanovich_span(ca: CurrentAlgebra) -> DecompositionReport:
     """
     der = ca.derivations()
     h, w, k = summand_h(ca), summand_w(ca), summand_k(ca)
-    total = subspace_sum(subspace_sum(h.space, w.space), k.space)
+    total = subspace_sum(h.space, w.space, k.space)
     span_ok = total == der.space
     _, k_ideal = _own_algebra(der, k)
 
@@ -312,7 +296,8 @@ def verify_bracket_table(
               lambda: tuple(coeffs(na))),
         "w": (cent_g.basis_matrices() if der_a.dim else (), der_a.basis_matrices,
               lambda: sample_mats(der_a.basis_matrices())),
-        "k": (hom0_g.basis_matrices(), lambda: _matrix_units(na),
+        "k": (hom0_g.basis_matrices(),
+              EndoSubspace(na, Subspace.full_space(na * na)).basis_matrices,
               lambda: ExactMatrix([coeffs(na) for _ in range(na)])),
     }
 
@@ -496,11 +481,13 @@ def radical_subspace(
     big_s: Subspace,
     big_j: Subspace,
 ) -> EndoSubspace:
-    """Candidate radical (s (x) J) + (r (x) A) + w + k of der(g (x) A).
+    """Candidate radical (s (x) L(J)) + (r (x) L(A)) + w + k of der(g (x) A).
 
     The inputs are the Levi/radical split s (+) r of der(g) and the
     Wedderburn split S (+) J of A.  Every hypothesis is re-checked and a
-    violated one is named in the raised PreconditionError.
+    violated one is named in the raised PreconditionError.  The first two
+    pieces are read off the factors' RREF bases, as the memoized w and k
+    are, and only their sum is eliminated.
     """
     g, a = ca.g, ca.a
     der_g = ca.der_g()
@@ -545,13 +532,9 @@ def radical_subspace(
     if not center(g).is_subspace_of(derived_subalgebra(g)):
         raise PreconditionError("z(g) is not contained in [g,g]")
 
-    return _kron_span(
-        ca,
-        (s.basis_matrices(), _left_mults(ca, big_j)),
-        (r.basis_matrices(), _left_mults(ca, Subspace.full_space(a.dim))),
-        _factors(ca, "w"),
-        _factors(ca, "k"),
-    )
+    pieces = (_kron_of(ca, s, _left_mult_span(ca, big_j)), _kron_of(ca, r, _left_mult_span(ca)),
+              summand_w(ca), summand_k(ca))
+    return EndoSubspace(ca.dim, subspace_sum(*(piece.space for piece in pieces)))
 
 
 def verify_levi_decomposition(
@@ -599,8 +582,8 @@ def _levi_flags(der: EndoSubspace, rad: EndoSubspace, lev: EndoSubspace) -> dict
 def levi_candidate_subspace(
     ca: CurrentAlgebra, s: EndoSubspace, big_s: Subspace
 ) -> EndoSubspace:
-    """s (x) S: the Levi factor predicted for der(g (x) A)."""
-    return _kron_span(ca, (s.basis_matrices(), _left_mults(ca, big_s)))
+    """s (x) L(S): the Levi factor predicted for der(g (x) A), from the factors' RREF bases."""
+    return _kron_of(ca, s, _left_mult_span(ca, big_s))
 
 
 def certify_decomposition(

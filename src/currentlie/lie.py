@@ -22,6 +22,7 @@ from currentlie.linalg import (
     _Algebra,
     _from_accumulators,
     _from_entries,
+    _kron_space,
     _left_mult,
     _leibniz_space,
     _memoized,
@@ -214,22 +215,17 @@ def centroid(g: LieAlgebra) -> EndoSubspace:
 
 
 def hom_quotient_to_center(g: LieAlgebra) -> EndoSubspace:
-    """Maps vanishing on [g,g] with image inside z(g).
+    """Maps vanishing on [g,g] with image inside z(g): z(g) (x) ann([g,g]).
 
-    Both conditions are linear: T*d = 0 for d spanning [g,g], and
-    N*(T e_j) = 0 where the rows of N cut out the center.
+    _kron_space reads it off z(g)'s RREF rows as n x 1 matrices and the
+    RREF rows of the annihilator of [g,g] as 1 x n matrices, with no
+    elimination in n*n unknowns.
     """
 
     def compute():
-        n = g.dim
-        z = center(g)
-        derived = derived_subalgebra(g)
-        # rows of N vanish exactly on z: over Q the dot form is anisotropic,
-        # so the double orthogonal complement recovers the span exactly
-        normal_rows = nullspace(z.basis)._rows
-        rows = [{p * n + k: x for k, x in d} for _, d in derived._rows for p in range(n)]
-        rows += [{p * n + j: x for p, x in nu} for _, nu in normal_rows for j in range(n)]
-        return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+        n, z, ann = g.dim, center(g)._rows, nullspace(derived_subalgebra(g).basis)._rows
+        zs = [ExactMatrix._from_ints(n, 1, d, {j: [(0, v)] for j, v in row}) for d, row in z]
+        return _kron_space(zs, [ExactMatrix._from_ints(1, n, d, {0: row}) for d, row in ann], n)
 
     return _memoized(g, "hom0", compute)
 

@@ -18,7 +18,8 @@ solves its two-entry rows by a weighted union-find in integers, takes
 that one elimination on the longer rows only, and reads its canonical
 RREF basis straight off the integer rows.  A Subspace stores that basis
 as primitive integer rows, reduces integer vectors against it and reads
-integer coordinates.
+integer coordinates.  The Kronecker products of two RREF bases, sorted
+by pivot, are the RREF basis of their span (_kron_space).
 Lie and associative algebras share one sparse store of structure
 constants (_Algebra), in the same integer form: a least common
 denominator and, per ordered pair of basis elements with a nonzero
@@ -314,6 +315,23 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for i2, rb in b._nz.items()
     }
     return ExactMatrix._from_ints(a.nrows * p, a.ncols * q, a._den * b._den, out)
+
+
+def _kron_space(xs: Sequence[ExactMatrix], ys: Sequence[ExactMatrix], n: int) -> "EndoSubspace":
+    """The n x n span of kron(x, y) over x in xs and y in ys, with no elimination.
+
+    xs and ys are RREF bases as basis_matrices() gives them: read row-major,
+    each is a primitive integer row over its pivot entry, zero before its
+    pivot and at the others' pivots.  kron(x, y) orders its entries (i1, j1),
+    (i2, j2) by (i1, i2, j1, j2): it is zero before the pair of the pivots of
+    x and y, where every other product is zero, and it is primitive.  So the
+    products, by pivot, are the canonical RREF rows, with pivot entries d_x d_y.
+    """
+    # a store lists rows and columns in increasing order: a product's flat
+    # indices come sorted, its pivot first
+    rows = sorted(list(kron(x, y)._flat_ints().items()) for x in xs for y in ys)
+    space = Subspace._from_rows(n * n, tuple(r[0][0] for r in rows), [(r[0][1], r) for r in rows])
+    return EndoSubspace(n, space)
 
 
 def _int_vector(v: Sequence, n: int) -> tuple[int, dict]:
@@ -849,10 +867,11 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
+def subspace_sum(*spaces: Subspace) -> Subspace:
+    ambient = spaces[0].ambient
+    if any(s.ambient != ambient for s in spaces):
         raise ValueError("ambient mismatch")
-    return Subspace._from_rref(a.ambient, _rref_ints(dict(row) for _, row in a._rows + b._rows))
+    return Subspace._from_rref(ambient, _rref_ints(dict(row) for s in spaces for _, row in s._rows))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -243,17 +243,17 @@ def save_algebra(alg, path) -> None:
 def load_algebra(path, check: bool = True):
     """Read an algebra file.
 
-    Raises FormatError for IO trouble or schema violations and, when
-    check is set, AxiomError if the structure constants fail the Lie or
-    associative axioms.
+    Raises FormatError for IO trouble, text that is not UTF-8 or not
+    JSON, or schema violations and, when check is set, AxiomError if the
+    structure constants fail the Lie or associative axioms.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     alg = algebra_from_dict(doc)
     if check:

@@ -6,9 +6,24 @@ import math
 import random
 from fractions import Fraction
 
-from currentlie.assoc import AssocAlgebra
-from currentlie.lie import LieAlgebra, sp
-from currentlie.linalg import EndoSubspace, ExactMatrix
+from currentlie.assoc import AssocAlgebra, direct_sum, truncated_polynomial
+from currentlie.lie import (
+    LieAlgebra,
+    center,
+    derived_subalgebra,
+    heisenberg,
+    lie_from_endo_span,
+    sp,
+)
+from currentlie.linalg import (
+    EndoSubspace,
+    ExactMatrix,
+    Subspace,
+    _nullspace_from_system,
+    commutator,
+    kron,
+    nullspace,
+)
 
 
 def rand_frac(rng: random.Random, num: int = 9, den: int = 4) -> Fraction:
@@ -463,3 +478,106 @@ def rebased(alg, seed: int, spread: int = 3):
         table = [[in_f(alg.multiply(u, v)) for v in p] for u in p]
         return AssocAlgebra(alg.labels, table, in_f(alg.unit))
     return LieAlgebra(alg.labels, [[in_f(alg.bracket(u, v)) for v in p] for u in p])
+
+
+def corpus_lie() -> dict:
+    """Small Lie algebras of every kind the derivation formulas distinguish.
+
+    Central and not (h_1 (+) Q, sl_2 (+) Q), solvable and not nilpotent
+    (r_2), abelian (Q^2), neither solvable nor semisimple (sl_2 x| Q^2),
+    nilpotent of class 3 (the filiform n_4), Heisenberg and simple.
+    """
+    sl2 = [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)]
+    return {
+        "h_1 (+) Q": LieAlgebra.from_bracket_entries(["e", "f", "z", "c"], [(0, 1, 2, 1)]),
+        "r_2": LieAlgebra.from_bracket_entries(["x", "y"], [(0, 1, 1, 1)]),
+        "Q^2": LieAlgebra.from_bracket_entries(["x", "y"], []),
+        "sl_2 (+) Q": LieAlgebra.from_bracket_entries(["h", "e", "f", "c"], sl2),
+        "sl_2 x| Q^2": sl2_ltimes_q2(),
+        "n_4": LieAlgebra.from_bracket_entries(
+            ["e1", "e2", "e3", "e4"], [(0, 1, 2, 1), (0, 2, 3, 1)]),
+        "h_2": heisenberg(2),
+        "sp(1)": sp(1),
+    }
+
+
+def corpus_assoc() -> dict:
+    """Local and split, reduced and not: Q[t]/(t^2), Q (+) Q, Q[t]/(t^3), Q (+) Q[t]/(t^2)."""
+    return {
+        "Q[t]/(t^2)": truncated_polynomial(1),
+        "Q (+) Q": direct_sum(truncated_polynomial(0), truncated_polynomial(0)),
+        "Q[t]/(t^3)": truncated_polynomial(2),
+        "Q (+) Q[t]/(t^2)": direct_sum(truncated_polynomial(0), truncated_polynomial(1)),
+    }
+
+
+def matrix_closure_lie(mats: list, label: str = "m") -> LieAlgebra:
+    """The Lie algebra of the smallest commutator-closed span of square matrices."""
+    n = mats[0].nrows
+    span = EndoSubspace.from_matrices(mats, n)
+    while True:
+        basis = span.basis_matrices()
+        brackets = [commutator(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        grown = EndoSubspace.from_matrices(list(basis) + brackets, n)
+        if grown.dim == span.dim:
+            return lie_from_endo_span(span, [f"{label}{i}" for i in range(span.dim)])
+        span = grown
+
+
+# -- the Kronecker spans as first written: every product eliminated ----------
+#
+# References for linalg._kron_space and its callers, which read the span
+# of the products of two RREF bases off the products themselves.
+
+
+def reference_kron_span(factors, n: int) -> EndoSubspace:
+    """The span of kron(x, y) over x in xs and y in ys, for each (xs, ys) in factors."""
+    return EndoSubspace.from_matrices([kron(x, y) for xs, ys in factors for x in xs for y in ys], n)
+
+
+def reference_hom0(g: LieAlgebra) -> EndoSubspace:
+    """Hom(g/[g,g], z(g)) as the null space of its two linear conditions in dim(g)^2 unknowns.
+
+    T d = 0 for the rows d of [g,g], and N T e_j = 0 where the rows of N
+    cut out z(g): over Q the dot form is anisotropic, so the double
+    orthogonal complement recovers z(g) exactly.
+    """
+    n = g.dim
+    rows = [{p * n + k: x for k, x in d} for _, d in derived_subalgebra(g)._rows for p in range(n)]
+    rows += [{p * n + j: x for p, x in nu} for _, nu in nullspace(center(g).basis)._rows
+             for j in range(n)]
+    return EndoSubspace(n, _nullspace_from_system(rows, n * n))
+
+
+def _left_mults(a, space) -> list:
+    # L_u for the basis rows u of a subspace of A
+    return [a.left_mult_matrix(u) for u in space.basis.rows]
+
+
+def _kron_factors(ca) -> dict:
+    # the first and the second factors of the h, w and k families
+    na = ca.a.dim
+    units = [ExactMatrix._from_ints(na, na, 1, {p: [(q, 1)]}) for p in range(na) for q in range(na)]
+    return {
+        "h": (ca.der_g().basis_matrices(), _left_mults(ca.a, Subspace.full_space(na))),
+        "w": (ca.centroid_g().basis_matrices(), ca.der_a().basis_matrices()),
+        "k": (reference_hom0(ca.g).basis_matrices(), units),
+    }
+
+
+def reference_summands(ca) -> dict:
+    """summand_h, _w and _k of g (x) A, each by eliminating all its Kronecker products."""
+    return {name: reference_kron_span([pair], ca.dim) for name, pair in _kron_factors(ca).items()}
+
+
+def reference_candidates(ca, s, r, big_s, big_j) -> tuple:
+    """(radical, Levi) candidates of g (x) A, each by eliminating all its Kronecker products.
+
+    The radical is spanned by s (x) L(J), r (x) L(A), w and k together,
+    the Levi candidate by s (x) L(S).
+    """
+    families = _kron_factors(ca)
+    radical = reference_kron_span([
+        (s.basis_matrices(), _left_mults(ca.a, big_j)),
+        (r.basis_matrices(), families["h"][1]), families["w"], families["k"]], ca.dim)
+    return radical, reference_kron_span([(s.basis_matrices(), _left_mults(ca.a, big_s))], ca.dim)

@@ -8,7 +8,9 @@ runs in process on each pair, and `cli.main` must return 0, 1 or 2 and
 never raise.  Where the outcome is known it is asserted too: a malformed
 file exits 2 from every verb that reads it, and every single-file verb
 passes on an unbroken one.  The seed never draws a non-Lie file together
-with a malformed associative one, so that pair is added by hand.
+with a malformed associative one, so that pair is added by hand, and so
+are two files that are not JSON text at all: bytes that are not UTF-8,
+and an array nested deeper than the JSON decoder's recursion limit.
 """
 
 from __future__ import annotations
@@ -16,8 +18,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from currentlie.cli import main
 
@@ -115,6 +121,10 @@ NON_LIE = (json.dumps({"kind": "lie", "dim": 3, "basis": ["b0", "b1", "b2"],
 MALFORMED_A = (json.dumps({"kind": "assoc", "dim": 2, "basis": ["b0", "b1"],
                            "products": [[0, 0, 0, "1e3"], [0, 1, 1, "1"]],
                            "unit": ["1", "0"]}), True, False)
+# (bytes, malformed, broken) of a file that is not UTF-8 and of one whose
+# nesting exceeds the recursion limit of json.loads
+NOT_UTF8 = (b"\xff\xfe{}", True, False)
+TOO_DEEP = (b"[" * 100000 + b"\n", True, False)
 
 
 def _run(argv) -> int:
@@ -126,12 +136,14 @@ def test_random_files_keep_the_exit_code_contract(tmp_path):
     rng = random.Random(20261019)
     g_path, a_path = str(tmp_path / "g.json"), str(tmp_path / "a.json")
     seen = set()
-    pairs = [(lie_file(rng), assoc_file(rng)) for _ in range(40)] + [(NON_LIE, MALFORMED_A)]
+    pairs = [(lie_file(rng), assoc_file(rng)) for _ in range(40)]
+    # each unreadable file comes first once, so that the two-file verbs read it
+    pairs += [(NON_LIE, MALFORMED_A), (NOT_UTF8, TOO_DEEP), (TOO_DEEP, NOT_UTF8)]
     for g_file, a_file in pairs:
         files = {g_path: g_file, a_path: a_file}
         for path, (text, _, _) in files.items():
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         runs = []  # (the file a single-file verb reads, or None, argv)
         for path in files:
             runs += [
@@ -156,3 +168,20 @@ def test_random_files_keep_the_exit_code_contract(tmp_path):
             elif path and not files[path][2]:
                 assert code == 0, (argv, files[path][0])
     assert seen == {0, 1, 2}
+
+
+def test_unreadable_files_exit_2_with_one_error_line(tmp_path):
+    # in a child process, as a user runs it: a decoding fault of either kind
+    # must reach the exit-code contract, not the interpreter's traceback
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for name, (data, _, _) in (("not_utf8.json", NOT_UTF8), ("deep.json", TOO_DEEP)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "currentlie.cli", "derive", str(path), "--dim"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
