@@ -41,6 +41,7 @@ from currentlie.lie import (
     is_solvable,
     is_subalgebra_closed,
     killing_form,
+    levi_decomposition,
     lie_from_endo_span,
     lower_central_series,
     solvable_radical,

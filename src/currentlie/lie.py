@@ -3,9 +3,10 @@
 A LieAlgebra stores only its nonzero brackets, in the sparse form it
 shares with AssocAlgebra (linalg._Algebra), and every routine here reads
 that form: center, derived and lower central series, derivations,
-centroid, the maps g/[g,g] -> z(g), Killing form and solvable radical,
-plus the two concrete families used throughout (Heisenberg algebras and
-symplectic algebras with their matrix realization).
+centroid, the maps g/[g,g] -> z(g), Killing form, solvable radical and a
+Levi decomposition, plus the two concrete families used throughout
+(Heisenberg algebras and symplectic algebras with their matrix
+realization).
 """
 
 from __future__ import annotations
@@ -260,6 +261,85 @@ def solvable_radical(g: LieAlgebra) -> Subspace:
 def is_semisimple(g: LieAlgebra) -> bool:
     # the zero algebra counts: its 0 x 0 Killing form has rank 0
     return rank(killing_form(g)) == g.dim
+
+
+def _cleared(row: dict) -> tuple[int, dict]:
+    # (den, w): the rational row {index: x} as ints w over den, zeros dropped
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
+
+
+def _mod(space: Subspace, v: dict) -> dict:
+    # the canonical representative of the rational v {index: x} modulo space
+    den, w = _cleared(v)
+    den *= space._reduce(w)[0]
+    return {j: Q(x, den) for j, x in w.items()}
+
+
+def levi_decomposition(g: LieAlgebra) -> tuple[Subspace, Subspace]:
+    """A Levi subalgebra s and the solvable radical r of g, with g = s (+) r.
+
+    The lifting of Whitehead's second lemma (de Graaf, Lie Algebras:
+    Theory and Algorithms, 2000, 4.13; Rand, Winternitz and Zassenhaus,
+    Linear Algebra Appl. 109, 1988), down the derived series
+    R = R_0 > R_1 > ... > 0 of R = rad g.  The x_k start as the unit
+    vectors off R's pivots, which span g modulo R, where
+    [x_i, x_j] = sum_k c_ij^k x_k.  Step t adds to each x_k some r_k in
+    R_t so that e_ij = [x_i, x_j] - sum_k c_ij^k x_k falls into R_(t+1);
+    modulo R_(t+1) = [R_t, R_t] that is linear in the r_k.  s is the span
+    of the lifted x_k.  A step without a solution raises RuntimeError.
+    """
+    series = [solvable_radical(g)]
+    while series[-1].dim:
+        series.append(_bracket_span(g, series[-1], series[-1]))
+    rad = series[0]
+    xs = {k: {k: _ONE} for k in range(g.dim) if k not in rad._row_at}
+    pairs = list(combinations(xs, 2))
+
+    def bracket(x, y):
+        return {p: v / g.den for p, v in g._times(x.items(), y.items()).items()}
+
+    # [x_i, x_j] modulo R is zero on R's pivots: its entries are the c_ij^k
+    c = {(i, j): _mod(rad, bracket(xs[i], xs[j])) for i, j in pairs}
+    for upper, lower in zip(series, series[1:]):
+        errors = {}
+        for i, j in pairs:
+            e = bracket(xs[i], xs[j])
+            for k, ck in c[i, j].items():
+                for p, v in xs[k].items():
+                    e[p] = e.get(p, 0) - ck * v
+            errors[i, j] = _mod(lower, e)
+        if not any(errors.values()):
+            continue
+        # r_k = sum_b y_kb u_b over the rows u_b of R_t off the pivots of
+        # R_(t+1), which are zero at those pivots: reduced modulo R_(t+1).
+        # Unknown y_kb is column 1 + k q + b, the constant term column 0
+        us = [{j: Q(v, d) for j, v in row}
+              for p, (d, row) in zip(upper.pivots, upper._rows) if p not in lower._row_at]
+        q = len(us)
+        ad = {k: [_mod(lower, bracket(x, u)) for u in us] for k, x in xs.items()}
+        system = {}  # (i, j, coordinate) -> {column: coefficient}
+        for i, j in pairs:
+            # e_ij + [x_i, r_j] - [x_j, r_i] - sum_k c_ij^k r_k
+            terms = [(0, 1, errors[i, j])]
+            for b, u in enumerate(us):
+                terms += [(1 + j * q + b, 1, ad[i][b]), (1 + i * q + b, -1, ad[j][b])]
+                terms += [(1 + k * q + b, -ck, u) for k, ck in c[i, j].items()]
+            for col, f, vec in terms:
+                for p, v in vec.items():
+                    row = system.setdefault((i, j, p), {})
+                    row[col] = row.get(col, 0) + f * v
+        kernel = _nullspace_from_system(
+            (_cleared(row)[1] for row in system.values()), 1 + g.dim * q)
+        if not kernel.pivots or kernel.pivots[0] != 0:
+            raise RuntimeError("no Levi factor of der(g): a lifting step has no solution")
+        d, solution = kernel._rows[0]
+        for col, v in solution[1:]:
+            k, b = divmod(col - 1, q)
+            for p, w in us[b].items():
+                xs[k][p] = xs[k].get(p, 0) + Q(v, d) * w
+
+    return Subspace._from_rref(g.dim, _rref_ints(_cleared(x)[1] for x in xs.values())), rad
 
 
 def is_subalgebra_closed(g: LieAlgebra, space: Subspace) -> bool:

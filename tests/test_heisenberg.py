@@ -305,7 +305,7 @@ def test_levi_split_of_the_supported_algebras(monkeypatch):
     shear = [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
     g = _in_basis(sl2_ltimes_q2(), shear)
     solved = []
-    monkeypatch.setattr("currentlie.current._nullspace_from_system",
+    monkeypatch.setattr("currentlie.lie._nullspace_from_system",
                         lambda rows, n: solved.append(n) or _nullspace_from_system(rows, n))
     _assert_levi_split(g, *levi_split(g), levi_dim=3)
     assert len(solved) == 2

@@ -32,7 +32,8 @@ EXPORTS = {
         "LieAlgebra", "center", "centroid", "derived_series", "derived_subalgebra", "heisenberg",
         "hom_quotient_to_center", "is_ideal", "is_nilpotent", "is_semisimple", "is_solvable",
         "is_subalgebra_closed", "killing_form", ("lie_derivations", "derivations"),
-        "lie_from_endo_span", "lower_central_series", "solvable_radical", "sp", "subalgebra",
+        "levi_decomposition", "lie_from_endo_span", "lower_central_series", "solvable_radical",
+        "sp", "subalgebra",
     ],
     "currentlie.linalg": [
         "EndoSubspace", "ExactMatrix", "Q", "Subspace", "commutator",
