@@ -170,8 +170,8 @@ def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     def compute():
-        full = Subspace.full_space(g.dim)
-        return _bracket_span(g, full, full)
+        # the span of the nonzero brackets of basis elements
+        return Subspace._from_rref(g.dim, _rref_ints(dict(terms) for terms in g.products.values()))
 
     return _memoized(g, "derived", compute)
 

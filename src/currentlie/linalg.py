@@ -12,11 +12,12 @@ integer numerators over the product of the operands' denominators (1 for
 integer matrices), and store the result the same way.
 Linear systems are eliminated sparse and in integers: the one
 fraction-free Gauss-Jordan routine, _rref_ints, takes integer rows only,
-as {column: nonzero int} dicts, and eliminates by integer
-cross-multiplication.  A null space numbers the unknowns in reverse,
-solves its two-entry rows by a weighted union-find in integers, takes
-that one elimination on the longer rows only, and reads its canonical
-RREF basis straight off the integer rows.  A Subspace stores that basis
+as {column: nonzero int} dicts, and keeps its pivot rows in reduced
+echelon form as each row arrives, by integer cross-multiplication.  A
+null space numbers the unknowns in reverse, solves its two-entry rows
+by a weighted union-find in integers, takes that one elimination on the
+longer rows only, and reads its canonical RREF basis straight off the
+integer rows.  A Subspace stores that basis
 as primitive integer rows, reduces integer vectors against it and reads
 integer coordinates.  The Kronecker products of two RREF bases, sorted
 by pivot, are the RREF basis of their span (_kron_space).
@@ -357,14 +358,17 @@ def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int
     columns in `zero` are cut out of every row: the basis is that of the
     span of what is left.  Each one-entry row outside them becomes a
     pivot row e_j, and column j is dropped from every other row before
-    anything is eliminated.  Each other row is copied and eliminated forward on its
-    leading entry only, by gcd-reduced integer cross-multiplication; a
-    repeated row just reduces to nothing.  This is fraction-free
-    elimination in the style of Bareiss (Math. Comp. 22, 1968), except
-    that a row is made primitive after each step instead of being divided
-    by the previous pivot, and once more, with a positive pivot entry, when
-    it becomes a pivot row.  One back-substitution, last pivot first, then
-    clears every pivot column.  Returned as the (pivot column, d, {column:
+    anything is eliminated.  One invariant holds as the other rows arrive:
+    the pivot rows are in reduced echelon form, each zero at the others'
+    pivots.  So a copy of a row is reduced once by the pivot row at each
+    pivot in its support, which adds no pivot entry, and a repeated row
+    reduces to nothing; a row left over leads at a new pivot p, which is
+    cleared from the pivot rows that hold it, found through an index of
+    their columns.  Each step is gcd-reduced integer cross-multiplication,
+    in the style of Bareiss (Math. Comp. 22, 1968), except that a row is
+    made primitive after each step instead of being divided by the
+    previous pivot, and once more, with a positive pivot entry, when it
+    becomes a pivot row.  Returned as the (pivot column, d, {column:
     int}) triples a Subspace stores, by pivot: each row is primitive, d > 0
     is its pivot entry, and row / d is the RREF row.
     """
@@ -372,30 +376,25 @@ def _rref_ints(rows: Iterable[dict], zero: Iterable[int] = ()) -> list[tuple[int
     units = (j for row in rows if len(row) == 1 for j in row if j not in zero)
     pivot_rows: dict[int, dict] = {j: {j: 1} for j in units}
     zero.update(pivot_rows)
+    holders: dict[int, set] = {}  # column: pivots whose rows may hold it
     for row in rows:
         work = {j: x for j, x in row.items() if j not in zero}
+        for c in [c for c in work if c in pivot_rows]:
+            _eliminate(work, c, pivot_rows[c])
         if not work:
             continue
         p = min(work)
-        while p in pivot_rows:
-            _eliminate(work, p, pivot_rows[p])
-            if not work:
-                break
-            p = min(work)
-        if work:
-            g = gcd(*work.values())
-            g = g if work[p] > 0 else -g
-            pivot_rows[p] = work if g == 1 else {j: x // g for j, x in work.items()}
-    # pivot rows are zero left of their pivots, so clearing the pivot
-    # columns of a row with the already reduced later rows adds no new ones
-    reduced = []
-    for p in sorted(pivot_rows, reverse=True):
-        work = pivot_rows[p]
-        for c in [c for c in work if c != p and c in pivot_rows]:
-            _eliminate(work, c, pivot_rows[c])
-        reduced.append((p, work[p], work))
-    reduced.reverse()
-    return reduced
+        g = gcd(*work.values())
+        g = g if work[p] > 0 else -g
+        pivot_rows[p] = work = work if g == 1 else {j: x // g for j, x in work.items()}
+        for j in work.keys() - {p}:
+            holders.setdefault(j, set()).add(p)
+        for q in holders.pop(p, ()):
+            if p in (held := pivot_rows[q]):
+                _eliminate(held, p, work)
+                for j in held.keys() & work.keys():
+                    holders[j].add(q)
+    return [(p, row[p], row) for p, row in sorted(pivot_rows.items())]
 
 
 def _eliminate(work: dict, c: int, pivot_row: dict) -> None:

@@ -524,6 +524,61 @@ def matrix_closure_lie(mats: list, label: str = "m") -> LieAlgebra:
         span = grown
 
 
+# -- a seeded generator of (g, A) pairs ---------------------------------------
+
+# monic f, constant term first: a field, a square of one, a split quotient
+QUOTIENTS = [[-2, 0, 1], [1, 0, 1], [4, 0, -4, 0, 1], [0, -1, 1], [-1, 1, 0, 1]]
+
+
+def sparse_matrix(rng: random.Random, n: int, shape: str) -> ExactMatrix:
+    """One to three entries in [-2, 2] of an n x n integer matrix.
+
+    Upper triangular ones close to a solvable g, block diagonal ones
+    (2 x 2 and the rest) to a reductive g.
+    """
+    if shape == "upper":
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        slots = [(i, j) for i in range(n) for j in range(n) if (i < 2) == (j < 2)]
+    entries = dict.fromkeys(rng.sample(slots, rng.randint(1, 3)), 0)
+    for pos in entries:
+        entries[pos] = rng.choice([-2, -1, 1, 2])
+    return ExactMatrix([[entries.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+def draw_assoc(rng: random.Random) -> AssocAlgebra:
+    """Of dim at most 4: one ring, or the sum of two of dim at most 2."""
+    if rng.random() < 0.5:
+        return rng.choice([truncated_polynomial(rng.randint(0, 3)),
+                           polynomial_quotient(rng.choice(QUOTIENTS))])
+    small = [truncated_polynomial(0), truncated_polynomial(1)]
+    small += [polynomial_quotient(f) for f in QUOTIENTS if len(f) == 3]
+    return direct_sum(rng.choice(small), rng.choice(small))
+
+
+def generated_pair(index: int, seed: int = 7):
+    """Draw `index` of the seeded (g, A) generator, or None if it is skipped.
+
+    Each draw takes n from [3, 3, 4], a shape, the commutator closure g
+    of two or three sparse n x n matrices of that shape, and A from
+    draw_assoc.  A product of dim over 40 is skipped with no further
+    draw; otherwise, with probability 1/2, g and A are both rebased by
+    rebased(., index).  Draw 26 is such a pair, g of dim 5 and A of dim 4:
+    every row of its Leibniz system has 32 or more entries.
+    """
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        n = rng.choice([3, 3, 4])
+        shape = rng.choice(["upper", "block"])
+        g = matrix_closure_lie([sparse_matrix(rng, n, shape) for _ in range(rng.randint(2, 3))])
+        a = draw_assoc(rng)
+        skipped = g.dim * a.dim > 40
+        rebase = not skipped and rng.random() < 0.5
+    if skipped:
+        return None
+    return (rebased(g, index), rebased(a, index)) if rebase else (g, a)
+
+
 # -- the Kronecker spans as first written: every product eliminated ----------
 #
 # References for linalg._kron_space and its callers, which read the span

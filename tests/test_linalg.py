@@ -425,7 +425,12 @@ def test_fraction_free_elimination_matches_reference():
         ref_rows = _nonzero_rows(ref)
         ref_pivots = [_leading(row) for row in ref_rows]
 
-        reduced = _rref_ints(int_rows(rows))
+        # the pivot rows are the eliminator's own copies: clearing a new
+        # pivot from the earlier ones leaves the input rows as they were
+        inputs = int_rows(rows)
+        before = [dict(row) for row in inputs]
+        reduced = _rref_ints(inputs)
+        assert inputs == before
         assert [p for p, _, _ in reduced] == ref_pivots
         for (p, d, row), want in zip(reduced, ref_rows):
             assert all(type(x) is int and x for x in row.values()) and d == row[p] > 0

@@ -314,7 +314,7 @@ def test_truncated_polynomial_derivation_dimension():
 
 @pytest.mark.parametrize(
     "g,k,dim,rows,eliminations",
-    [(heisenberg(3), 4, 264, 126, 311), (sp(2), 1, 21, 160, 248)],
+    [(heisenberg(3), 4, 264, 126, 208), (sp(2), 1, 21, 160, 172)],
     ids=["h_3,4", "sp(2)(x)A_1"],
 )
 def test_derivation_solve_leaves_few_rows_to_the_eliminator(
